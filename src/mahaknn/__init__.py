@@ -20,7 +20,13 @@ from .statistics import (  # noqa: F401
     identity_model,
     mahalanobis_distance,
 )
-from .neighborhood import NeighborGraph, floyd_warshall, knn, knn_geodesic  # noqa: F401
+from .neighborhood import (  # noqa: F401
+    NeighborGraph,
+    build_graph,
+    floyd_warshall,
+    knn,
+    knn_geodesic,
+)
 from .descriptors import DescriptorSet, edgeconv_features, eigen_features, kmeans  # noqa: F401
 from .registration import (  # noqa: F401
     RegistrationConfig,

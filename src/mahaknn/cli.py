@@ -28,17 +28,21 @@ from .errors import (
 )
 from .geometry import PointCloud, apply, euler_zyx_deg
 from .harness import load_scenario, run_scenario, write_report
-from .neighborhood import METRIC_EUCLIDEAN, METRIC_MAHALANOBIS, knn, knn_geodesic
+from .neighborhood import METRIC_EUCLIDEAN, METRIC_MAHALANOBIS, build_graph
 from .registration import RegistrationConfig, register
 from .shapes import generate
-from .statistics import estimate_covariance
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_NUMERICAL = 3
 
-_NUMERICAL_ERRORS = (RankDeficiencyError, SingularCovarianceError, NoCorrespondenceError)
+_NUMERICAL_ERRORS = (
+    RankDeficiencyError,
+    SingularCovarianceError,
+    NoCorrespondenceError,
+    np.linalg.LinAlgError,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -156,9 +160,8 @@ def _cmd_register(args) -> int:
 
 def _cmd_knn_compare(args) -> int:
     cloud = load_cloud(args.input)
-    model = estimate_covariance(cloud)
-    euc = knn(cloud, args.k, METRIC_EUCLIDEAN)
-    mah = knn(cloud, args.k, METRIC_MAHALANOBIS, model)
+    euc = build_graph(cloud, METRIC_EUCLIDEAN, args.k)
+    mah = build_graph(cloud, METRIC_MAHALANOBIS, args.k)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([
@@ -179,12 +182,7 @@ def _cmd_knn_compare(args) -> int:
 
 def _cmd_cluster(args) -> int:
     cloud = load_cloud(args.input)
-    if args.metric == METRIC_MAHALANOBIS:
-        graph = knn(cloud, args.k, METRIC_MAHALANOBIS, estimate_covariance(cloud))
-    elif args.metric == METRIC_EUCLIDEAN:
-        graph = knn(cloud, args.k, METRIC_EUCLIDEAN)
-    else:
-        graph = knn_geodesic(cloud, args.k, args.k)
+    graph = build_graph(cloud, args.metric, args.k)
     features = edgeconv_features(cloud, graph, seed=args.seed)
     labels = kmeans(features, args.K, args.seed)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -156,14 +156,3 @@ def kmeans(
     if return_history:
         return labels, history
     return labels
-
-
-def kmeans_objective(features: DescriptorSet, labels, centers=None) -> float:
-    """Sum of squared distances to each point's assigned centroid."""
-    x = features.vectors
-    labels = np.asarray(labels)
-    if centers is None:
-        ks = np.unique(labels)
-        centers = {k: x[labels == k].mean(axis=0) for k in ks}
-        return float(sum(np.sum((x[labels == k] - centers[k]) ** 2) for k in ks))
-    return float(np.sum((x - np.asarray(centers)[labels]) ** 2))

@@ -167,10 +167,6 @@ def apply(motion: RigidMotion, cloud: PointCloud) -> PointCloud:
     return PointCloud(pts, cloud.id)
 
 
-def apply_points(motion: RigidMotion, points: NDArray[np.float64]) -> NDArray[np.float64]:
-    return np.asarray(points, dtype=np.float64) @ motion.rotation.T + motion.translation
-
-
 def compose(a: RigidMotion, b: RigidMotion) -> RigidMotion:
     """Motion acting as a after b: apply(compose(a, b), X) == apply(a, apply(b, X))."""
     return RigidMotion(a.rotation @ b.rotation, a.rotation @ b.translation + a.translation)

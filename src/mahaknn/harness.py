@@ -19,7 +19,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -110,7 +110,7 @@ def run_scenario(scenario: Scenario) -> BenchmarkReport:
             start = time.perf_counter()
             try:
                 result = register(src_c, tgt_c, cfg)
-            except MahaknnError:
+            except (MahaknnError, np.linalg.LinAlgError):
                 failures[name] += 1
                 wall[name] += time.perf_counter() - start
                 continue
@@ -187,20 +187,13 @@ def _parse_interval(text: str) -> tuple:
     return (float(parts[0]), float(parts[1]))
 
 
-_PIPELINE_FIELDS = {
-    "metric": str,
-    "descriptor": str,
-    "k": int,
-    "max_iters": int,
-    "convergence_tol": float,
-    "trim_fraction": float,
-    "seed": int,
-    "k_base": int,
-    "edgeconv_layers": int,
-    "edgeconv_width": int,
-    "regularizer": float,
-    "mutual": lambda s: s.lower() in ("1", "true", "yes"),
-}
+def _parse_bool(text: str) -> bool:
+    return text.lower() in ("1", "true", "yes")
+
+
+# Field annotations are strings (postponed evaluation in registration.py).
+_PARSERS = {"str": str, "int": int, "float": float, "bool": _parse_bool}
+_PIPELINE_FIELDS = {f.name: _PARSERS[f.type] for f in fields(RegistrationConfig)}
 
 
 def load_scenario(path) -> Scenario:

@@ -3,7 +3,9 @@
 Neighbor search is exact brute force over all pairs; ties break toward the
 lower point index so every graph is deterministic. The geodesic variant runs
 all-pairs shortest paths (vectorized Floyd-Warshall) on a symmetrized
-Euclidean k-NN graph.
+Euclidean k-NN graph. `build_graph` is the one metric -> graph dispatch; with
+a covariance estimated from the cloud itself, each of its graphs is invariant
+under rigid motion of the cloud.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from numpy.typing import NDArray
 
 from .errors import InvalidArgumentError
 from .geometry import PointCloud
-from .statistics import CovarianceModel
+from .statistics import DEFAULT_REGULARIZER, CovarianceModel, estimate_covariance
 
 METRIC_EUCLIDEAN = "euclidean"
 METRIC_MAHALANOBIS = "mahalanobis"
@@ -120,6 +122,25 @@ def knn_geodesic(cloud: PointCloud, k_base: int, k: int) -> NeighborGraph:
     dist = floyd_warshall(geodesic_adjacency(cloud, k_base))
     np.fill_diagonal(dist, np.inf)
     return NeighborGraph(_rank_rows(dist, k), METRIC_GEODESIC, k)
+
+
+def build_graph(
+    cloud: PointCloud,
+    metric: str,
+    k: int,
+    k_base: int | None = None,
+    regularizer: float = DEFAULT_REGULARIZER,
+) -> NeighborGraph:
+    """The k-NN graph of a cloud under a metric name.
+
+    Mahalanobis uses the cloud's own regularized global covariance; geodesic
+    walks a Euclidean k_base-NN graph (k_base defaults to k).
+    """
+    if metric == METRIC_GEODESIC:
+        return knn_geodesic(cloud, k if k_base is None else k_base, k)
+    if metric == METRIC_MAHALANOBIS:
+        return knn(cloud, k, METRIC_MAHALANOBIS, estimate_covariance(cloud, regularizer))
+    return knn(cloud, k, metric)
 
 
 def graph_to_text(graph: NeighborGraph) -> str:

@@ -4,11 +4,16 @@ Alternates correspondence estimation and the closed-form SVD solve: the
 point-ICP baseline matches raw coordinates, the descriptor pipelines match
 edge-conv or eigen features built on the configured neighbor graph. The
 cumulative motion maps the original source onto the target frame.
+
+Graphs are built once per cloud per registration: the target never moves,
+and every metric's graph is invariant under rigid motion of the source. Only
+the moved source's descriptors, which depend on its pose, are recomputed on
+each iteration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,10 +33,10 @@ from .neighborhood import (
     METRIC_EUCLIDEAN,
     METRIC_GEODESIC,
     METRIC_MAHALANOBIS,
-    knn,
-    knn_geodesic,
+    NeighborGraph,
+    build_graph,
 )
-from .statistics import DEFAULT_REGULARIZER, estimate_covariance
+from .statistics import DEFAULT_REGULARIZER
 
 DESCRIPTOR_EDGECONV = "edgeconv"
 DESCRIPTOR_EIGEN = "eigen"
@@ -106,14 +111,13 @@ def match_descriptors(
     return CorrespondenceSet(keep, nearest[keep])
 
 
-def _build_descriptors(cloud: PointCloud, cfg: RegistrationConfig) -> DescriptorSet:
-    if cfg.metric == METRIC_GEODESIC:
-        graph = knn_geodesic(cloud, cfg.k_base, cfg.k)
-    elif cfg.metric == METRIC_MAHALANOBIS:
-        model = estimate_covariance(cloud, cfg.regularizer)
-        graph = knn(cloud, cfg.k, METRIC_MAHALANOBIS, model)
-    else:
-        graph = knn(cloud, cfg.k, METRIC_EUCLIDEAN)
+def _build_graph(cloud: PointCloud, cfg: RegistrationConfig) -> NeighborGraph:
+    return build_graph(cloud, cfg.metric, cfg.k, k_base=cfg.k_base, regularizer=cfg.regularizer)
+
+
+def _build_descriptors(
+    cloud: PointCloud, graph: NeighborGraph, cfg: RegistrationConfig
+) -> DescriptorSet:
     if cfg.descriptor == DESCRIPTOR_EDGECONV:
         return edgeconv_features(
             cloud, graph, cfg.edgeconv_layers, cfg.edgeconv_width, cfg.seed
@@ -133,8 +137,8 @@ def _coarse_alignment(
     Falls back to identity when the match is too degenerate to solve.
     """
     try:
-        fs = eigen_features(source, knn(source, cfg.k)).vectors[:, :3]
-        ft = eigen_features(target, knn(target, cfg.k)).vectors[:, :3]
+        fs = eigen_features(source, build_graph(source, METRIC_EUCLIDEAN, cfg.k)).vectors[:, :3]
+        ft = eigen_features(target, build_graph(target, METRIC_EUCLIDEAN, cfg.k)).vectors[:, :3]
         corr = match_descriptors(
             DescriptorSet(fs, 0, 0, "eigen-invariant"),
             DescriptorSet(ft, 0, 0, "eigen-invariant"),
@@ -153,19 +157,25 @@ def register(
         raise InvalidArgumentError("clouds must contain at least k + 1 points")
     cumulative = identity_motion()
     current = source
-    if cfg.descriptor == DESCRIPTOR_NONE and cfg.coarse_init and cfg.k >= 3:
-        cumulative = _coarse_alignment(source, target, cfg)
-        current = apply(cumulative, source)
+    src_graph = None
+    if cfg.descriptor == DESCRIPTOR_NONE:
+        if cfg.coarse_init and cfg.k >= 3:
+            cumulative = _coarse_alignment(source, target, cfg)
+            current = apply(cumulative, source)
+        tgt_desc = _coordinate_descriptors(target)
+    else:
+        # The target never moves and the source graph is invariant under the
+        # rigid motions applied below, so each graph is built exactly once.
+        src_graph = _build_graph(source, cfg)
+        tgt_desc = _build_descriptors(target, _build_graph(target, cfg), cfg)
     residuals: list[float] = []
     corr = None
     iterations = 0
     for _ in range(cfg.max_iters):
-        if cfg.descriptor == DESCRIPTOR_NONE:
+        if src_graph is None:
             src_desc = _coordinate_descriptors(current)
-            tgt_desc = _coordinate_descriptors(target)
         else:
-            src_desc = _build_descriptors(current, cfg)
-            tgt_desc = _build_descriptors(target, cfg)
+            src_desc = _build_descriptors(current, src_graph, cfg)
         corr = match_descriptors(src_desc, tgt_desc, cfg.trim_fraction)
         if cfg.mutual:
             corr = _mutual_filter(src_desc, tgt_desc, corr)

@@ -82,10 +82,3 @@ def mahalanobis_distance(p, q, model: CovarianceModel) -> float:
     """sqrt(d^T C^-1 d) for d = p - q; symmetric, zero iff p == q."""
     d = np.asarray(p, dtype=np.float64) - np.asarray(q, dtype=np.float64)
     return float(np.sqrt(max(d @ model.inverse @ d, 0.0)))
-
-
-def mahalanobis_pairwise(points, model: CovarianceModel) -> NDArray[np.float64]:
-    """Dense matrix of Mahalanobis distances between all rows of points."""
-    white = np.asarray(points, dtype=np.float64) @ model.whitener().T
-    diff = white[:, None, :] - white[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))

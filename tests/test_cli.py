@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from mahaknn.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from mahaknn import cli
+from mahaknn.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from mahaknn.cloudio import load_cloud, save_cloud
 from mahaknn.geometry import PointCloud
 from mahaknn.shapes import two_planes
@@ -132,6 +133,16 @@ class TestCli:
         assert main(["bench", "--scenario", str(scenario), "--out", str(out)]) == EXIT_OK
         doc = json.loads((out / "report.json").read_text())
         assert doc["cells"]["icp"]["success_rate"] == 1.0
+
+    def test_linalg_error_is_numerical_failure(self, tmp_path, monkeypatch):
+        def diverging(source, target, cfg):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(cli, "register", diverging)
+        cloud = tmp_path / "cap.xyz"
+        main(["gen", "--shape", "sphere", "--n", "60", "--out", str(cloud)])
+        assert main(["register", "--source", str(cloud), "--target", str(cloud),
+                     "--report", str(tmp_path / "r.json")]) == EXIT_NUMERICAL
 
     def test_missing_input_is_io_error(self, tmp_path):
         assert main(["corrupt", "--in", str(tmp_path / "absent.xyz"),

@@ -168,21 +168,27 @@ class TestKabsch:
         assert abs(np.linalg.det(m.rotation) - 1.0) < 1e-9
         res = _residual(m, src_pts, tgt_pts)
 
+        src_c = src_pts - src_pts.mean(0)
+        tgt_c = tgt_pts - tgt_pts.mean(0)
+
         def grid_best(centers, step, span):
+            # Every (alpha, beta, gamma) offset of the grid at once, in the
+            # nested-loop order (alpha outermost), so argmin keeps the first
+            # minimum exactly as a strict `<` scan would.
             offsets = np.arange(-span, span + step / 2, step)
-            best = (np.inf, None)
-            for da in offsets:
-                for db in offsets:
-                    for dg in offsets:
-                        e = (centers[0] + da, centers[1] + db, centers[2] + dg)
-                        cand = make_rigid(e, (0, 0, 0))
-                        diff = (src_pts - src_pts.mean(0)) @ cand.rotation.T - (
-                            tgt_pts - tgt_pts.mean(0)
-                        )
-                        r = float(np.sum(diff**2))
-                        if r < best[0]:
-                            best = (r, e)
-            return best
+            grid = np.stack(np.meshgrid(offsets, offsets, offsets, indexing="ij"), -1)
+            euler = np.asarray(centers) + grid.reshape(-1, 3)
+            a, b, g = np.deg2rad(euler).T
+            ca, sa, cb, sb, cg, sg = np.cos(a), np.sin(a), np.cos(b), np.sin(b), np.cos(g), np.sin(g)
+            one, zero = np.ones_like(a), np.zeros_like(a)
+            rx = np.stack([one, zero, zero, zero, ca, -sa, zero, sa, ca], -1).reshape(-1, 3, 3)
+            ry = np.stack([cb, zero, sb, zero, one, zero, -sb, zero, cb], -1).reshape(-1, 3, 3)
+            rz = np.stack([cg, -sg, zero, sg, cg, zero, zero, zero, one], -1).reshape(-1, 3, 3)
+            rot = rz @ ry @ rx  # make_rigid's Rz(g) @ Ry(b) @ Rx(a)
+            diff = np.einsum("pj,nij->npi", src_c, rot) - tgt_c
+            r = np.sum(diff**2, axis=(1, 2))
+            best = int(np.argmin(r))
+            return float(r[best]), tuple(euler[best])
 
         coarse = grid_best((0.0, 0.0, 0.0), 6.0, 180.0)
         fine = grid_best(coarse[1], 0.5, 6.0)

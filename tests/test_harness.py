@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from mahaknn import harness
 from mahaknn.corruption import NoiseSpec
 from mahaknn.errors import InvalidArgumentError
 from mahaknn.harness import (
@@ -72,6 +74,23 @@ class TestRunScenario:
         b = small_scenario(base_seed=43)
         assert a.config_hash() != b.config_hash()
 
+    def test_linalg_error_fails_one_registration(self, monkeypatch):
+        real_register = harness.register
+        calls = []
+
+        def flaky(source, target, cfg):
+            calls.append(cfg)
+            if len(calls) == 2:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real_register(source, target, cfg)
+
+        monkeypatch.setattr(harness, "register", flaky)
+        report = run_scenario(small_scenario())
+        cell = report.cells["icp"]
+        assert len(calls) == 3  # the scenario ran on past the failure
+        assert cell["failures"] == 1
+        assert cell["success_rate"] == pytest.approx(2 / 3)
+
     def test_requires_pipeline(self):
         with pytest.raises(InvalidArgumentError):
             small_scenario(pipelines=())
@@ -135,6 +154,26 @@ class TestLoadScenario:
         # Parsed scenarios execute end to end.
         report = run_scenario(sc)
         assert set(report.cells) == {"euc", "mah"}
+
+    def test_every_config_field_is_settable(self, tmp_path):
+        path = tmp_path / "scenario.ini"
+        path.write_text(
+            "[scenario]\n"
+            "input = shape:sphere-cap:96:3\n"
+            "trials = 1\n"
+            "\n"
+            "[pipeline:icp]\n"
+            "coarse_init = false\n"
+            "mutual = yes\n"
+            "convergence_tol = 0\n"
+            "k = 12\n"
+        )
+        sc = load_scenario(path)
+        ((name, cfg),) = sc.pipelines
+        assert cfg == RegistrationConfig(coarse_init=False, mutual=True, convergence_tol=0.0, k=12)
+        # The field feeds the hash, so the two settings stay distinguishable.
+        flipped = replace(sc, pipelines=((name, replace(cfg, coarse_init=True)),))
+        assert sc.config_hash() != flipped.config_hash()
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IOError):

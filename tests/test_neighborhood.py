@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 
 from mahaknn.errors import InvalidArgumentError
-from mahaknn.geometry import PointCloud
+from mahaknn.geometry import PointCloud, apply, sample_rigid
 from mahaknn.neighborhood import (
     NeighborGraph,
+    build_graph,
     floyd_warshall,
     geodesic_adjacency,
     graph_to_text,
     knn,
     knn_geodesic,
 )
-from mahaknn.shapes import c_ring, two_planes
+from mahaknn.shapes import c_ring, generate, two_planes
 from mahaknn.statistics import estimate_covariance, identity_model
 
 
@@ -204,6 +205,40 @@ class TestKnnGeodesic:
         cloud = PointCloud(np.random.default_rng(6).normal(size=(10, 3)))
         with pytest.raises(InvalidArgumentError):
             knn_geodesic(cloud, 0, 3)
+
+
+class TestBuildGraph:
+    def test_dispatches_to_each_metric(self):
+        cloud = two_planes(60, seed=1)
+        model = estimate_covariance(cloud, regularizer=1e-3)
+        cases = (
+            (build_graph(cloud, "euclidean", 7), knn(cloud, 7)),
+            (
+                build_graph(cloud, "mahalanobis", 7, regularizer=1e-3),
+                knn(cloud, 7, "mahalanobis", model),
+            ),
+            (build_graph(cloud, "geodesic", 7, k_base=4), knn_geodesic(cloud, 4, 7)),
+            (build_graph(cloud, "geodesic", 7), knn_geodesic(cloud, 7, 7)),
+        )
+        for got, want in cases:
+            np.testing.assert_array_equal(got.neighbors, want.neighbors)
+            assert got.metric_tag == want.metric_tag
+
+    def test_unknown_metric_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            build_graph(two_planes(20, seed=0), "manhattan", 3)
+
+    # Registration builds each graph once and reuses it at every later pose,
+    # which is exact only if rigid motion leaves the graph unchanged.
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("shape", ["sphere-cap", "two-planes"])
+    @pytest.mark.parametrize("metric", ["euclidean", "mahalanobis", "geodesic"])
+    def test_invariant_under_rigid_motion(self, metric, shape, seed):
+        cloud = generate(shape, 160, seed)
+        motion = sample_rigid(np.random.default_rng(100 + seed), (-180.0, 180.0), (-2.0, 2.0))
+        g0 = build_graph(cloud, metric, 10, k_base=6)
+        g1 = build_graph(apply(motion, cloud), metric, 10, k_base=6)
+        np.testing.assert_array_equal(g0.neighbors, g1.neighbors)
 
 
 def test_graph_dump_format():

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
+from mahaknn import registration
 from mahaknn.descriptors import DescriptorSet
 from mahaknn.errors import InvalidArgumentError
 from mahaknn.geometry import (
     apply,
     compose,
+    identity_motion,
     invert,
     make_rigid,
     rotation_angle_rad,
     sample_rigid,
 )
+from mahaknn.neighborhood import build_graph
 from mahaknn.registration import (
     RegistrationConfig,
     match_descriptors,
@@ -143,3 +146,68 @@ class TestRegister:
             RegistrationConfig(trim_fraction=1.0)
         with pytest.raises(InvalidArgumentError):
             RegistrationConfig(max_iters=0)
+
+
+class TestGraphReuse:
+    @staticmethod
+    def _count_graph_builds(monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return build_graph(*args, **kwargs)
+
+        monkeypatch.setattr(registration, "build_graph", counting)
+        return calls
+
+    @staticmethod
+    def _pair(seed):
+        source = sphere_cap(120, seed=seed)
+        return source, apply(make_rigid((9, -6, 11), (0.1, 0.05, -0.1)), source)
+
+    @pytest.mark.parametrize("max_iters", [1, 4, 9])
+    @pytest.mark.parametrize("metric", ["euclidean", "mahalanobis", "geodesic"])
+    def test_descriptor_pipeline_builds_two_graphs(self, monkeypatch, metric, max_iters):
+        calls = self._count_graph_builds(monkeypatch)
+        cfg = RegistrationConfig(
+            metric=metric, descriptor="eigen", k=10, k_base=6,
+            max_iters=max_iters, convergence_tol=0.0,
+        )
+        res = register(*self._pair(11), cfg)
+        assert res.iterations == max_iters
+        assert calls == [metric, metric]
+
+    @pytest.mark.parametrize("max_iters", [1, 6])
+    def test_point_icp_builds_graphs_only_in_coarse_init(self, monkeypatch, max_iters):
+        calls = self._count_graph_builds(monkeypatch)
+        source, target = self._pair(12)
+        base = dict(descriptor="none", k=10, max_iters=max_iters, convergence_tol=0.0)
+        register(source, target, RegistrationConfig(coarse_init=False, **base))
+        assert calls == []
+        register(source, target, RegistrationConfig(coarse_init=True, **base))
+        assert calls == ["euclidean", "euclidean"]  # one per cloud, for the coarse match
+        calls.clear()
+        monkeypatch.setattr(registration, "_coarse_alignment", lambda *a: identity_motion())
+        register(source, target, RegistrationConfig(coarse_init=True, **base))
+        assert calls == []
+
+    @pytest.mark.parametrize("descriptor", ["eigen", "edgeconv"])
+    @pytest.mark.parametrize("metric", ["euclidean", "mahalanobis", "geodesic"])
+    def test_matches_rebuilding_the_graph_every_iteration(self, monkeypatch, metric, descriptor):
+        # Oracle: describe every pose on a graph built from that pose.
+        cfg = RegistrationConfig(
+            metric=metric, descriptor=descriptor, k=10, k_base=6, max_iters=8, seed=2
+        )
+        source, target = self._pair(13)
+        cached = register(source, target, cfg)
+        describe = registration._build_descriptors
+
+        def rebuilt(cloud, graph, cfg):
+            fresh = build_graph(cloud, cfg.metric, cfg.k, cfg.k_base, cfg.regularizer)
+            return describe(cloud, fresh, cfg)
+
+        monkeypatch.setattr(registration, "_build_descriptors", rebuilt)
+        oracle = register(source, target, cfg)
+        np.testing.assert_array_equal(cached.motion.rotation, oracle.motion.rotation)
+        np.testing.assert_array_equal(cached.motion.translation, oracle.motion.translation)
+        assert cached.per_iteration_residuals == oracle.per_iteration_residuals
