@@ -12,6 +12,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .errors import (
     SingularCovarianceError,
 )
 from .geometry import PointCloud, apply, euler_zyx_deg
-from .harness import load_scenario, run_scenario, write_report
+from .harness import PIPELINE_FIELDS, load_scenario, run_scenario, write_report
 from .neighborhood import METRIC_EUCLIDEAN, METRIC_MAHALANOBIS, build_graph
 from .registration import RegistrationConfig, register
 from .shapes import generate
@@ -43,6 +44,10 @@ _NUMERICAL_ERRORS = (
     NoCorrespondenceError,
     np.linalg.LinAlgError,
 )
+
+
+# Earlier spellings of `register` flags, kept beside the derived ones.
+_REGISTER_ALIASES = {"trim_fraction": ("--trim",)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,13 +77,10 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("register", help="register a source cloud onto a target")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--metric", default="euclidean",
-                   choices=["euclidean", "mahalanobis", "geodesic"])
-    p.add_argument("--descriptor", default="none", choices=["edgeconv", "eigen", "none"])
-    p.add_argument("--k", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iters", type=int, default=30)
-    p.add_argument("--trim", type=float, default=0.3)
+    for f in fields(RegistrationConfig):
+        flags = ("--" + f.name.replace("_", "-"),) + _REGISTER_ALIASES.get(f.name, ())
+        p.add_argument(*flags, dest=f.name, type=PIPELINE_FIELDS[f.name], default=f.default,
+                       help="default: %(default)s")
     p.add_argument("--report", required=True, help="output JSON report path")
     p.add_argument("--aligned", default=None,
                    help="aligned source cloud output (default: <report stem>_aligned.xyz)")
@@ -127,16 +129,9 @@ def _cmd_corrupt(args) -> int:
 
 
 def _cmd_register(args) -> int:
+    cfg = RegistrationConfig(**{f.name: getattr(args, f.name) for f in fields(RegistrationConfig)})
     source = load_cloud(args.source)
     target = load_cloud(args.target)
-    cfg = RegistrationConfig(
-        metric=args.metric,
-        descriptor=args.descriptor,
-        k=args.k,
-        max_iters=args.max_iters,
-        trim_fraction=args.trim,
-        seed=args.seed,
-    )
     result = register(source, target, cfg)
     aligned = apply(result.motion, source)
     aligned_path = args.aligned or os.path.splitext(args.report)[0] + "_aligned.xyz"

@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .geometry import PointCloud, RigidMotion, euler_zyx_deg, rotation_angle_rad
+from .neighborhood import nearest
 
 
 @dataclass(frozen=True)
@@ -40,15 +41,9 @@ def pose_error(predicted: RigidMotion, truth: RigidMotion) -> PoseError:
     return PoseError(rmse_r, rmse_t, float(geo))
 
 
-def _min_sq_dist(x, y, block: int = 512):
-    """Per-row min squared distance from x to y, blocked to bound memory."""
-    out = np.empty(len(x))
-    y2 = np.sum(y**2, axis=1)
-    for start in range(0, len(x), block):
-        xb = x[start : start + block]
-        d2 = np.sum(xb**2, axis=1)[:, None] - 2.0 * xb @ y.T + y2[None, :]
-        out[start : start + block] = np.clip(d2.min(axis=1), 0.0, None)
-    return out
+def _min_sq_dist(x, y):
+    """Per-row min squared distance from x to y, clipped at zero."""
+    return np.clip(nearest(x, y)[1], 0.0, None)
 
 
 def set_distance(x: PointCloud, y: PointCloud) -> SetDistance:

@@ -188,12 +188,18 @@ def _parse_interval(text: str) -> tuple:
 
 
 def _parse_bool(text: str) -> bool:
-    return text.lower() in ("1", "true", "yes")
+    word = text.lower()
+    if word in ("1", "true", "yes"):
+        return True
+    if word in ("0", "false", "no"):
+        return False
+    raise InvalidArgumentError(f"boolean must be 1/true/yes or 0/false/no, got {text!r}")
 
 
 # Field annotations are strings (postponed evaluation in registration.py).
 _PARSERS = {"str": str, "int": int, "float": float, "bool": _parse_bool}
-_PIPELINE_FIELDS = {f.name: _PARSERS[f.type] for f in fields(RegistrationConfig)}
+# Text parser of every RegistrationConfig field, shared by INI files and the CLI.
+PIPELINE_FIELDS = {f.name: _PARSERS[f.type] for f in fields(RegistrationConfig)}
 
 
 def load_scenario(path) -> Scenario:
@@ -213,9 +219,9 @@ def load_scenario(path) -> Scenario:
         name = section.partition(":")[2]
         kwargs = {}
         for key, value in parser[section].items():
-            if key not in _PIPELINE_FIELDS:
+            if key not in PIPELINE_FIELDS:
                 raise InvalidArgumentError(f"unknown pipeline option {key!r}")
-            kwargs[key] = _PIPELINE_FIELDS[key](value)
+            kwargs[key] = PIPELINE_FIELDS[key](value)
         pipelines.append((name, RegistrationConfig(**kwargs)))
     return Scenario(
         name=sec.get("name", "scenario"),

@@ -1,8 +1,12 @@
 """k-NN graph construction under Euclidean, Mahalanobis, and geodesic metrics.
 
-Neighbor search is exact brute force over all pairs; ties break toward the
-lower point index so every graph is deterministic. The geodesic variant runs
-all-pairs shortest paths (vectorized Floyd-Warshall) on a symmetrized
+Every neighbour query in the toolkit runs on one exact engine in this module.
+Distances are computed one block of rows at a time, so memory stays O(block)
+instead of O(n^2); `rank_first_k` orders the first k entries of each row and
+`nearest` (k = 1) serves correspondence search and set distance. Ties break
+toward the lower point index, so every graph and match is deterministic and
+equal to a full stable sort of the all-pairs matrix. The geodesic variant
+runs all-pairs shortest paths (vectorized Floyd-Warshall) on a symmetrized
 Euclidean k-NN graph. `build_graph` is the one metric -> graph dispatch; with
 a covariance estimated from the cloud itself, each of its graphs is invariant
 under rigid motion of the cloud.
@@ -43,10 +47,60 @@ class NeighborGraph:
         return len(self.neighbors)
 
 
-def _rank_rows(dist: NDArray[np.float64], k: int) -> NDArray[np.intp]:
+# Entries in the largest float64 temporary of one row block (512 KiB).
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _row_blocks(n_rows: int, entries_per_row: int) -> list[slice]:
+    """Consecutive row slices whose temporaries stay within _BLOCK_ENTRIES."""
+    step = max(1, _BLOCK_ENTRIES // max(entries_per_row, 1))
+    return [slice(start, min(start + step, n_rows)) for start in range(0, n_rows, step)]
+
+
+def _first_k(values: NDArray[np.float64], k: int) -> NDArray[np.intp]:
+    """`rank_first_k` of one block: partition, then order only the candidates.
+
+    When exactly k entries of a row are <= the row's k-th smallest value, they
+    are the first k of its stable sort, and ordering them by (value, index)
+    gives that sort's prefix. Rows with ties at the boundary, or NaNs, take
+    the full stable sort.
+    """
+    cand = np.sort(np.argpartition(values, k - 1, axis=1)[:, :k], axis=1)
+    cand_values = np.take_along_axis(values, cand, axis=1)
+    order = np.argsort(cand_values, axis=1, kind="stable")
+    first = np.take_along_axis(cand, order, axis=1)
+    kth = cand_values.max(axis=1)
+    tied = np.flatnonzero(np.count_nonzero(values <= kth[:, None], axis=1) != k)
+    if len(tied):
+        first[tied] = np.argsort(values[tied], axis=1, kind="stable")[:, :k]
+    return first
+
+
+def rank_first_k(values: NDArray[np.float64], k: int) -> NDArray[np.intp]:
     """First k column indices of each row by ascending value, ties to lower index."""
-    order = np.argsort(dist, axis=1, kind="stable")
-    return order[:, :k].astype(np.intp)
+    out = np.empty((len(values), k), dtype=np.intp)
+    for rows in _row_blocks(len(values), values.shape[1]):
+        out[rows] = _first_k(values[rows], k)
+    return out
+
+
+def nearest(
+    queries: NDArray[np.float64], points: NDArray[np.float64]
+) -> tuple[NDArray[np.intp], NDArray[np.float64]]:
+    """Each query's nearest point (ties to the lower index) and squared distance.
+
+    Distances are `q^2 - 2 q.p + p^2`, the expression of the full queries x
+    points matrix, evaluated one block of query rows at a time.
+    """
+    q2 = np.sum(queries**2, axis=1)
+    p2 = np.sum(points**2, axis=1)
+    index = np.empty(len(queries), dtype=np.intp)
+    dist = np.empty(len(queries))
+    for rows in _row_blocks(len(queries), len(points)):
+        d2 = q2[rows, None] - 2.0 * queries[rows] @ points.T + p2[None, :]
+        index[rows] = np.argmin(d2, axis=1)
+        dist[rows] = d2[np.arange(len(d2)), index[rows]]
+    return index, dist
 
 
 def knn(
@@ -68,10 +122,14 @@ def knn(
         coords = pts @ model.whitener().T
     else:
         raise InvalidArgumentError(f"unknown metric {metric!r}")
-    diff = coords[:, None, :] - coords[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    np.fill_diagonal(d2, np.inf)
-    return NeighborGraph(_rank_rows(d2, k), metric, k)
+    out = np.empty((n, k), dtype=np.intp)
+    # Each block's largest temporary is its (rows, n, 3) difference tensor.
+    for rows in _row_blocks(n, 3 * n):
+        diff = coords[rows, None, :] - coords[None, :, :]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        d2[np.arange(len(d2)), np.arange(rows.start, rows.stop)] = np.inf
+        out[rows] = _first_k(d2, k)
+    return NeighborGraph(out, metric, k)
 
 
 def floyd_warshall(adjacency: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -119,9 +177,11 @@ def knn_geodesic(cloud: PointCloud, k_base: int, k: int) -> NeighborGraph:
     """
     if k_base < 1:
         raise InvalidArgumentError("k_base must be >= 1")
+    if not 1 <= k < len(cloud):
+        raise InvalidArgumentError(f"k must satisfy 1 <= k < {len(cloud)}, got {k}")
     dist = floyd_warshall(geodesic_adjacency(cloud, k_base))
     np.fill_diagonal(dist, np.inf)
-    return NeighborGraph(_rank_rows(dist, k), METRIC_GEODESIC, k)
+    return NeighborGraph(rank_first_k(dist, k), METRIC_GEODESIC, k)
 
 
 def build_graph(

@@ -35,6 +35,7 @@ from .neighborhood import (
     METRIC_MAHALANOBIS,
     NeighborGraph,
     build_graph,
+    nearest,
 )
 from .statistics import DEFAULT_REGULARIZER
 
@@ -97,18 +98,12 @@ def match_descriptors(
         raise InvalidArgumentError("descriptor dimensions differ")
     if not 0 <= trim_fraction < 1:
         raise InvalidArgumentError("trim_fraction must be in [0, 1)")
-    d2 = (
-        np.sum(src**2, axis=1)[:, None]
-        - 2.0 * src @ tgt.T
-        + np.sum(tgt**2, axis=1)[None, :]
-    )
-    nearest = np.argmin(d2, axis=1)
-    dist = d2[np.arange(len(src)), nearest]
+    nearest_tgt, dist = nearest(src, tgt)
     n_drop = int(np.floor(trim_fraction * len(src)))
     keep = np.sort(np.argsort(dist, kind="stable")[: len(src) - n_drop])
     if len(keep) == 0:
         raise NoCorrespondenceError("trimming removed every correspondence")
-    return CorrespondenceSet(keep, nearest[keep])
+    return CorrespondenceSet(keep, nearest_tgt[keep])
 
 
 def _build_graph(cloud: PointCloud, cfg: RegistrationConfig) -> NeighborGraph:
@@ -196,14 +191,7 @@ def _mutual_filter(
     src_desc: DescriptorSet, tgt_desc: DescriptorSet, corr: CorrespondenceSet
 ) -> CorrespondenceSet:
     """Keep only pairs where the target's nearest source is the pairing source."""
-    src = src_desc.vectors
-    tgt = tgt_desc.vectors
-    d2 = (
-        np.sum(tgt**2, axis=1)[:, None]
-        - 2.0 * tgt @ src.T
-        + np.sum(src**2, axis=1)[None, :]
-    )
-    back = np.argmin(d2, axis=1)
+    back, _ = nearest(tgt_desc.vectors, src_desc.vectors)
     keep = back[corr.target_indices] == corr.source_indices
     if not keep.any():
         raise NoCorrespondenceError("mutual filtering removed every correspondence")

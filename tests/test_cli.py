@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from mahaknn import cli
 from mahaknn.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from mahaknn.cloudio import load_cloud, save_cloud
 from mahaknn.geometry import PointCloud
+from mahaknn.registration import RegistrationConfig
 from mahaknn.shapes import two_planes
 
 
@@ -59,6 +61,43 @@ class TestCli:
         np.testing.assert_allclose(doc["translation"], 0.0, atol=1e-6)
         aligned = load_cloud(doc["aligned_cloud"])
         assert len(aligned) == 100
+
+    def test_register_sets_every_config_field(self, tmp_path):
+        cloud = tmp_path / "cap.xyz"
+        report = tmp_path / "report.json"
+        main(["gen", "--shape", "sphere", "--n", "80", "--seed", "2", "--out", str(cloud)])
+        want = RegistrationConfig(
+            metric="mahalanobis", descriptor="edgeconv", k=8, max_iters=3,
+            convergence_tol=0.5, trim_fraction=0.1, seed=4, k_base=5,
+            edgeconv_layers=2, edgeconv_width=16, regularizer=1e-3,
+            mutual=True, coarse_init=False,
+        )
+        default = RegistrationConfig()
+        argv = ["register", "--source", str(cloud), "--target", str(cloud),
+                "--report", str(report)]
+        for f in fields(RegistrationConfig):
+            assert getattr(want, f.name) != getattr(default, f.name), f.name
+            argv += ["--" + f.name.replace("_", "-"), str(getattr(want, f.name))]
+        assert main(argv) == EXIT_OK
+        assert json.loads(report.read_text())["config"] == vars(want)
+
+    def test_register_keeps_earlier_flag_spellings(self):
+        args = cli._build_parser().parse_args(
+            ["register", "--source", "s", "--target", "t", "--report", "r",
+             "--k", "7", "--seed", "3", "--max-iters", "9", "--trim", "0.25"]
+        )
+        assert (args.k, args.seed, args.max_iters, args.trim_fraction) == (7, 3, 9, 0.25)
+        defaults = cli._build_parser().parse_args(
+            ["register", "--source", "s", "--target", "t", "--report", "r"]
+        )
+        for f in fields(RegistrationConfig):
+            assert getattr(defaults, f.name) == f.default
+
+    def test_register_rejects_bad_values(self, tmp_path):
+        base = ["register", "--source", "s", "--target", "t", "--report", str(tmp_path / "r")]
+        assert main(base + ["--mutual", "on"]) == EXIT_USAGE
+        assert main(base + ["--k", "ten"]) == EXIT_USAGE
+        assert main(base + ["--metric", "manhattan"]) == EXIT_USAGE  # before any file is read
 
     def test_corrupt_single_output(self, tmp_path):
         cloud = tmp_path / "c.xyz"

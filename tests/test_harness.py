@@ -175,6 +175,24 @@ class TestLoadScenario:
         flipped = replace(sc, pipelines=((name, replace(cfg, coarse_init=True)),))
         assert sc.config_hash() != flipped.config_hash()
 
+    @pytest.mark.parametrize(
+        "text,value",
+        [("1", True), ("true", True), ("TRUE", True), ("Yes", True),
+         ("0", False), ("false", False), ("False", False), ("NO", False)],
+    )
+    def test_boolean_spellings(self, tmp_path, text, value):
+        path = tmp_path / "scenario.ini"
+        path.write_text(f"[scenario]\ninput = shape:sphere:50\n\n[pipeline:p]\nmutual = {text}\n")
+        ((_, cfg),) = load_scenario(path).pipelines
+        assert cfg.mutual is value
+
+    @pytest.mark.parametrize("text", ["on", "off", "ture", "2", "y", ""])
+    def test_unknown_boolean_spelling_rejected(self, tmp_path, text):
+        path = tmp_path / "scenario.ini"
+        path.write_text(f"[scenario]\ninput = shape:sphere:50\n\n[pipeline:p]\nmutual = {text}\n")
+        with pytest.raises(InvalidArgumentError):
+            load_scenario(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(IOError):
             load_scenario(tmp_path / "absent.ini")

@@ -1,8 +1,10 @@
 import heapq
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from mahaknn import neighborhood
 from mahaknn.errors import InvalidArgumentError
 from mahaknn.geometry import PointCloud, apply, sample_rigid
 from mahaknn.neighborhood import (
@@ -13,6 +15,8 @@ from mahaknn.neighborhood import (
     graph_to_text,
     knn,
     knn_geodesic,
+    nearest,
+    rank_first_k,
 )
 from mahaknn.shapes import c_ring, generate, two_planes
 from mahaknn.statistics import estimate_covariance, identity_model
@@ -37,6 +41,106 @@ def dijkstra_all_pairs(adj):
                     heapq.heappush(heap, (d + w, v))
         out[s] = dist
     return out
+
+
+def dense_knn(coords, k):
+    """All-pairs oracle: the full difference tensor and a full stable sort."""
+    diff = coords[:, None, :] - coords[None, :, :]
+    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    np.fill_diagonal(d2, np.inf)
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+
+def dense_nearest(queries, points):
+    """All-pairs oracle: the full queries x points matrix and its row argmin."""
+    d2 = (
+        np.sum(queries**2, axis=1)[:, None]
+        - 2.0 * queries @ points.T
+        + np.sum(points**2, axis=1)[None, :]
+    )
+    index = np.argmin(d2, axis=1)
+    return index, d2[np.arange(len(queries)), index]
+
+
+def integer_grid(nx, ny, nz):
+    """Lattice points: nearly every neighbour distance is tied with others."""
+    g = np.stack(np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij"), -1)
+    return g.reshape(-1, 3).astype(float)
+
+
+def tie_heavy_clouds(n, seed=0):
+    rng = np.random.default_rng(seed)
+    grid = integer_grid(7, 7, 7)[rng.permutation(343)[:n]]
+    base = rng.normal(size=((n + 2) // 3, 3))
+    duplicated = np.vstack([base, base, base])[rng.permutation(len(base) * 3)[:n]]
+    return {"grid": grid, "duplicated": duplicated, "random": rng.normal(size=(n, 3))}
+
+
+class TestEngine:
+    """The blocked engine against full stable-sort / dense-argmin oracles."""
+
+    # (n, rows per block): n one below, at and above the block, n inside one
+    # block, and several blocks with a partial last one.
+    SIZES = [(15, 16), (16, 16), (17, 16), (5, 16), (40, 16)]
+
+    @pytest.mark.parametrize("n,rows", SIZES)
+    @pytest.mark.parametrize("kind", ["grid", "duplicated", "random"])
+    def test_knn_matches_dense_oracle(self, monkeypatch, n, rows, kind):
+        # knn counts its (rows, n, 3) difference tensor against the budget.
+        monkeypatch.setattr(neighborhood, "_BLOCK_ENTRIES", 3 * n * rows)
+        coords = tie_heavy_clouds(n)[kind]
+        for k in sorted({1, min(4, n - 1), n - 1}):
+            got = knn(PointCloud(coords), k).neighbors
+            np.testing.assert_array_equal(got, dense_knn(coords, k))
+
+    @pytest.mark.parametrize("kind", ["grid", "duplicated", "random"])
+    def test_knn_default_block_matches_dense_oracle(self, kind):
+        coords = tie_heavy_clouds(300, seed=1)[kind]
+        for k in (1, 20, 299):
+            np.testing.assert_array_equal(knn(PointCloud(coords), k).neighbors, dense_knn(coords, k))
+
+    @pytest.mark.parametrize("n,rows", SIZES)
+    def test_rank_first_k_matches_stable_sort(self, monkeypatch, n, rows):
+        m = 30
+        monkeypatch.setattr(neighborhood, "_BLOCK_ENTRIES", m * rows)
+        rng = np.random.default_rng(n)
+        values = rng.integers(0, 6, size=(n, m)).astype(float)
+        values[rng.random((n, m)) < 0.1] = np.inf
+        values[0, 3] = np.nan
+        for k in (1, 5, m - 1, m):
+            want = np.argsort(values, axis=1, kind="stable")[:, :k]
+            np.testing.assert_array_equal(rank_first_k(values, k), want)
+
+    @pytest.mark.parametrize("n,rows", SIZES)
+    @pytest.mark.parametrize("kind", ["grid", "duplicated", "random"])
+    def test_nearest_matches_dense_oracle(self, monkeypatch, n, rows, kind):
+        points = tie_heavy_clouds(23, seed=2)[kind]
+        monkeypatch.setattr(neighborhood, "_BLOCK_ENTRIES", len(points) * rows)
+        queries = tie_heavy_clouds(n, seed=3)[kind]
+        got_index, got_dist = nearest(queries, points)
+        want_index, want_dist = dense_nearest(queries, points)
+        np.testing.assert_array_equal(got_index, want_index)
+        assert got_dist.tobytes() == want_dist.tobytes()
+
+    def test_nearest_default_block_matches_dense_oracle(self):
+        rng = np.random.default_rng(4)
+        for dim in (3, 64):
+            queries, points = rng.normal(size=(700, dim)), rng.normal(size=(1100, dim))
+            got_index, got_dist = nearest(queries, points)
+            want_index, want_dist = dense_nearest(queries, points)
+            np.testing.assert_array_equal(got_index, want_index)
+            assert got_dist.tobytes() == want_dist.tobytes()
+
+    def test_knn_memory_is_bounded(self):
+        # The all-pairs difference tensor alone would take 4096^2 * 3 * 8 B = 384 MiB.
+        cloud = PointCloud(np.random.default_rng(5).normal(size=(4096, 3)))
+        tracemalloc.start()
+        try:
+            knn(cloud, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestKnn:
@@ -205,6 +309,22 @@ class TestKnnGeodesic:
         cloud = PointCloud(np.random.default_rng(6).normal(size=(10, 3)))
         with pytest.raises(InvalidArgumentError):
             knn_geodesic(cloud, 0, 3)
+
+    def test_k_out_of_range(self):
+        cloud = PointCloud(np.random.default_rng(6).normal(size=(10, 3)))
+        for k in (0, 10, 11):
+            with pytest.raises(InvalidArgumentError):
+                knn_geodesic(cloud, 3, k)
+
+    def test_ranking_matches_stable_sort_of_path_lengths(self):
+        # Unreachable points tie at +inf, so the tie fallback pads by index.
+        rng = np.random.default_rng(9)
+        cloud = PointCloud(np.vstack([rng.normal(size=(30, 3)), rng.normal(size=(4, 3)) + 50]))
+        dist = floyd_warshall(geodesic_adjacency(cloud, 3))
+        np.fill_diagonal(dist, np.inf)
+        for k in (1, 8, 33):
+            want = np.argsort(dist, axis=1, kind="stable")[:, :k]
+            np.testing.assert_array_equal(knn_geodesic(cloud, 3, k).neighbors, want)
 
 
 class TestBuildGraph:

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from mahaknn import registration
+from mahaknn import neighborhood, registration
 from mahaknn.descriptors import DescriptorSet
-from mahaknn.errors import InvalidArgumentError
+from mahaknn.errors import InvalidArgumentError, MahaknnError
 from mahaknn.geometry import (
+    PointCloud,
     apply,
     compose,
     identity_motion,
@@ -24,6 +27,34 @@ from mahaknn.shapes import sphere_cap
 
 def feats(pts):
     return DescriptorSet(np.asarray(pts, dtype=float), 0, 0, "test")
+
+
+def dense_match(src, tgt, trim_fraction):
+    """All-pairs oracle for match_descriptors: full matrix, argmin, trim."""
+    d2 = np.sum(src**2, axis=1)[:, None] - 2.0 * src @ tgt.T + np.sum(tgt**2, axis=1)[None, :]
+    nearest = np.argmin(d2, axis=1)
+    dist = d2[np.arange(len(src)), nearest]
+    n_drop = int(np.floor(trim_fraction * len(src)))
+    keep = np.sort(np.argsort(dist, kind="stable")[: len(src) - n_drop])
+    return keep, nearest[keep]
+
+
+def dense_mutual(src, tgt, source_indices, target_indices):
+    """All-pairs oracle for _mutual_filter: each target's nearest source."""
+    d2 = np.sum(tgt**2, axis=1)[:, None] - 2.0 * tgt @ src.T + np.sum(src**2, axis=1)[None, :]
+    keep = np.argmin(d2, axis=1)[target_indices] == source_indices
+    return source_indices[keep], target_indices[keep]
+
+
+def descriptor_pair(kind, n_src, n_tgt, seed=0):
+    rng = np.random.default_rng(seed)
+    if kind == "grid":  # integer lattice: many exactly tied distances
+        return rng.integers(0, 5, size=(n_src, 3)) * 1.0, rng.integers(0, 5, size=(n_tgt, 3)) * 1.0
+    if kind == "duplicated":
+        tgt = np.repeat(rng.normal(size=((n_tgt + 1) // 2, 3)), 2, axis=0)[:n_tgt]
+        return tgt[rng.integers(0, n_tgt, size=n_src)], tgt
+    dim = 64 if kind == "wide" else 3
+    return rng.normal(size=(n_src, dim)), rng.normal(size=(n_tgt, dim))
 
 
 class TestMatchDescriptors:
@@ -55,6 +86,95 @@ class TestMatchDescriptors:
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidArgumentError):
             match_descriptors(feats(np.zeros((5, 3))), feats(np.zeros((5, 4))), 0.0)
+
+
+class TestMatchingParity:
+    """match_descriptors and _mutual_filter against the dense all-pairs formula."""
+
+    @pytest.mark.parametrize("trim", [0.0, 0.3])
+    @pytest.mark.parametrize("kind", ["random", "wide", "grid", "duplicated"])
+    def test_matches_dense_formula(self, kind, trim):
+        # 1400 targets give 46-row blocks, so 1500 sources span 33 of them.
+        src, tgt = descriptor_pair(kind, 1500, 1400)
+        corr = match_descriptors(feats(src), feats(tgt), trim)
+        keep, nearest = dense_match(src, tgt, trim)
+        np.testing.assert_array_equal(corr.source_indices, keep)
+        np.testing.assert_array_equal(corr.target_indices, nearest)
+        try:
+            mutual = registration._mutual_filter(feats(src), feats(tgt), corr)
+        except MahaknnError:
+            assert len(dense_mutual(src, tgt, keep, nearest)[0]) == 0
+        else:
+            want_src, want_tgt = dense_mutual(src, tgt, keep, nearest)
+            np.testing.assert_array_equal(mutual.source_indices, want_src)
+            np.testing.assert_array_equal(mutual.target_indices, want_tgt)
+
+    @pytest.mark.parametrize("n_src", [45, 46, 47, 10])
+    def test_block_boundaries(self, monkeypatch, n_src):
+        monkeypatch.setattr(neighborhood, "_BLOCK_ENTRIES", 46 * 30)
+        src, tgt = descriptor_pair("grid", n_src, 30, seed=n_src)
+        corr = match_descriptors(feats(src), feats(tgt), 0.2)
+        keep, nearest = dense_match(src, tgt, 0.2)
+        np.testing.assert_array_equal(corr.source_indices, keep)
+        np.testing.assert_array_equal(corr.target_indices, nearest)
+
+    def test_permutation_equivariance(self):
+        rng = np.random.default_rng(7)
+        src, tgt = descriptor_pair("random", 300, 280, seed=7)
+        p_src, p_tgt = rng.permutation(300), rng.permutation(280)
+        corr = match_descriptors(feats(src), feats(tgt), 0.25)
+        permuted = match_descriptors(feats(src[p_src]), feats(tgt[p_tgt]), 0.25)
+        # Map the permuted result's indices back to the original positions.
+        pairs = set(zip(p_src[permuted.source_indices], p_tgt[permuted.target_indices]))
+        assert pairs == set(zip(corr.source_indices, corr.target_indices))
+
+    def test_memory_is_bounded(self):
+        # The dense 4096 x 4096 float64 matrix alone is 128 MiB.
+        src, tgt = descriptor_pair("random", 4096, 4096, seed=8)
+        tracemalloc.start()
+        try:
+            match_descriptors(feats(src), feats(tgt), 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+
+def degenerate_cloud(kind):
+    rng = np.random.default_rng(0)
+    t = np.linspace(0.0, 1.0, 40)
+    base = rng.normal(size=(20, 3))
+    return PointCloud({
+        "duplicate": np.vstack([base, base]),
+        "coincident": np.ones((40, 3)),
+        "collinear": np.column_stack([t, 2.0 * t, -t]),
+        "planar": np.column_stack([rng.normal(size=(40, 2)), np.zeros(40)]),
+    }[kind])
+
+
+class TestDegenerateInputs:
+    PIPELINES = {
+        "point-icp": {},
+        "point-icp-mutual": {"mutual": True},
+        "euclidean-eigen": {"descriptor": "eigen"},
+        "mahalanobis-eigen": {"metric": "mahalanobis", "descriptor": "eigen"},
+        "mahalanobis-unregularized": {"metric": "mahalanobis", "descriptor": "eigen", "regularizer": 0.0},
+        "geodesic-edgeconv": {"metric": "geodesic", "descriptor": "edgeconv", "k_base": 4},
+    }
+
+    @pytest.mark.parametrize("k", [8, 39])  # 39 = n - 1
+    @pytest.mark.parametrize("pipeline", sorted(PIPELINES))
+    @pytest.mark.parametrize("kind", ["duplicate", "coincident", "collinear", "planar"])
+    def test_returns_or_raises_a_toolkit_error(self, kind, pipeline, k):
+        source = degenerate_cloud(kind)
+        target = apply(make_rigid((10, -5, 20), (0.1, 0.2, -0.3)), source)
+        cfg = RegistrationConfig(k=k, max_iters=4, **self.PIPELINES[pipeline])
+        try:
+            result = register(source, target, cfg)
+        except (MahaknnError, np.linalg.LinAlgError):
+            return
+        assert np.all(np.isfinite(result.motion.rotation))
+        assert np.all(np.isfinite(result.motion.translation))
 
 
 class TestRegister:
