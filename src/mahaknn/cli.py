@@ -29,9 +29,9 @@ from .errors import (
 )
 from .geometry import PointCloud, apply, euler_zyx_deg
 from .harness import PIPELINE_FIELDS, load_scenario, run_scenario, write_report
-from .neighborhood import METRIC_EUCLIDEAN, METRIC_MAHALANOBIS, build_graph
+from .neighborhood import METRIC_EUCLIDEAN, METRIC_MAHALANOBIS, METRICS, build_graph
 from .registration import RegistrationConfig, register
-from .shapes import generate
+from .shapes import SHAPES, generate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -62,8 +62,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic point cloud")
-    p.add_argument("--shape", required=True,
-                   choices=["plane", "sphere", "torus", "box", "two-planes", "c-ring"])
+    p.add_argument("--shape", required=True, choices=list(SHAPES))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -93,8 +92,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("cluster", help="cluster edge-conv features on a graph metric")
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--metric", default="euclidean",
-                   choices=["euclidean", "mahalanobis", "geodesic"])
+    p.add_argument("--metric", default=METRIC_EUCLIDEAN, choices=METRICS)
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--k", type=int, default=10, help="graph neighborhood size")
     p.add_argument("--seed", type=int, default=0)

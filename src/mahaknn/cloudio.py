@@ -137,27 +137,20 @@ def _load_off(path) -> np.ndarray:
     return np.array(rows)
 
 
-def load_cloud(path, fmt: str | None = None) -> PointCloud:
-    fmt = fmt or detect_format(path)
-    if fmt == FORMAT_XYZ:
-        pts = _load_xyz(path)
-    elif fmt == FORMAT_PLY:
-        pts = _load_ply(path)
-    elif fmt == FORMAT_OFF:
-        pts = _load_off(path)
-    else:
-        raise InvalidArgumentError(f"unknown format {fmt!r}")
+_LOADERS = {FORMAT_XYZ: _load_xyz, FORMAT_PLY: _load_ply, FORMAT_OFF: _load_off}
+
+
+def load_cloud(path) -> PointCloud:
+    pts = _LOADERS[detect_format(path)](path)
     name = os.path.splitext(os.path.basename(str(path)))[0]
     return PointCloud(pts, name)
 
 
-def save_cloud(cloud: PointCloud, path, fmt: str | None = None) -> None:
-    fmt = fmt or detect_format(path)
+def save_cloud(cloud: PointCloud, path) -> None:
+    fmt = detect_format(path)
     pts = cloud.points
     with open(path, "w", encoding="utf-8") as fh:
-        if fmt == FORMAT_XYZ:
-            pass
-        elif fmt == FORMAT_PLY:
+        if fmt == FORMAT_PLY:
             fh.write(
                 "ply\nformat ascii 1.0\n"
                 f"element vertex {len(pts)}\n"
@@ -167,7 +160,5 @@ def save_cloud(cloud: PointCloud, path, fmt: str | None = None) -> None:
         elif fmt == FORMAT_OFF:
             fh.write("OFF\n")
             fh.write(f"{len(pts)} 0 0\n")
-        else:
-            raise InvalidArgumentError(f"unknown format {fmt!r}")
         for p in pts:
             fh.write(f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}\n")

@@ -8,7 +8,7 @@ subset), none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -80,16 +80,22 @@ class NoiseSpec:
                     raise InvalidArgumentError(f"malformed noise parameter {item!r}")
                 key = key.strip()
                 value = value.strip()
-                if key in ("sigma", "clip", "keep_prob", "ratio"):
-                    kwargs[key] = float(value)
-                elif key == "count":
-                    kwargs[key] = int(value)
-                elif key == "applied_to":
-                    kwargs[key] = value
-                else:
+                if key not in _PARAM_PARSERS:
                     raise InvalidArgumentError(f"unknown noise parameter {key!r}")
+                try:
+                    kwargs[key] = _PARAM_PARSERS[key](value)
+                except ValueError:
+                    raise InvalidArgumentError(f"bad noise parameter {key}={value!r}") from None
             return cls(variant=variant.strip(), **kwargs)
         return cls(variant=text)
+
+
+# Text parser of every NoiseSpec parameter (annotations are strings here).
+_PARAM_PARSERS = {
+    f.name: {"float": float, "int": int, "str": str}[f.type]
+    for f in fields(NoiseSpec)
+    if f.name != "variant"
+}
 
 
 def _add_gaussian(pts, spec: NoiseSpec, rng: np.random.Generator):

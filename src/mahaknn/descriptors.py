@@ -16,8 +16,9 @@ from .errors import InvalidArgumentError
 from .geometry import PointCloud
 from .neighborhood import NeighborGraph
 
-AGGREGATE_MAX = "max"
-AGGREGATE_SUM = "sum"
+# k-means stops after this many Lloyd rounds, or once no center moves by the tolerance.
+_KMEANS_MAX_ITERS = 100
+_KMEANS_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -25,9 +26,6 @@ class DescriptorSet:
     """One fixed-width feature vector per cloud point."""
 
     vectors: NDArray[np.float64]
-    layer_count: int
-    seed: int
-    graph_metric: str
 
     def __post_init__(self):
         v = np.asarray(self.vectors, dtype=np.float64)
@@ -48,20 +46,17 @@ def edgeconv_features(
     layers: int = 1,
     width: int = 64,
     seed: int = 0,
-    aggregate: str = AGGREGATE_MAX,
 ) -> DescriptorSet:
     """Stacked edge convolutions with seeded random weights.
 
     Each edge evaluates relu(W @ [x_i || (x_j - x_i)] + b); features are the
-    elementwise max (or sum) over the k neighbors. W and b are drawn once per
+    elementwise max over the k neighbors. W and b are drawn once per
     layer from the seeded stream, scaled for unit fan-in variance.
     """
     if len(graph) != len(cloud):
         raise InvalidArgumentError("graph and cloud sizes differ")
     if layers < 1:
         raise InvalidArgumentError("layers must be >= 1")
-    if aggregate not in (AGGREGATE_MAX, AGGREGATE_SUM):
-        raise InvalidArgumentError(f"unknown aggregate {aggregate!r}")
     rng = np.random.default_rng(seed)
     feats = cloud.points
     for _ in range(layers):
@@ -72,8 +67,8 @@ def edgeconv_features(
         offset = feats[graph.neighbors] - center
         edges = np.concatenate([np.broadcast_to(center, offset.shape), offset], axis=2)
         h = np.maximum(edges @ w.T + b, 0.0)
-        feats = h.max(axis=1) if aggregate == AGGREGATE_MAX else h.sum(axis=1)
-    return DescriptorSet(feats, layers, seed, graph.metric_tag)
+        feats = h.max(axis=1)
+    return DescriptorSet(feats)
 
 
 def eigen_features(cloud: PointCloud, graph: NeighborGraph) -> DescriptorSet:
@@ -105,15 +100,13 @@ def eigen_features(cloud: PointCloud, graph: NeighborGraph) -> DescriptorSet:
     )
     normal = np.where(flip[:, None], -normal, normal)
     out[ok, 3:] = normal[ok]
-    return DescriptorSet(out, 0, 0, graph.metric_tag)
+    return DescriptorSet(out)
 
 
 def kmeans(
     features: DescriptorSet,
     n_clusters: int,
     seed: int,
-    max_iters: int = 100,
-    tol: float = 1e-6,
     return_history: bool = False,
 ):
     """Lloyd iterations from farthest-point seeding; returns per-point labels.
@@ -134,7 +127,7 @@ def kmeans(
         min_d2 = np.minimum(min_d2, np.sum((x - centers[c]) ** 2, axis=1))
     labels = np.zeros(n, dtype=np.intp)
     history = []
-    for _ in range(max_iters):
+    for _ in range(_KMEANS_MAX_ITERS):
         d2 = np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         labels = np.argmin(d2, axis=1).astype(np.intp)
         history.append(float(d2[np.arange(n), labels].sum()))
@@ -149,7 +142,7 @@ def kmeans(
                 new_centers[c] = x[worst]
         shift = np.max(np.linalg.norm(new_centers - centers, axis=1))
         centers = new_centers
-        if shift < tol:
+        if shift < _KMEANS_TOL:
             break
     d2 = np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=2)
     labels = np.argmin(d2, axis=1).astype(np.intp)

@@ -85,7 +85,7 @@ def load_input_cloud(spec: str) -> PointCloud:
     """`shape:NAME:N[:SEED]` for synthetic inputs, otherwise a file path."""
     if spec.startswith("shape:"):
         parts = spec.split(":")
-        if len(parts) not in (3, 4):
+        if len(parts) not in (3, 4) or not all(p.isdecimal() for p in parts[2:]):
             raise InvalidArgumentError(f"bad shape spec {spec!r}")
         seed = int(parts[3]) if len(parts) == 4 else 0
         return generate(parts[1], int(parts[2]), seed)
@@ -202,34 +202,59 @@ _PARSERS = {"str": str, "int": int, "float": float, "bool": _parse_bool}
 PIPELINE_FIELDS = {f.name: _PARSERS[f.type] for f in fields(RegistrationConfig)}
 
 
+# Text parser of every [scenario] key.
+_SCENARIO_KEYS = {
+    "name": str,
+    "input": str,
+    "trials": int,
+    "base_seed": int,
+    "rot_range": _parse_interval,
+    "trans_range": _parse_interval,
+}
+
+
+def _parse_section(parser: configparser.ConfigParser, section: str, keys: dict) -> dict:
+    """Parse each key of an INI section; an unknown key or a bad value is an error."""
+    out = {}
+    for key, text in parser[section].items():
+        if key not in keys:
+            raise InvalidArgumentError(f"unknown option {key!r} in [{section}]")
+        try:
+            out[key] = keys[key](text)
+        except ValueError as exc:
+            raise InvalidArgumentError(f"[{section}] {key} = {text!r}: {exc}") from None
+    return out
+
+
 def load_scenario(path) -> Scenario:
     """Parse the INI-style scenario file (see README for the schema)."""
     parser = configparser.ConfigParser()
-    read = parser.read(str(path))
+    try:
+        read = parser.read(str(path))
+    except configparser.Error as exc:
+        raise InvalidArgumentError(f"malformed scenario file: {exc}") from None
     if not read:
         raise IOError(f"scenario file not found: {path}")
     if "scenario" not in parser:
         raise InvalidArgumentError("scenario file needs a [scenario] section")
-    sec = parser["scenario"]
-    noise = NoiseSpec.parse(parser["noise"]["spec"]) if "noise" in parser else NoiseSpec()
+    sec = _parse_section(parser, "scenario", _SCENARIO_KEYS)
+    if "input" not in sec:
+        raise InvalidArgumentError("[scenario] needs an input")
+    noise = _parse_section(parser, "noise", {"spec": NoiseSpec.parse}) if "noise" in parser else {}
     pipelines = []
     for section in parser.sections():
-        if not section.startswith("pipeline:"):
-            continue
-        name = section.partition(":")[2]
-        kwargs = {}
-        for key, value in parser[section].items():
-            if key not in PIPELINE_FIELDS:
-                raise InvalidArgumentError(f"unknown pipeline option {key!r}")
-            kwargs[key] = PIPELINE_FIELDS[key](value)
-        pipelines.append((name, RegistrationConfig(**kwargs)))
+        if section.startswith("pipeline:"):
+            kwargs = _parse_section(parser, section, PIPELINE_FIELDS)
+            pipelines.append((section.partition(":")[2], RegistrationConfig(**kwargs)))
+        elif section not in ("scenario", "noise"):
+            raise InvalidArgumentError(f"unknown section [{section}]")
     return Scenario(
         name=sec.get("name", "scenario"),
         input=sec["input"],
-        noise=noise,
-        rot_range_deg=_parse_interval(sec.get("rot_range", "0 45")),
-        trans_range=_parse_interval(sec.get("trans_range", "-0.5 0.5")),
-        trials=sec.getint("trials", 20),
+        noise=noise.get("spec", NoiseSpec()),
+        rot_range_deg=sec.get("rot_range", (0.0, 45.0)),
+        trans_range=sec.get("trans_range", (-0.5, 0.5)),
+        trials=sec.get("trials", 20),
         pipelines=tuple(pipelines),
-        base_seed=sec.getint("base_seed", 0),
+        base_seed=sec.get("base_seed", 0),
     )

@@ -26,6 +26,8 @@ from .statistics import DEFAULT_REGULARIZER, CovarianceModel, estimate_covarianc
 METRIC_EUCLIDEAN = "euclidean"
 METRIC_MAHALANOBIS = "mahalanobis"
 METRIC_GEODESIC = "geodesic"
+# Every metric name `build_graph` accepts.
+METRICS = (METRIC_EUCLIDEAN, METRIC_MAHALANOBIS, METRIC_GEODESIC)
 
 
 @dataclass(frozen=True)
@@ -33,15 +35,17 @@ class NeighborGraph:
     """Per-point ordered neighbor indices (nearest first), k entries each."""
 
     neighbors: NDArray[np.intp]
-    metric_tag: str
-    k: int
 
     def __post_init__(self):
         nb = np.asarray(self.neighbors, dtype=np.intp)
-        if nb.ndim != 2 or nb.shape[1] != self.k:
+        if nb.ndim != 2:
             raise InvalidArgumentError("neighbors must be an (n, k) index array")
         nb.setflags(write=False)
         object.__setattr__(self, "neighbors", nb)
+
+    @property
+    def k(self) -> int:
+        return self.neighbors.shape[1]
 
     def __len__(self) -> int:
         return len(self.neighbors)
@@ -129,7 +133,7 @@ def knn(
         d2 = np.einsum("ijk,ijk->ij", diff, diff)
         d2[np.arange(len(d2)), np.arange(rows.start, rows.stop)] = np.inf
         out[rows] = _first_k(d2, k)
-    return NeighborGraph(out, metric, k)
+    return NeighborGraph(out)
 
 
 def floyd_warshall(adjacency: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -181,7 +185,7 @@ def knn_geodesic(cloud: PointCloud, k_base: int, k: int) -> NeighborGraph:
         raise InvalidArgumentError(f"k must satisfy 1 <= k < {len(cloud)}, got {k}")
     dist = floyd_warshall(geodesic_adjacency(cloud, k_base))
     np.fill_diagonal(dist, np.inf)
-    return NeighborGraph(rank_first_k(dist, k), METRIC_GEODESIC, k)
+    return NeighborGraph(rank_first_k(dist, k))
 
 
 def build_graph(
@@ -201,12 +205,3 @@ def build_graph(
     if metric == METRIC_MAHALANOBIS:
         return knn(cloud, k, METRIC_MAHALANOBIS, estimate_covariance(cloud, regularizer))
     return knn(cloud, k, metric)
-
-
-def graph_to_text(graph: NeighborGraph) -> str:
-    """Debug dump: one line per point, `i: j1 j2 ... jk`."""
-    lines = [
-        f"{i}: " + " ".join(str(j) for j in row)
-        for i, row in enumerate(graph.neighbors)
-    ]
-    return "\n".join(lines) + "\n"

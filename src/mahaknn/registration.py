@@ -31,8 +31,7 @@ from .geometry import (
 )
 from .neighborhood import (
     METRIC_EUCLIDEAN,
-    METRIC_GEODESIC,
-    METRIC_MAHALANOBIS,
+    METRICS,
     NeighborGraph,
     build_graph,
     nearest,
@@ -63,7 +62,7 @@ class RegistrationConfig:
     coarse_init: bool = True
 
     def __post_init__(self):
-        if self.metric not in (METRIC_EUCLIDEAN, METRIC_MAHALANOBIS, METRIC_GEODESIC):
+        if self.metric not in METRICS:
             raise InvalidArgumentError(f"unknown metric {self.metric!r}")
         if self.descriptor not in (DESCRIPTOR_EDGECONV, DESCRIPTOR_EIGEN, DESCRIPTOR_NONE):
             raise InvalidArgumentError(f"unknown descriptor {self.descriptor!r}")
@@ -121,7 +120,7 @@ def _build_descriptors(
 
 
 def _coordinate_descriptors(cloud: PointCloud) -> DescriptorSet:
-    return DescriptorSet(cloud.points, 0, 0, "coordinates")
+    return DescriptorSet(cloud.points)
 
 
 def _coarse_alignment(
@@ -134,11 +133,7 @@ def _coarse_alignment(
     try:
         fs = eigen_features(source, build_graph(source, METRIC_EUCLIDEAN, cfg.k)).vectors[:, :3]
         ft = eigen_features(target, build_graph(target, METRIC_EUCLIDEAN, cfg.k)).vectors[:, :3]
-        corr = match_descriptors(
-            DescriptorSet(fs, 0, 0, "eigen-invariant"),
-            DescriptorSet(ft, 0, 0, "eigen-invariant"),
-            cfg.trim_fraction,
-        )
+        corr = match_descriptors(DescriptorSet(fs), DescriptorSet(ft), cfg.trim_fraction)
         return kabsch(source, target, corr)
     except (MahaknnError, np.linalg.LinAlgError):
         return identity_motion()

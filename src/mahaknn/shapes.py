@@ -76,35 +76,31 @@ def two_planes(
     return PointCloud(pts, "two-planes")
 
 
-def c_ring(
-    n: int, seed: int, radius: float = 1.0, gap_deg: float = 40.0, jitter: float = 0.0
-) -> PointCloud:
+def c_ring(n: int, seed: int, radius: float = 1.0, gap_deg: float = 40.0) -> PointCloud:
     """Open ring in the z = 0 plane with an angular gap centered at angle 0."""
     rng = np.random.default_rng(seed)
     half = np.deg2rad(gap_deg) / 2.0
     theta = rng.uniform(half, 2.0 * np.pi - half, size=n)
     pts = radius * np.column_stack([np.cos(theta), np.sin(theta), np.zeros(n)])
-    if jitter > 0:
-        pts = pts + rng.normal(0.0, jitter, size=pts.shape)
     return PointCloud(pts, "c-ring")
 
 
-_GENERATORS = {
+# Every shape name `generate` accepts, with its generator(n, seed).
+SHAPES = {
     "plane": plane,
     "sphere": sphere,
     "sphere-cap": sphere_cap,
     "torus": torus,
     "box": box,
+    "two-planes": lambda n, seed: two_planes(n // 2, seed),
     "c-ring": c_ring,
 }
 
 
 def generate(shape: str, n: int, seed: int) -> PointCloud:
     """Dispatch by shape name; two-planes interprets n as the total count."""
-    if shape == "two-planes":
-        if n < 2:
-            raise InvalidArgumentError("two-planes needs n >= 2")
-        return two_planes(n // 2, seed)
-    if shape not in _GENERATORS:
+    if shape not in SHAPES:
         raise InvalidArgumentError(f"unknown shape {shape!r}")
-    return _GENERATORS[shape](n, seed)
+    if n < 1:
+        raise InvalidArgumentError(f"n must be >= 1, got {n}")
+    return SHAPES[shape](n, seed)

@@ -9,8 +9,9 @@ from mahaknn import cli
 from mahaknn.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from mahaknn.cloudio import load_cloud, save_cloud
 from mahaknn.geometry import PointCloud
+from mahaknn.neighborhood import METRICS
 from mahaknn.registration import RegistrationConfig
-from mahaknn.shapes import two_planes
+from mahaknn.shapes import SHAPES, two_planes
 
 
 class TestCloudIO:
@@ -61,6 +62,12 @@ class TestCli:
         np.testing.assert_allclose(doc["translation"], 0.0, atol=1e-6)
         aligned = load_cloud(doc["aligned_cloud"])
         assert len(aligned) == 100
+
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_gen_accepts_every_shape(self, tmp_path, shape):
+        out = tmp_path / "cloud.xyz"
+        assert main(["gen", "--shape", shape, "--n", "40", "--out", str(out)]) == EXIT_OK
+        assert len(load_cloud(out)) == 40
 
     def test_register_sets_every_config_field(self, tmp_path):
         cloud = tmp_path / "cap.xyz"
@@ -157,6 +164,46 @@ class TestCli:
         labels = {int(r["label"]) for r in rows}
         assert labels <= set(range(4))
 
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_cluster_accepts_every_metric(self, tmp_path, metric):
+        cloud = tmp_path / "c.xyz"
+        main(["gen", "--shape", "sphere-cap", "--n", "60", "--out", str(cloud)])
+        assert main(["cluster", "--in", str(cloud), "--metric", metric, "--K", "3",
+                     "--out", str(tmp_path / "labels.csv")]) == EXIT_OK
+
+    def test_bad_noise_number_is_usage_error(self, tmp_path, capsys):
+        cloud = tmp_path / "c.xyz"
+        main(["gen", "--shape", "sphere", "--n", "40", "--out", str(cloud)])
+        assert main(["corrupt", "--in", str(cloud), "--noise", "gaussian:sigma=abc",
+                     "--out", str(tmp_path / "o.xyz")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "sigma='abc'" in err
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [("pipeline:icp", "k", "abc"), ("pipeline:icp", "trim_fraction", "lots"),
+         ("scenario", "trials", "abc"), ("scenario", "base_seed", "1.5"),
+         ("scenario", "rot_range", "0 abc"), ("scenario", "trans_range", "-0.5"),
+         ("noise", "spec", "gaussian:clip=wide")],
+    )
+    def test_bad_scenario_number_is_usage_error(self, tmp_path, capsys, section, key, value):
+        sections = {
+            "scenario": {"input": "shape:sphere-cap:96:3", "trials": "1"},
+            "noise": {},
+            "pipeline:icp": {"k": "10"},
+        }
+        sections[section][key] = value
+        scenario = tmp_path / "s.ini"
+        scenario.write_text("".join(
+            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
+            for name, body in sections.items()
+        ))
+        assert main(["bench", "--scenario", str(scenario),
+                     "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"[{section}] {key} = {value!r}" in err
+        assert not (tmp_path / "out").exists()
+
     def test_bench_writes_reports(self, tmp_path):
         scenario = tmp_path / "s.ini"
         scenario.write_text(
@@ -195,6 +242,8 @@ class TestCli:
 
     def test_bad_flags_are_usage_errors(self):
         assert main(["gen", "--shape", "dodecahedron", "--n", "10",
+                     "--out", "x.xyz"]) == EXIT_USAGE
+        assert main(["gen", "--shape", "sphere", "--n", "-5",
                      "--out", "x.xyz"]) == EXIT_USAGE
         assert main(["nonsense"]) == EXIT_USAGE
         assert main([]) == EXIT_USAGE

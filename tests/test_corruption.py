@@ -34,7 +34,8 @@ class TestNoiseSpec:
             assert NoiseSpec.parse(spec.serialize()) == spec
 
     def test_parse_rejects_garbage(self):
-        for bad in ("speckle", "gaussian:sigma", "gaussian:volume=2"):
+        for bad in ("speckle", "gaussian:sigma", "gaussian:volume=2", "gaussian:sigma=abc",
+                    "subsample:count=1.5"):
             with pytest.raises(InvalidArgumentError):
                 NoiseSpec.parse(bad)
 

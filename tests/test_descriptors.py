@@ -21,7 +21,7 @@ class TestEdgeConv:
     def test_coincident_points_share_features(self):
         pts = np.tile([[0.3, -0.2, 0.7]], (6, 1))
         cloud = PointCloud(pts)
-        graph = NeighborGraph(np.array([[(i + 1) % 6, (i + 2) % 6] for i in range(6)]), "euclidean", 2)
+        graph = NeighborGraph(np.array([[(i + 1) % 6, (i + 2) % 6] for i in range(6)]))
         feats = edgeconv_features(cloud, graph, seed=1).vectors
         assert np.all(feats == feats[0])
 
@@ -34,7 +34,7 @@ class TestEdgeConv:
         inv = np.empty(30, dtype=int)
         inv[perm] = np.arange(30)
         permuted = PointCloud(cloud.points[perm])
-        pgraph = NeighborGraph(inv[graph.neighbors[perm]], "euclidean", 4)
+        pgraph = NeighborGraph(inv[graph.neighbors[perm]])
         pfeats = edgeconv_features(permuted, pgraph, seed=2).vectors
         np.testing.assert_array_equal(pfeats, feats[perm])
 
@@ -42,7 +42,7 @@ class TestEdgeConv:
         # k=1 chain: each descriptor must equal the direct evaluation of
         # relu(W @ [x_i || (x_n(i) - x_i)] + b).
         cloud = PointCloud([(0, 0, 0), (1, 0, 0), (3, 0, 0), (6, 0, 0.0)])
-        graph = NeighborGraph(np.array([[1], [0], [1], [2]]), "euclidean", 1)
+        graph = NeighborGraph(np.array([[1], [0], [1], [2]]))
         seed = 5
         out = edgeconv_features(cloud, graph, seed=seed).vectors
         rng = np.random.default_rng(seed)
@@ -59,13 +59,6 @@ class TestEdgeConv:
         a = edgeconv_features(cloud, graph, layers=2, seed=9).vectors
         b = edgeconv_features(cloud, graph, layers=2, seed=9).vectors
         np.testing.assert_array_equal(a, b)
-
-    def test_sum_aggregation_differs(self):
-        cloud = random_cloud(20, seed=4)
-        graph = knn(cloud, 3)
-        a = edgeconv_features(cloud, graph, seed=9, aggregate="max").vectors
-        b = edgeconv_features(cloud, graph, seed=9, aggregate="sum").vectors
-        assert not np.array_equal(a, b)
 
     def test_size_mismatch_rejected(self):
         cloud = random_cloud(10)
@@ -123,7 +116,7 @@ class TestEigenFeatures:
 
 class TestKMeans:
     def _features(self, pts):
-        return DescriptorSet(np.asarray(pts, dtype=float), 0, 0, "test")
+        return DescriptorSet(np.asarray(pts, dtype=float))
 
     def test_single_cluster(self):
         feats = self._features(np.random.default_rng(0).normal(size=(15, 4)))

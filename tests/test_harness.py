@@ -49,8 +49,9 @@ class TestLoadInputCloud:
             load_input_cloud("/nonexistent/cloud.xyz")
 
     def test_bad_shape_spec(self):
-        with pytest.raises(InvalidArgumentError):
-            load_input_cloud("shape:sphere")
+        for spec in ("shape:sphere", "shape:sphere:abc", "shape:sphere:50:x"):
+            with pytest.raises(InvalidArgumentError):
+                load_input_cloud(spec)
 
 
 class TestRunScenario:
@@ -196,6 +197,30 @@ class TestLoadScenario:
     def test_missing_file(self, tmp_path):
         with pytest.raises(IOError):
             load_scenario(tmp_path / "absent.ini")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[scenario]\ninput = shape:sphere:50\ntrails = 5\n",
+         "[scenario]\ninput = shape:sphere:50\n[noise]\nspec = none\nsigma = 3\n",
+         "[scenario]\ninput = shape:sphere:50\n[pipline:q]\nk = 12\n"],
+    )
+    def test_unknown_section_or_option(self, tmp_path, text):
+        path = tmp_path / "bad.ini"
+        path.write_text(text + "[pipeline:p]\nk = 10\n")
+        with pytest.raises(InvalidArgumentError, match="unknown"):
+            load_scenario(path)
+
+    def test_duplicate_option(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text("[scenario]\ninput = shape:sphere:50\n[pipeline:p]\nk = 10\nk = 12\n")
+        with pytest.raises(InvalidArgumentError):
+            load_scenario(path)
+
+    def test_missing_input(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text("[scenario]\ntrials = 2\n[pipeline:p]\nk = 10\n")
+        with pytest.raises(InvalidArgumentError):
+            load_scenario(path)
 
     def test_unknown_pipeline_option(self, tmp_path):
         path = tmp_path / "bad.ini"

@@ -26,7 +26,7 @@ from mahaknn.shapes import sphere_cap
 
 
 def feats(pts):
-    return DescriptorSet(np.asarray(pts, dtype=float), 0, 0, "test")
+    return DescriptorSet(np.asarray(pts, dtype=float))
 
 
 def dense_match(src, tgt, trim_fraction):
