@@ -28,7 +28,7 @@ from .errors import (
     SingularCovarianceError,
 )
 from .geometry import PointCloud, apply, euler_zyx_deg
-from .harness import PIPELINE_FIELDS, load_scenario, run_scenario, write_report
+from .harness import PIPELINE_FIELDS, load_scenario, non_negative_int, run_scenario, write_report
 from .neighborhood import METRIC_EUCLIDEAN, METRIC_MAHALANOBIS, METRICS, build_graph
 from .registration import RegistrationConfig, register
 from .shapes import SHAPES, generate
@@ -64,13 +64,13 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("gen", help="generate a synthetic point cloud")
     p.add_argument("--shape", required=True, choices=list(SHAPES))
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("corrupt", help="apply a noise/density perturbation")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--noise", required=True, help="e.g. gaussian:sigma=0.01,clip=0.05")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("register", help="register a source cloud onto a target")
@@ -95,7 +95,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--metric", default=METRIC_EUCLIDEAN, choices=METRICS)
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--k", type=int, default=10, help="graph neighborhood size")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("bench", help="run a benchmark scenario file")

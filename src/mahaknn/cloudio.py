@@ -31,9 +31,12 @@ def _parse_floats(tokens, path, lineno, expect):
     if len(tokens) < expect:
         raise CloudParseError(path, lineno, f"expected {expect} numbers")
     try:
-        return [float(t) for t in tokens[:expect]]
+        values = [float(t) for t in tokens[:expect]]
     except ValueError:
         raise CloudParseError(path, lineno, f"invalid number in {tokens!r}") from None
+    if not np.all(np.isfinite(values)):
+        raise CloudParseError(path, lineno, f"non-finite number in {tokens!r}")
+    return values
 
 
 def _load_xyz(path) -> np.ndarray:
@@ -74,6 +77,8 @@ def _load_ply(path) -> np.ndarray:
                     vertex_count = int(tokens[2])
                 except (IndexError, ValueError):
                     raise CloudParseError(path, i, "bad vertex count") from None
+                if vertex_count < 1:
+                    raise CloudParseError(path, i, f"PLY file declares {vertex_count} vertices")
         elif tokens[0] == "property" and in_vertex_element:
             coord_props.append(tokens[-1])
         elif tokens[0] == "end_header":
@@ -129,21 +134,18 @@ def _load_off(path) -> np.ndarray:
         n_vertices = int(counts[0])
     except (IndexError, ValueError):
         raise CloudParseError(path, lineno, "bad counts line") from None
+    if n_vertices < 1:
+        raise CloudParseError(path, lineno, f"OFF file declares {n_vertices} vertices")
     if len(body) < n_vertices:
         raise CloudParseError(path, lineno, f"declared {n_vertices} vertices, file is short")
-    rows = [_parse_floats(t, path, ln, 3) for ln, t in body[:n_vertices]]
-    if not rows:
-        raise CloudParseError(path, lineno, "OFF file declares zero vertices")
-    return np.array(rows)
+    return np.array([_parse_floats(t, path, ln, 3) for ln, t in body[:n_vertices]])
 
 
 _LOADERS = {FORMAT_XYZ: _load_xyz, FORMAT_PLY: _load_ply, FORMAT_OFF: _load_off}
 
 
 def load_cloud(path) -> PointCloud:
-    pts = _LOADERS[detect_format(path)](path)
-    name = os.path.splitext(os.path.basename(str(path)))[0]
-    return PointCloud(pts, name)
+    return PointCloud(_LOADERS[detect_format(path)](path))
 
 
 def save_cloud(cloud: PointCloud, path) -> None:

@@ -170,4 +170,4 @@ def corrupt(
                 raise InvalidArgumentError("subsample count exceeds target size")
             t_pts = t_pts[np.sort(rng.choice(len(t_pts), spec.count, replace=False))]
 
-    return PointCloud(s_pts, source.id), PointCloud(t_pts, target.id)
+    return PointCloud(s_pts), PointCloud(t_pts)

@@ -22,8 +22,6 @@ _RANK_TOL = 1e-12
 
 def _as_points(points) -> NDArray[np.float64]:
     arr = np.asarray(points, dtype=np.float64)
-    if arr.ndim == 1 and arr.size == 3:
-        arr = arr.reshape(1, 3)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise InvalidArgumentError(f"expected an (N, 3) array, got shape {arr.shape}")
     return arr
@@ -31,10 +29,9 @@ def _as_points(points) -> NDArray[np.float64]:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Ordered sequence of 3D points with an optional provenance id."""
+    """Ordered sequence of 3D points."""
 
     points: NDArray[np.float64]
-    id: str | None = None
 
     def __post_init__(self):
         pts = _as_points(self.points)
@@ -162,9 +159,8 @@ def sample_rigid(
 
 
 def apply(motion: RigidMotion, cloud: PointCloud) -> PointCloud:
-    """Map every point to R @ p + t, preserving order and id."""
-    pts = cloud.points @ motion.rotation.T + motion.translation
-    return PointCloud(pts, cloud.id)
+    """Map every point to R @ p + t, preserving order."""
+    return PointCloud(cloud.points @ motion.rotation.T + motion.translation)
 
 
 def compose(a: RigidMotion, b: RigidMotion) -> RigidMotion:

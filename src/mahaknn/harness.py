@@ -54,6 +54,8 @@ class Scenario:
             raise InvalidArgumentError("trials must be >= 1")
         if not self.pipelines:
             raise InvalidArgumentError("scenario needs at least one pipeline")
+        if self.base_seed < 0:
+            raise InvalidArgumentError("base_seed must be >= 0")
 
     def config_hash(self) -> str:
         payload = {
@@ -187,6 +189,14 @@ def _parse_interval(text: str) -> tuple:
     return (float(parts[0]), float(parts[1]))
 
 
+def non_negative_int(text: str) -> int:
+    """A seed's text form: np.random.default_rng rejects negative integers."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"must be >= 0, got {value}")
+    return value
+
+
 def _parse_bool(text: str) -> bool:
     word = text.lower()
     if word in ("1", "true", "yes"):
@@ -207,7 +217,7 @@ _SCENARIO_KEYS = {
     "name": str,
     "input": str,
     "trials": int,
-    "base_seed": int,
+    "base_seed": non_negative_int,
     "rot_range": _parse_interval,
     "trans_range": _parse_interval,
 }
@@ -228,7 +238,7 @@ def _parse_section(parser: configparser.ConfigParser, section: str, keys: dict) 
 
 def load_scenario(path) -> Scenario:
     """Parse the INI-style scenario file (see README for the schema)."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(str(path))
     except configparser.Error as exc:

@@ -36,7 +36,6 @@ from .neighborhood import (
     build_graph,
     nearest,
 )
-from .statistics import DEFAULT_REGULARIZER
 
 DESCRIPTOR_EDGECONV = "edgeconv"
 DESCRIPTOR_EIGEN = "eigen"
@@ -45,17 +44,16 @@ DESCRIPTOR_NONE = "none"  # point-ICP on raw coordinates
 
 @dataclass(frozen=True)
 class RegistrationConfig:
+    # Edge-conv depth, width and weight seed and the covariance regularizer
+    # are the defaults of edgeconv_features and build_graph: the variable
+    # under study is the graph metric.
     metric: str = METRIC_EUCLIDEAN
     descriptor: str = DESCRIPTOR_NONE
     k: int = 20
     max_iters: int = 30
     convergence_tol: float = 1e-4
     trim_fraction: float = 0.3
-    seed: int = 0
     k_base: int = 20
-    edgeconv_layers: int = 1
-    edgeconv_width: int = 64
-    regularizer: float = DEFAULT_REGULARIZER
     mutual: bool = False
     # Point-ICP only: seed the iteration with a one-shot match of
     # rotation-invariant eigen components instead of starting at identity.
@@ -105,22 +103,12 @@ def match_descriptors(
     return CorrespondenceSet(keep, nearest_tgt[keep])
 
 
-def _build_graph(cloud: PointCloud, cfg: RegistrationConfig) -> NeighborGraph:
-    return build_graph(cloud, cfg.metric, cfg.k, k_base=cfg.k_base, regularizer=cfg.regularizer)
-
-
 def _build_descriptors(
     cloud: PointCloud, graph: NeighborGraph, cfg: RegistrationConfig
 ) -> DescriptorSet:
     if cfg.descriptor == DESCRIPTOR_EDGECONV:
-        return edgeconv_features(
-            cloud, graph, cfg.edgeconv_layers, cfg.edgeconv_width, cfg.seed
-        )
+        return edgeconv_features(cloud, graph)
     return eigen_features(cloud, graph)
-
-
-def _coordinate_descriptors(cloud: PointCloud) -> DescriptorSet:
-    return DescriptorSet(cloud.points)
 
 
 def _coarse_alignment(
@@ -152,18 +140,19 @@ def register(
         if cfg.coarse_init and cfg.k >= 3:
             cumulative = _coarse_alignment(source, target, cfg)
             current = apply(cumulative, source)
-        tgt_desc = _coordinate_descriptors(target)
+        tgt_desc = DescriptorSet(target.points)
     else:
         # The target never moves and the source graph is invariant under the
         # rigid motions applied below, so each graph is built exactly once.
-        src_graph = _build_graph(source, cfg)
-        tgt_desc = _build_descriptors(target, _build_graph(target, cfg), cfg)
+        src_graph = build_graph(source, cfg.metric, cfg.k, k_base=cfg.k_base)
+        tgt_graph = build_graph(target, cfg.metric, cfg.k, k_base=cfg.k_base)
+        tgt_desc = _build_descriptors(target, tgt_graph, cfg)
     residuals: list[float] = []
     corr = None
     iterations = 0
     for _ in range(cfg.max_iters):
         if src_graph is None:
-            src_desc = _coordinate_descriptors(current)
+            src_desc = DescriptorSet(current.points)
         else:
             src_desc = _build_descriptors(current, src_graph, cfg)
         corr = match_descriptors(src_desc, tgt_desc, cfg.trim_fraction)

@@ -14,6 +14,19 @@ from mahaknn.registration import RegistrationConfig
 from mahaknn.shapes import SHAPES, two_planes
 
 
+_PLY_HEADER = "ply\nformat ascii 1.0\nelement vertex {}\nproperty double x\nproperty double y\nproperty double z\nend_header\n"
+
+# (file name, contents, line of the fault) of clouds whose contents do not parse.
+MALFORMED_CLOUDS = [
+    ("bad.xyz", "0 0 0\n1 1\n", 2),
+    ("empty.ply", _PLY_HEADER.format(0), 3),
+    ("nan.xyz", "0 0 0\nnan 1 1\n", 2),
+    ("inf.ply", _PLY_HEADER.format(2) + "0 0 0\n1 inf 1\n", 9),
+    ("nan.off", "OFF\n2 0 0\n0 0 0\n1 1 -nan\n", 4),
+    ("negative.off", "OFF\n-1 0 0\n0 0 0\n1 1 1\n", 2),
+]
+
+
 class TestCloudIO:
     def test_xyz_round_trip_bitwise(self, tmp_path):
         pts = np.random.default_rng(0).normal(size=(50, 3))
@@ -42,11 +55,12 @@ class TestCloudIO:
     def test_parse_error_carries_line_number(self, tmp_path):
         from mahaknn.errors import CloudParseError
 
-        path = tmp_path / "bad.xyz"
-        path.write_text("0 0 0\n1 1\n")
-        with pytest.raises(CloudParseError) as exc:
-            load_cloud(path)
-        assert exc.value.line == 2
+        for name, text, line in MALFORMED_CLOUDS:
+            path = tmp_path / name
+            path.write_text(text)
+            with pytest.raises(CloudParseError) as exc:
+                load_cloud(path)
+            assert exc.value.line == line, name
 
 
 class TestCli:
@@ -75,8 +89,7 @@ class TestCli:
         main(["gen", "--shape", "sphere", "--n", "80", "--seed", "2", "--out", str(cloud)])
         want = RegistrationConfig(
             metric="mahalanobis", descriptor="edgeconv", k=8, max_iters=3,
-            convergence_tol=0.5, trim_fraction=0.1, seed=4, k_base=5,
-            edgeconv_layers=2, edgeconv_width=16, regularizer=1e-3,
+            convergence_tol=0.5, trim_fraction=0.1, k_base=5,
             mutual=True, coarse_init=False,
         )
         default = RegistrationConfig()
@@ -91,9 +104,9 @@ class TestCli:
     def test_register_keeps_earlier_flag_spellings(self):
         args = cli._build_parser().parse_args(
             ["register", "--source", "s", "--target", "t", "--report", "r",
-             "--k", "7", "--seed", "3", "--max-iters", "9", "--trim", "0.25"]
+             "--k", "7", "--max-iters", "9", "--trim", "0.25"]
         )
-        assert (args.k, args.seed, args.max_iters, args.trim_fraction) == (7, 3, 9, 0.25)
+        assert (args.k, args.max_iters, args.trim_fraction) == (7, 9, 0.25)
         defaults = cli._build_parser().parse_args(
             ["register", "--source", "s", "--target", "t", "--report", "r"]
         )
@@ -183,6 +196,7 @@ class TestCli:
         "section,key,value",
         [("pipeline:icp", "k", "abc"), ("pipeline:icp", "trim_fraction", "lots"),
          ("scenario", "trials", "abc"), ("scenario", "base_seed", "1.5"),
+         ("scenario", "base_seed", "-1"),
          ("scenario", "rot_range", "0 abc"), ("scenario", "trans_range", "-0.5"),
          ("noise", "spec", "gaussian:clip=wide")],
     )
@@ -234,11 +248,13 @@ class TestCli:
         assert main(["corrupt", "--in", str(tmp_path / "absent.xyz"),
                      "--noise", "gaussian", "--out", str(tmp_path / "o.xyz")]) == EXIT_IO
 
-    def test_unparseable_cloud_is_io_error(self, tmp_path):
-        bad = tmp_path / "bad.xyz"
-        bad.write_text("not a number at all\n")
-        assert main(["knn-compare", "--in", str(bad),
-                     "--out", str(tmp_path / "o.csv")]) == EXIT_IO
+    def test_unparseable_cloud_is_io_error(self, tmp_path, capsys):
+        for name, text, line in [("words.xyz", "not a number at all\n", 1)] + MALFORMED_CLOUDS:
+            bad = tmp_path / name
+            bad.write_text(text)
+            assert main(["knn-compare", "--in", str(bad),
+                         "--out", str(tmp_path / "o.csv")]) == EXIT_IO, name
+            assert capsys.readouterr().err.startswith(f"error: {bad}:{line}: "), name
 
     def test_bad_flags_are_usage_errors(self):
         assert main(["gen", "--shape", "dodecahedron", "--n", "10",
@@ -247,3 +263,13 @@ class TestCli:
                      "--out", "x.xyz"]) == EXIT_USAGE
         assert main(["nonsense"]) == EXIT_USAGE
         assert main([]) == EXIT_USAGE
+        # Seeds are non-negative, as np.random.default_rng requires.
+        assert main(["gen", "--shape", "sphere", "--n", "10", "--seed", "-1",
+                     "--out", "x.xyz"]) == EXIT_USAGE
+        assert main(["corrupt", "--in", "x.xyz", "--noise", "gaussian", "--seed", "-1",
+                     "--out", "y.xyz"]) == EXIT_USAGE
+        assert main(["cluster", "--in", "x.xyz", "--K", "2", "--seed", "-1",
+                     "--out", "l.csv"]) == EXIT_USAGE
+        # The covariance regularizer is fixed, not a flag.
+        assert main(["register", "--source", "s", "--target", "t", "--report", "r",
+                     "--regularizer", "1e-3"]) == EXIT_USAGE

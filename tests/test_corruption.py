@@ -9,7 +9,7 @@ from mahaknn.geometry import PointCloud
 def pair(n=100, seed=0):
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(n, 3))
-    return PointCloud(pts, "src"), PointCloud(pts + 1.0, "tgt")
+    return PointCloud(pts), PointCloud(pts + 1.0)
 
 
 class TestNoiseSpec:

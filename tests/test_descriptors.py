@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from mahaknn.descriptors import (
     DescriptorSet,
@@ -9,7 +10,14 @@ from mahaknn.descriptors import (
 )
 from mahaknn.errors import InvalidArgumentError
 from mahaknn.geometry import PointCloud, apply, make_rigid
-from mahaknn.neighborhood import NeighborGraph, knn
+from mahaknn.neighborhood import (
+    METRICS,
+    NeighborGraph,
+    build_graph,
+    floyd_warshall,
+    geodesic_adjacency,
+    knn,
+)
 from mahaknn.shapes import plane, sphere
 
 
@@ -149,3 +157,28 @@ class TestKMeans:
     def test_deterministic(self):
         feats = self._features(np.random.default_rng(5).normal(size=(50, 6)))
         np.testing.assert_array_equal(kmeans(feats, 3, seed=7), kmeans(feats, 3, seed=7))
+
+
+class TestPermutationEquivariance:
+    """Relabelling a cloud's points relabels its graph and permutes its features."""
+
+    @pytest.mark.parametrize("metric", METRICS)
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_graph_and_features_follow_the_points(self, metric, seed):
+        rng = np.random.default_rng(seed)
+        # Continuous coordinates leave no distance ties between points.
+        cloud = PointCloud(rng.normal(size=(40, 3)))
+        # A disconnected base graph pads neighbours by index, which no relabelling preserves.
+        assume(np.all(np.isfinite(floyd_warshall(geodesic_adjacency(cloud, 8)))))
+        perm = rng.permutation(40)
+        inv = np.empty(40, dtype=np.intp)
+        inv[perm] = np.arange(40)
+        permuted = PointCloud(cloud.points[perm])
+        graph = build_graph(cloud, metric, 6, k_base=8)
+        pgraph = build_graph(permuted, metric, 6, k_base=8)
+        np.testing.assert_array_equal(pgraph.neighbors, inv[graph.neighbors[perm]])
+        for describe in (eigen_features, edgeconv_features):
+            np.testing.assert_array_equal(
+                describe(permuted, pgraph).vectors, describe(cloud, graph).vectors[perm]
+            )

@@ -229,3 +229,12 @@ class TestLoadScenario:
         )
         with pytest.raises(InvalidArgumentError):
             load_scenario(path)
+        # Edge-conv weights and the covariance regularizer are fixed, not pipeline keys.
+        path.write_text("[scenario]\ninput = shape:sphere:50\n\n[pipeline:p]\nseed = 3\n")
+        with pytest.raises(InvalidArgumentError, match="unknown option 'seed'"):
+            load_scenario(path)
+
+    def test_percent_in_value_is_kept_verbatim(self, tmp_path):
+        path = tmp_path / "s.ini"
+        path.write_text("[scenario]\nname = 50% noise\ninput = shape:sphere:50\n[pipeline:p]\nk = 10\n")
+        assert load_scenario(path).name == "50% noise"

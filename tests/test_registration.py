@@ -158,7 +158,6 @@ class TestDegenerateInputs:
         "point-icp-mutual": {"mutual": True},
         "euclidean-eigen": {"descriptor": "eigen"},
         "mahalanobis-eigen": {"metric": "mahalanobis", "descriptor": "eigen"},
-        "mahalanobis-unregularized": {"metric": "mahalanobis", "descriptor": "eigen", "regularizer": 0.0},
         "geodesic-edgeconv": {"metric": "geodesic", "descriptor": "edgeconv", "k_base": 4},
     }
 
@@ -245,7 +244,7 @@ class TestRegister:
     def test_deterministic(self):
         source = sphere_cap(150, seed=6)
         target = apply(make_rigid((12, 3, 9), (0.1, 0, -0.2)), source)
-        cfg = RegistrationConfig(metric="euclidean", descriptor="edgeconv", k=10, seed=3)
+        cfg = RegistrationConfig(metric="euclidean", descriptor="edgeconv", k=10)
         a = register(source, target, cfg)
         b = register(source, target, cfg)
         np.testing.assert_array_equal(a.motion.rotation, b.motion.rotation)
@@ -316,14 +315,14 @@ class TestGraphReuse:
     def test_matches_rebuilding_the_graph_every_iteration(self, monkeypatch, metric, descriptor):
         # Oracle: describe every pose on a graph built from that pose.
         cfg = RegistrationConfig(
-            metric=metric, descriptor=descriptor, k=10, k_base=6, max_iters=8, seed=2
+            metric=metric, descriptor=descriptor, k=10, k_base=6, max_iters=8
         )
         source, target = self._pair(13)
         cached = register(source, target, cfg)
         describe = registration._build_descriptors
 
         def rebuilt(cloud, graph, cfg):
-            fresh = build_graph(cloud, cfg.metric, cfg.k, cfg.k_base, cfg.regularizer)
+            fresh = build_graph(cloud, cfg.metric, cfg.k, cfg.k_base)
             return describe(cloud, fresh, cfg)
 
         monkeypatch.setattr(registration, "_build_descriptors", rebuilt)
