@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -158,13 +159,23 @@ class TestDegenerateInputs:
         "point-icp-mutual": {"mutual": True},
         "euclidean-eigen": {"descriptor": "eigen"},
         "mahalanobis-eigen": {"metric": "mahalanobis", "descriptor": "eigen"},
+        "mahalanobis-unregularized": {"metric": "mahalanobis", "descriptor": "eigen"},
         "geodesic-edgeconv": {"metric": "geodesic", "descriptor": "edgeconv", "k_base": 4},
     }
+    # The regularizer is not a config field; these pipelines build their
+    # graphs through build_graph with the given value instead of the default.
+    REGULARIZERS = {"mahalanobis-unregularized": 0.0}
 
     @pytest.mark.parametrize("k", [8, 39])  # 39 = n - 1
     @pytest.mark.parametrize("pipeline", sorted(PIPELINES))
     @pytest.mark.parametrize("kind", ["duplicate", "coincident", "collinear", "planar"])
-    def test_returns_or_raises_a_toolkit_error(self, kind, pipeline, k):
+    def test_returns_or_raises_a_toolkit_error(self, monkeypatch, kind, pipeline, k):
+        if pipeline in self.REGULARIZERS:
+            monkeypatch.setattr(
+                registration,
+                "build_graph",
+                functools.partial(build_graph, regularizer=self.REGULARIZERS[pipeline]),
+            )
         source = degenerate_cloud(kind)
         target = apply(make_rigid((10, -5, 20), (0.1, 0.2, -0.3)), source)
         cfg = RegistrationConfig(k=k, max_iters=4, **self.PIPELINES[pipeline])
