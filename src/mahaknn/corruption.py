@@ -22,7 +22,15 @@ ZERO_INTERSECTION = "zero_intersection"
 SUBSAMPLE = "subsample"
 NONE = "none"
 
-_VARIANTS = (GAUSSIAN, BERNOULLI, SAMPLING, ZERO_INTERSECTION, SUBSAMPLE, NONE)
+# The parameters each variant reads, in text-form order; parse rejects any other.
+_VARIANT_PARAMS = {
+    GAUSSIAN: ("sigma", "clip", "applied_to"),
+    BERNOULLI: ("keep_prob", "applied_to"),
+    SAMPLING: ("ratio",),
+    ZERO_INTERSECTION: (),
+    SUBSAMPLE: ("count", "applied_to"),
+    NONE: (),
+}
 _TARGETS = ("source", "target", "both")
 
 
@@ -37,7 +45,7 @@ class NoiseSpec:
     applied_to: str = "both"
 
     def __post_init__(self):
-        if self.variant not in _VARIANTS:
+        if self.variant not in _VARIANT_PARAMS:
             raise InvalidArgumentError(f"unknown noise variant {self.variant!r}")
         if self.applied_to not in _TARGETS:
             raise InvalidArgumentError(f"applied_to must be one of {_TARGETS}")
@@ -51,43 +59,38 @@ class NoiseSpec:
             raise InvalidArgumentError("count must be >= 1")
 
     def serialize(self) -> str:
-        """Compact text form, e.g. gaussian:sigma=0.01,clip=0.05."""
-        params = {
-            GAUSSIAN: [("sigma", self.sigma), ("clip", self.clip)],
-            BERNOULLI: [("keep_prob", self.keep_prob)],
-            SAMPLING: [("ratio", self.ratio)],
-            SUBSAMPLE: [("count", self.count)],
-            ZERO_INTERSECTION: [],
-            NONE: [],
-        }[self.variant]
-        if self.variant in (GAUSSIAN, BERNOULLI, SUBSAMPLE) and self.applied_to != "both":
-            params.append(("applied_to", self.applied_to))
+        """Compact text form, e.g. gaussian:sigma=0.01,clip=0.05; applied_to only when not both."""
+        params = [
+            (key, getattr(self, key))
+            for key in _VARIANT_PARAMS[self.variant]
+            if not (key == "applied_to" and self.applied_to == "both")
+        ]
         if not params:
             return self.variant
         return self.variant + ":" + ",".join(f"{k}={v}" for k, v in params)
 
     @classmethod
     def parse(cls, text: str) -> "NoiseSpec":
-        text = text.strip()
-        if ":" in text:
-            variant, _, rest = text.partition(":")
-            kwargs = {}
-            for item in rest.split(","):
-                if not item:
-                    continue
-                key, _, value = item.partition("=")
-                if not _:
-                    raise InvalidArgumentError(f"malformed noise parameter {item!r}")
-                key = key.strip()
-                value = value.strip()
-                if key not in _PARAM_PARSERS:
-                    raise InvalidArgumentError(f"unknown noise parameter {key!r}")
-                try:
-                    kwargs[key] = _PARAM_PARSERS[key](value)
-                except ValueError:
-                    raise InvalidArgumentError(f"bad noise parameter {key}={value!r}") from None
-            return cls(variant=variant.strip(), **kwargs)
-        return cls(variant=text)
+        variant, _, rest = text.strip().partition(":")
+        variant = variant.strip()
+        if variant not in _VARIANT_PARAMS:
+            raise InvalidArgumentError(f"unknown noise variant {variant!r}")
+        kwargs = {}
+        for item in rest.split(","):
+            if not item:
+                continue
+            key, sep, value = item.partition("=")
+            if not sep:
+                raise InvalidArgumentError(f"malformed noise parameter {item!r}")
+            key = key.strip()
+            value = value.strip()
+            if key not in _VARIANT_PARAMS[variant]:
+                raise InvalidArgumentError(f"noise variant {variant!r} has no parameter {key!r}")
+            try:
+                kwargs[key] = _PARAM_PARSERS[key](value)
+            except ValueError:
+                raise InvalidArgumentError(f"bad noise parameter {key}={value!r}") from None
+        return cls(variant=variant, **kwargs)
 
 
 # Text parser of every NoiseSpec parameter (annotations are strings here).

@@ -9,10 +9,15 @@ Graphs are built once per cloud per registration: the target never moves,
 and every metric's graph is invariant under rigid motion of the source. Only
 the moved source's descriptors, which depend on its pose, are recomputed on
 each iteration.
+
+Point-ICP starts from a one-shot match of rotation-invariant eigen components
+when that pose leaves a smaller trimmed nearest-point residual than identity
+does, and from identity otherwise.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,9 +60,6 @@ class RegistrationConfig:
     trim_fraction: float = 0.3
     k_base: int = 20
     mutual: bool = False
-    # Point-ICP only: seed the iteration with a one-shot match of
-    # rotation-invariant eigen components instead of starting at identity.
-    coarse_init: bool = True
 
     def __post_init__(self):
         if self.metric not in METRICS:
@@ -68,6 +70,10 @@ class RegistrationConfig:
             raise InvalidArgumentError("trim_fraction must be in [0, 1)")
         if self.max_iters < 1:
             raise InvalidArgumentError("max_iters must be >= 1")
+        if self.k < 1 or self.k_base < 1:
+            raise InvalidArgumentError("k and k_base must be >= 1")
+        if not (math.isfinite(self.convergence_tol) and self.convergence_tol >= 0):
+            raise InvalidArgumentError("convergence_tol must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -111,20 +117,42 @@ def _build_descriptors(
     return eigen_features(cloud, graph)
 
 
+def _pair_residual(moved: PointCloud, target: PointCloud, corr: CorrespondenceSet) -> float:
+    """Sum of squared distances between the paired points."""
+    matched_src = moved.points[corr.source_indices]
+    matched_tgt = target.points[corr.target_indices]
+    return float(np.sum((matched_src - matched_tgt) ** 2))
+
+
+def _nearest_residual(moved: PointCloud, target: PointCloud, trim_fraction: float) -> float:
+    """Trimmed nearest-point residual of moved against target: the quantity
+    the first point-ICP iteration from this pose records (before mutual filtering)."""
+    corr = match_descriptors(
+        DescriptorSet(moved.points), DescriptorSet(target.points), trim_fraction
+    )
+    return _pair_residual(moved, target, corr)
+
+
 def _coarse_alignment(
     source: PointCloud, target: PointCloud, cfg: RegistrationConfig
 ) -> RigidMotion:
-    """One-shot alignment from the rotation-invariant eigen components.
+    """Point-ICP start pose: a one-shot alignment from the rotation-invariant
+    eigen components, kept only if it starts with a strictly smaller trimmed
+    nearest-point residual than identity.
 
-    Falls back to identity when the match is too degenerate to solve.
+    Returns identity otherwise, and when the match is too degenerate to solve.
     """
     try:
         fs = eigen_features(source, build_graph(source, METRIC_EUCLIDEAN, cfg.k)).vectors[:, :3]
         ft = eigen_features(target, build_graph(target, METRIC_EUCLIDEAN, cfg.k)).vectors[:, :3]
         corr = match_descriptors(DescriptorSet(fs), DescriptorSet(ft), cfg.trim_fraction)
-        return kabsch(source, target, corr)
+        coarse = kabsch(source, target, corr)
+        coarse_residual = _nearest_residual(apply(coarse, source), target, cfg.trim_fraction)
+        if coarse_residual < _nearest_residual(source, target, cfg.trim_fraction):
+            return coarse
     except (MahaknnError, np.linalg.LinAlgError):
-        return identity_motion()
+        pass
+    return identity_motion()
 
 
 def register(
@@ -137,7 +165,7 @@ def register(
     current = source
     src_graph = None
     if cfg.descriptor == DESCRIPTOR_NONE:
-        if cfg.coarse_init and cfg.k >= 3:
+        if cfg.k >= 3:
             cumulative = _coarse_alignment(source, target, cfg)
             current = apply(cumulative, source)
         tgt_desc = DescriptorSet(target.points)
@@ -158,9 +186,7 @@ def register(
         corr = match_descriptors(src_desc, tgt_desc, cfg.trim_fraction)
         if cfg.mutual:
             corr = _mutual_filter(src_desc, tgt_desc, corr)
-        matched_src = current.points[corr.source_indices]
-        matched_tgt = target.points[corr.target_indices]
-        residuals.append(float(np.sum((matched_src - matched_tgt) ** 2)))
+        residuals.append(_pair_residual(current, target, corr))
         delta = kabsch(current, target, corr)
         cumulative = compose(delta, cumulative)
         current = apply(delta, current)

@@ -81,6 +81,13 @@ def c_ring(n: int, seed: int) -> PointCloud:
     return PointCloud(np.column_stack([np.cos(theta), np.sin(theta), np.zeros(n)]))
 
 
+def _two_planes_total(n: int, seed: int) -> PointCloud:
+    """two_planes with n the total count, split evenly between the planes."""
+    if n < 2 or n % 2:
+        raise InvalidArgumentError(f"two-planes needs an even n >= 2, got {n}")
+    return two_planes(n // 2, seed)
+
+
 # Every shape name `generate` accepts, with its generator(n, seed).
 SHAPES = {
     "plane": plane,
@@ -88,15 +95,15 @@ SHAPES = {
     "sphere-cap": sphere_cap,
     "torus": torus,
     "box": box,
-    "two-planes": lambda n, seed: two_planes(n // 2, seed),
+    "two-planes": _two_planes_total,
     "c-ring": c_ring,
 }
 
 
 def generate(shape: str, n: int, seed: int) -> PointCloud:
-    """Dispatch by shape name; two-planes interprets n as the total count."""
+    """Dispatch by shape name; two-planes takes n as the total count, which must be even."""
     if shape not in SHAPES:
         raise InvalidArgumentError(f"unknown shape {shape!r}")
     if n < 1:
-        raise InvalidArgumentError(f"n must be >= 1, got {n}")
+        raise InvalidArgumentError(f"{shape} needs n >= 1, got {n}")
     return SHAPES[shape](n, seed)

@@ -90,7 +90,7 @@ class TestCli:
         want = RegistrationConfig(
             metric="mahalanobis", descriptor="edgeconv", k=8, max_iters=3,
             convergence_tol=0.5, trim_fraction=0.1, k_base=5,
-            mutual=True, coarse_init=False,
+            mutual=True,
         )
         default = RegistrationConfig()
         argv = ["register", "--source", str(cloud), "--target", str(cloud),
@@ -117,7 +117,12 @@ class TestCli:
         base = ["register", "--source", "s", "--target", "t", "--report", str(tmp_path / "r")]
         assert main(base + ["--mutual", "on"]) == EXIT_USAGE
         assert main(base + ["--k", "ten"]) == EXIT_USAGE
-        assert main(base + ["--metric", "manhattan"]) == EXIT_USAGE  # before any file is read
+        # Before any file is read:
+        assert main(base + ["--metric", "manhattan"]) == EXIT_USAGE
+        assert main(base + ["--k", "0"]) == EXIT_USAGE
+        assert main(base + ["--k-base", "0"]) == EXIT_USAGE
+        assert main(base + ["--convergence-tol", "nan"]) == EXIT_USAGE
+        assert main(base + ["--convergence-tol", "-1"]) == EXIT_USAGE
 
     def test_corrupt_single_output(self, tmp_path):
         cloud = tmp_path / "c.xyz"
@@ -256,11 +261,17 @@ class TestCli:
                          "--out", str(tmp_path / "o.csv")]) == EXIT_IO, name
             assert capsys.readouterr().err.startswith(f"error: {bad}:{line}: "), name
 
-    def test_bad_flags_are_usage_errors(self):
+    def test_bad_flags_are_usage_errors(self, capsys):
         assert main(["gen", "--shape", "dodecahedron", "--n", "10",
                      "--out", "x.xyz"]) == EXIT_USAGE
         assert main(["gen", "--shape", "sphere", "--n", "-5",
                      "--out", "x.xyz"]) == EXIT_USAGE
+        # two-planes splits n evenly between its planes.
+        assert main(["gen", "--shape", "two-planes", "--n", "7",
+                     "--out", "x.xyz"]) == EXIT_USAGE
+        assert main(["gen", "--shape", "two-planes", "--n", "1",
+                     "--out", "x.xyz"]) == EXIT_USAGE
+        assert capsys.readouterr().err.count("two-planes needs an even n >= 2") == 2
         assert main(["nonsense"]) == EXIT_USAGE
         assert main([]) == EXIT_USAGE
         # Seeds are non-negative, as np.random.default_rng requires.
@@ -273,3 +284,6 @@ class TestCli:
         # The covariance regularizer is fixed, not a flag.
         assert main(["register", "--source", "s", "--target", "t", "--report", "r",
                      "--regularizer", "1e-3"]) == EXIT_USAGE
+        # Point-ICP measures whether its coarse start pose helps; it is not a flag.
+        assert main(["register", "--source", "s", "--target", "t", "--report", "r",
+                     "--coarse-init", "false"]) == EXIT_USAGE

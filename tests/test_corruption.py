@@ -35,7 +35,10 @@ class TestNoiseSpec:
 
     def test_parse_rejects_garbage(self):
         for bad in ("speckle", "gaussian:sigma", "gaussian:volume=2", "gaussian:sigma=abc",
-                    "subsample:count=1.5"):
+                    "subsample:count=1.5",
+                    # Parameters the variant never reads.
+                    "gaussian:keep_prob=0.5", "sampling:applied_to=target", "none:sigma=3",
+                    "zero_intersection:ratio=0.2", "bernoulli:sigma=-1"):
             with pytest.raises(InvalidArgumentError):
                 NoiseSpec.parse(bad)
 

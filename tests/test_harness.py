@@ -164,16 +164,15 @@ class TestLoadScenario:
             "trials = 1\n"
             "\n"
             "[pipeline:icp]\n"
-            "coarse_init = false\n"
             "mutual = yes\n"
             "convergence_tol = 0\n"
             "k = 12\n"
         )
         sc = load_scenario(path)
         ((name, cfg),) = sc.pipelines
-        assert cfg == RegistrationConfig(coarse_init=False, mutual=True, convergence_tol=0.0, k=12)
+        assert cfg == RegistrationConfig(mutual=True, convergence_tol=0.0, k=12)
         # The field feeds the hash, so the two settings stay distinguishable.
-        flipped = replace(sc, pipelines=((name, replace(cfg, coarse_init=True)),))
+        flipped = replace(sc, pipelines=((name, replace(cfg, mutual=False)),))
         assert sc.config_hash() != flipped.config_hash()
 
     @pytest.mark.parametrize(
@@ -232,6 +231,10 @@ class TestLoadScenario:
         # Edge-conv weights and the covariance regularizer are fixed, not pipeline keys.
         path.write_text("[scenario]\ninput = shape:sphere:50\n\n[pipeline:p]\nseed = 3\n")
         with pytest.raises(InvalidArgumentError, match="unknown option 'seed'"):
+            load_scenario(path)
+        # Point-ICP chooses its start pose itself.
+        path.write_text("[scenario]\ninput = shape:sphere:50\n\n[pipeline:p]\ncoarse_init = false\n")
+        with pytest.raises(InvalidArgumentError, match="unknown option 'coarse_init'"):
             load_scenario(path)
 
     def test_percent_in_value_is_kept_verbatim(self, tmp_path):
