@@ -27,7 +27,13 @@ from .neighborhood import (  # noqa: F401
     knn,
     knn_geodesic,
 )
-from .descriptors import DescriptorSet, edgeconv_features, eigen_features, kmeans  # noqa: F401
+from .descriptors import (  # noqa: F401
+    DescriptorSet,
+    edgeconv_features,
+    eigen_features,
+    kmeans,
+    pose_eigen_features,
+)
 from .registration import (  # noqa: F401
     RegistrationConfig,
     RegistrationResult,

@@ -49,9 +49,15 @@ def edgeconv_features(
 ) -> DescriptorSet:
     """Stacked edge convolutions with seeded random weights.
 
-    Each edge evaluates relu(W @ [x_i || (x_j - x_i)] + b); features are the
-    elementwise max over the k neighbors. W and b are drawn once per
-    layer from the seeded stream, scaled for unit fan-in variance.
+    Each edge evaluates relu(W @ [f_i || (f_j - f_i)] + b) and a point's
+    features are the elementwise max over its k neighbors. W and b are drawn
+    once per layer from the seeded stream, scaled for unit fan-in variance.
+
+    With W = [W1 | W2] the edge is relu(P_i + Q_j), where P = f (W1 - W2)^T + b
+    and Q = f W2^T. ReLU is monotone, so the max over neighbors is
+    relu(P_i + max_j Q_j): each layer costs two (n, d) @ (d, width) products
+    and a running max over the k neighbor columns, and builds no (n, k, width)
+    edge tensor. This equals the direct evaluation up to rounding, not bitwise.
     """
     if len(graph) != len(cloud):
         raise InvalidArgumentError("graph and cloud sizes differ")
@@ -60,20 +66,33 @@ def edgeconv_features(
     rng = np.random.default_rng(seed)
     feats = cloud.points
     for _ in range(layers):
-        fan_in = 2 * feats.shape[1]
+        dim = feats.shape[1]
+        fan_in = 2 * dim
         w = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(width, fan_in))
         b = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=width)
-        center = feats[:, None, :]
-        offset = feats[graph.neighbors] - center
-        edges = np.concatenate([np.broadcast_to(center, offset.shape), offset], axis=2)
-        h = np.maximum(edges @ w.T + b, 0.0)
-        feats = h.max(axis=1)
+        w_center, w_offset = w[:, :dim], w[:, dim:]
+        q = feats @ w_offset.T
+        max_q = q[graph.neighbors[:, 0]]
+        for column in graph.neighbors.T[1:]:
+            np.maximum(max_q, q[column], out=max_q)
+        feats = np.maximum(feats @ (w_center - w_offset).T + b + max_q, 0.0)
     return DescriptorSet(feats)
+
+
+def _orient_normals(normals: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Flip each normal into the positive z-hemisphere; on z == 0 the sign of
+    y, then of x, decides. Zero rows stay zero, and no -0.0 is returned."""
+    flip = (normals[:, 2] < 0) | (
+        (normals[:, 2] == 0) & ((normals[:, 1] < 0) | ((normals[:, 1] == 0) & (normals[:, 0] < 0)))
+    )
+    return np.where(flip[:, None], -normals, normals) + 0.0
 
 
 def eigen_features(cloud: PointCloud, graph: NeighborGraph) -> DescriptorSet:
     """Covariance-shape descriptor per point: (linearity, planarity,
     scattering, normal), with the normal oriented to the positive z-hemisphere.
+
+    Rows whose neighborhood has no spread (largest eigenvalue 0) are all zero.
     """
     if len(graph) != len(cloud):
         raise InvalidArgumentError("graph and cloud sizes differ")
@@ -94,12 +113,22 @@ def eigen_features(cloud: PointCloud, graph: NeighborGraph) -> DescriptorSet:
     out[ok, 0] = (l1[ok] - l2[ok]) / l1[ok]
     out[ok, 1] = (l2[ok] - l3[ok]) / l1[ok]
     out[ok, 2] = l3[ok] / l1[ok]
-    normal = vecs[:, :, 0]  # eigenvector of the smallest eigenvalue
-    flip = (normal[:, 2] < 0) | (
-        (normal[:, 2] == 0) & ((normal[:, 1] < 0) | ((normal[:, 1] == 0) & (normal[:, 0] < 0)))
-    )
-    normal = np.where(flip[:, None], -normal, normal)
-    out[ok, 3:] = normal[ok]
+    out[ok, 3:] = _orient_normals(vecs[ok, :, 0])  # eigenvector of the smallest eigenvalue
+    return DescriptorSet(out)
+
+
+def pose_eigen_features(features: DescriptorSet, rotation: NDArray[np.float64]) -> DescriptorSet:
+    """Eigen features of a cloud turned by rotation, from that cloud's
+    features before the turn.
+
+    The three eigenvalue ratios do not change under rigid motion and are kept
+    as they are; each normal turns with the cloud and is oriented again. This
+    equals eigen_features of the moved cloud on the same graph up to rounding,
+    except where rounding moves a normal across the z = 0 boundary of the
+    orientation rule.
+    """
+    out = features.vectors.copy()
+    out[:, 3:] = _orient_normals(out[:, 3:] @ np.asarray(rotation, dtype=np.float64).T)
     return DescriptorSet(out)
 
 

@@ -6,13 +6,18 @@ edge-conv or eigen features built on the configured neighbor graph. The
 cumulative motion maps the original source onto the target frame.
 
 Graphs are built once per cloud per registration: the target never moves,
-and every metric's graph is invariant under rigid motion of the source. Only
-the moved source's descriptors, which depend on its pose, are recomputed on
-each iteration.
+and every metric's graph is invariant under rigid motion of the source. The
+eigen decomposition also runs once per cloud: each iteration only turns the
+source's cached normals by the cumulative rotation and orients them again,
+since the eigenvalue ratios are rotation-invariant. Edge-conv features of the
+moved source are recomputed on each iteration, in the factored form
+relu(P_i + max_j Q_j): per layer, two products of the (n, d) features with a
+(d, width) weight block and a running max over the k neighbor columns.
 
 Point-ICP starts from a one-shot match of rotation-invariant eigen components
 when that pose leaves a smaller trimmed nearest-point residual than identity
-does, and from identity otherwise.
+does, and from identity otherwise. The first iteration reuses the match that
+scored the chosen start.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descriptors import DescriptorSet, edgeconv_features, eigen_features
+from .descriptors import DescriptorSet, edgeconv_features, eigen_features, pose_eigen_features
 from .errors import InvalidArgumentError, MahaknnError, NoCorrespondenceError
 from .geometry import (
     CorrespondenceSet,
@@ -37,7 +42,6 @@ from .geometry import (
 from .neighborhood import (
     METRIC_EUCLIDEAN,
     METRICS,
-    NeighborGraph,
     build_graph,
     nearest,
 )
@@ -109,14 +113,6 @@ def match_descriptors(
     return CorrespondenceSet(keep, nearest_tgt[keep])
 
 
-def _build_descriptors(
-    cloud: PointCloud, graph: NeighborGraph, cfg: RegistrationConfig
-) -> DescriptorSet:
-    if cfg.descriptor == DESCRIPTOR_EDGECONV:
-        return edgeconv_features(cloud, graph)
-    return eigen_features(cloud, graph)
-
-
 def _pair_residual(moved: PointCloud, target: PointCloud, corr: CorrespondenceSet) -> float:
     """Sum of squared distances between the paired points."""
     matched_src = moved.points[corr.source_indices]
@@ -124,35 +120,42 @@ def _pair_residual(moved: PointCloud, target: PointCloud, corr: CorrespondenceSe
     return float(np.sum((matched_src - matched_tgt) ** 2))
 
 
-def _nearest_residual(moved: PointCloud, target: PointCloud, trim_fraction: float) -> float:
-    """Trimmed nearest-point residual of moved against target: the quantity
-    the first point-ICP iteration from this pose records (before mutual filtering)."""
-    corr = match_descriptors(
+def _nearest_match(
+    moved: PointCloud, target: PointCloud, trim_fraction: float
+) -> CorrespondenceSet:
+    """Trimmed nearest-point match of moved against target: the match the
+    first point-ICP iteration from this pose makes (before mutual filtering)."""
+    return match_descriptors(
         DescriptorSet(moved.points), DescriptorSet(target.points), trim_fraction
     )
-    return _pair_residual(moved, target, corr)
 
 
 def _coarse_alignment(
     source: PointCloud, target: PointCloud, cfg: RegistrationConfig
-) -> RigidMotion:
+) -> tuple[RigidMotion, PointCloud, CorrespondenceSet]:
     """Point-ICP start pose: a one-shot alignment from the rotation-invariant
     eigen components, kept only if it starts with a strictly smaller trimmed
     nearest-point residual than identity.
 
     Returns identity otherwise, and when the match is too degenerate to solve.
+    Also returns the source placed at the start pose and the nearest-point
+    match that scored it, which the first iteration reuses.
     """
+    identity_corr = _nearest_match(source, target, cfg.trim_fraction)
     try:
         fs = eigen_features(source, build_graph(source, METRIC_EUCLIDEAN, cfg.k)).vectors[:, :3]
         ft = eigen_features(target, build_graph(target, METRIC_EUCLIDEAN, cfg.k)).vectors[:, :3]
         corr = match_descriptors(DescriptorSet(fs), DescriptorSet(ft), cfg.trim_fraction)
         coarse = kabsch(source, target, corr)
-        coarse_residual = _nearest_residual(apply(coarse, source), target, cfg.trim_fraction)
-        if coarse_residual < _nearest_residual(source, target, cfg.trim_fraction):
-            return coarse
+        moved = apply(coarse, source)
+        coarse_corr = _nearest_match(moved, target, cfg.trim_fraction)
+        if _pair_residual(moved, target, coarse_corr) < _pair_residual(
+            source, target, identity_corr
+        ):
+            return coarse, moved, coarse_corr
     except (MahaknnError, np.linalg.LinAlgError):
         pass
-    return identity_motion()
+    return identity_motion(), source, identity_corr
 
 
 def register(
@@ -163,27 +166,35 @@ def register(
         raise InvalidArgumentError("clouds must contain at least k + 1 points")
     cumulative = identity_motion()
     current = source
-    src_graph = None
+    start_corr = None
     if cfg.descriptor == DESCRIPTOR_NONE:
         if cfg.k >= 3:
-            cumulative = _coarse_alignment(source, target, cfg)
-            current = apply(cumulative, source)
+            cumulative, current, start_corr = _coarse_alignment(source, target, cfg)
         tgt_desc = DescriptorSet(target.points)
     else:
         # The target never moves and the source graph is invariant under the
         # rigid motions applied below, so each graph is built exactly once.
         src_graph = build_graph(source, cfg.metric, cfg.k, k_base=cfg.k_base)
         tgt_graph = build_graph(target, cfg.metric, cfg.k, k_base=cfg.k_base)
-        tgt_desc = _build_descriptors(target, tgt_graph, cfg)
+        if cfg.descriptor == DESCRIPTOR_EIGEN:
+            tgt_desc = eigen_features(target, tgt_graph)
+            src_eigen = eigen_features(source, src_graph)
+        else:
+            tgt_desc = edgeconv_features(target, tgt_graph)
     residuals: list[float] = []
     corr = None
     iterations = 0
     for _ in range(cfg.max_iters):
-        if src_graph is None:
+        if cfg.descriptor == DESCRIPTOR_NONE:
             src_desc = DescriptorSet(current.points)
+        elif cfg.descriptor == DESCRIPTOR_EIGEN:
+            src_desc = pose_eigen_features(src_eigen, cumulative.rotation)
         else:
-            src_desc = _build_descriptors(current, src_graph, cfg)
-        corr = match_descriptors(src_desc, tgt_desc, cfg.trim_fraction)
+            src_desc = edgeconv_features(current, src_graph)
+        if start_corr is None:
+            corr = match_descriptors(src_desc, tgt_desc, cfg.trim_fraction)
+        else:
+            corr, start_corr = start_corr, None
         if cfg.mutual:
             corr = _mutual_filter(src_desc, tgt_desc, corr)
         residuals.append(_pair_residual(current, target, corr))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -7,9 +9,10 @@ from mahaknn.descriptors import (
     edgeconv_features,
     eigen_features,
     kmeans,
+    pose_eigen_features,
 )
 from mahaknn.errors import InvalidArgumentError
-from mahaknn.geometry import PointCloud, apply, make_rigid
+from mahaknn.geometry import PointCloud, apply, make_rigid, sample_rigid
 from mahaknn.neighborhood import (
     METRICS,
     NeighborGraph,
@@ -18,11 +21,33 @@ from mahaknn.neighborhood import (
     geodesic_adjacency,
     knn,
 )
-from mahaknn.shapes import plane, sphere
+from mahaknn.shapes import plane, sphere, sphere_cap, two_planes
 
 
 def random_cloud(n, seed=0):
     return PointCloud(np.random.default_rng(seed).normal(size=(n, 3)))
+
+
+def unfactored_edgeconv(cloud, graph, layers=1, width=64, seed=0):
+    """Oracle: the direct edge evaluation, max of relu(W @ [f_i || f_j - f_i] + b)
+    over an (n, k, width) tensor, with the same seeded weight draw."""
+    rng = np.random.default_rng(seed)
+    feats = cloud.points
+    for _ in range(layers):
+        fan_in = 2 * feats.shape[1]
+        w = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(width, fan_in))
+        b = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=width)
+        center = feats[:, None, :]
+        offset = feats[graph.neighbors] - center
+        edges = np.concatenate([np.broadcast_to(center, offset.shape), offset], axis=2)
+        feats = np.maximum(edges @ w.T + b, 0.0).max(axis=1)
+    return feats
+
+
+SURFACES = {
+    "sphere-cap": lambda: sphere_cap(300, seed=4),
+    "two-planes": lambda: two_planes(150, seed=4),
+}
 
 
 class TestEdgeConv:
@@ -48,7 +73,8 @@ class TestEdgeConv:
 
     def test_single_neighbor_chain_closed_form(self):
         # k=1 chain: each descriptor must equal the direct evaluation of
-        # relu(W @ [x_i || (x_n(i) - x_i)] + b).
+        # relu(W @ [x_i || (x_n(i) - x_i)] + b), up to the rounding of the
+        # factored sum relu(P_i + Q_j).
         cloud = PointCloud([(0, 0, 0), (1, 0, 0), (3, 0, 0), (6, 0, 0.0)])
         graph = NeighborGraph(np.array([[1], [0], [1], [2]]))
         seed = 5
@@ -59,7 +85,7 @@ class TestEdgeConv:
         for i, j in enumerate([1, 0, 1, 2]):
             xi = cloud.points[i]
             edge = np.concatenate([xi, cloud.points[j] - xi])
-            np.testing.assert_array_equal(out[i], np.maximum(w @ edge + b, 0.0))
+            np.testing.assert_allclose(out[i], np.maximum(w @ edge + b, 0.0), atol=1e-12, rtol=0)
 
     def test_deterministic(self):
         cloud = random_cloud(20, seed=4)
@@ -73,6 +99,29 @@ class TestEdgeConv:
         graph = knn(random_cloud(12, seed=1), 3)
         with pytest.raises(InvalidArgumentError):
             edgeconv_features(cloud, graph)
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("shape", sorted(SURFACES))
+    def test_factored_max_matches_direct_edges(self, shape, metric, layers):
+        cloud = SURFACES[shape]()
+        graph = build_graph(cloud, metric, 12, k_base=8)
+        got = edgeconv_features(cloud, graph, layers=layers, seed=3).vectors
+        want = unfactored_edgeconv(cloud, graph, layers=layers, seed=3)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
+
+    def test_memory_is_bounded(self):
+        # The (n, k, width) edge tensor alone would take 4096 * 20 * 64 * 8 B = 40 MiB.
+        cloud = PointCloud(np.random.default_rng(6).normal(size=(4096, 3)))
+        graph = knn(cloud, 20)
+        tracemalloc.start()
+        try:
+            edgeconv_features(cloud, graph, width=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestEigenFeatures:
@@ -120,6 +169,53 @@ class TestEigenFeatures:
         cloud = random_cloud(10)
         with pytest.raises(InvalidArgumentError):
             eigen_features(cloud, knn(cloud, 2))
+
+
+class TestPoseEigenFeatures:
+    """Posing cached eigen features by a rotation stands in for recomputing them."""
+
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("shape", sorted(SURFACES))
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_matches_recomputing_on_the_moved_cloud(self, shape, metric, seed):
+        cloud = SURFACES[shape]()
+        graph = build_graph(cloud, metric, 10, k_base=8)
+        motion = sample_rigid(np.random.default_rng(seed), (-180.0, 180.0), (-2.0, 2.0))
+        posed = pose_eigen_features(eigen_features(cloud, graph), motion.rotation).vectors
+        direct = eigen_features(apply(motion, cloud), graph).vectors
+        np.testing.assert_allclose(posed[:, :3], direct[:, :3], atol=1e-12, rtol=0)
+        # Off the z = 0 boundary of the orientation rule, rounding cannot flip a normal.
+        off = (np.abs(posed[:, 5]) > 1e-9) & (np.abs(direct[:, 5]) > 1e-9)
+        np.testing.assert_allclose(posed[off, 3:], direct[off, 3:], atol=1e-12, rtol=0)
+        sign = np.sign(np.sum(posed[:, 3:] * direct[:, 3:], axis=1))
+        np.testing.assert_allclose(posed[:, 3:], direct[:, 3:] * sign[:, None], atol=1e-12, rtol=0)
+
+    def test_spreadless_rows_stay_zero(self):
+        # Four coincident points are each other's three nearest: no spread, l1 == 0.
+        pts = np.vstack([np.tile([[0.2, -0.4, 0.9]], (4, 1)), sphere(40, seed=1).points])
+        cloud = PointCloud(pts)
+        graph = knn(cloud, 3)
+        feats = eigen_features(cloud, graph)
+        assert np.all(feats.vectors[:4] == 0)
+        for seed in range(5):
+            motion = sample_rigid(np.random.default_rng(seed), (-180.0, 180.0))
+            posed = pose_eigen_features(feats, motion.rotation).vectors
+            assert np.all(posed[:4] == 0)
+            assert not np.any(np.signbit(posed[:4]))
+            assert np.all(np.any(posed[4:, 3:] != 0, axis=1))
+
+    # On the x-z plane eigh can return normals (0, -1, 0) that the orientation rule
+    # flips, which would leave -0.0 entries for the identity pose to turn into 0.0.
+    @pytest.mark.parametrize(
+        "cloud",
+        [PointCloud(plane(100, seed=0).points[:, [0, 2, 1]]), sphere_cap(200, seed=2)],
+        ids=["xz-plane", "sphere-cap"],
+    )
+    def test_identity_pose_is_bitwise(self, cloud):
+        feats = eigen_features(cloud, knn(cloud, 8))
+        posed = pose_eigen_features(feats, np.eye(3))
+        assert posed.vectors.tobytes() == feats.vectors.tobytes()
 
 
 class TestKMeans:

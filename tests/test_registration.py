@@ -6,10 +6,16 @@ import pytest
 
 from mahaknn import neighborhood, registration
 from mahaknn.corruption import NoiseSpec, corrupt
-from mahaknn.descriptors import DescriptorSet
+from mahaknn.descriptors import (
+    DescriptorSet,
+    edgeconv_features,
+    eigen_features,
+    pose_eigen_features,
+)
 from mahaknn.errors import InvalidArgumentError, MahaknnError
 from mahaknn.geometry import (
     PointCloud,
+    RigidMotion,
     apply,
     compose,
     identity_motion,
@@ -280,25 +286,68 @@ class TestRegister:
             with pytest.raises(InvalidArgumentError):
                 RegistrationConfig(**bad)
 
+    @staticmethod
+    def _bernoulli_trial(trial):
+        """Harness trial `trial` of sphere-cap n=512 under bernoulli:keep_prob=0.7."""
+        source = sphere_cap(512, seed=0)
+        rng = np.random.default_rng(trial)
+        target = apply(sample_rigid(rng), source)
+        return corrupt(source, target, NoiseSpec.parse("bernoulli:keep_prob=0.7"), rng)
+
     # Harness trials 0-3 of sphere-cap n=512 under bernoulli:keep_prob=0.7. Start
     # residuals, coarse vs identity: 14.16 vs 12.31, 16.45 vs 32.57, 1.21 vs 5.53,
     # 7.11 vs 5.79; the coarse pose is kept only where it is strictly lower.
     @pytest.mark.parametrize("trial,keeps_coarse", [(0, False), (1, True), (2, True), (3, False)])
     def test_start_pose_is_the_lower_residual_one(self, trial, keeps_coarse):
-        source = sphere_cap(512, seed=0)
-        rng = np.random.default_rng(trial)
-        target = apply(sample_rigid(rng), source)
-        src, tgt = corrupt(source, target, NoiseSpec.parse("bernoulli:keep_prob=0.7"), rng)
+        src, tgt = self._bernoulli_trial(trial)
         cfg = RegistrationConfig()
-        start = registration._coarse_alignment(src, tgt, cfg)
-        from_identity = registration._nearest_residual(src, tgt, cfg.trim_fraction)
-        from_start = registration._nearest_residual(apply(start, src), tgt, cfg.trim_fraction)
+        start, moved, start_corr = registration._coarse_alignment(src, tgt, cfg)
+        # The returned match is the one the first iteration would make from the start pose.
+        want = registration._nearest_match(moved, tgt, cfg.trim_fraction)
+        np.testing.assert_array_equal(start_corr.source_indices, want.source_indices)
+        np.testing.assert_array_equal(start_corr.target_indices, want.target_indices)
+        from_identity = registration._pair_residual(
+            src, tgt, registration._nearest_match(src, tgt, cfg.trim_fraction)
+        )
+        from_start = registration._pair_residual(moved, tgt, start_corr)
         if keeps_coarse:
             assert rotation_angle_rad(start.rotation) > 0.1
+            assert moved.points.tobytes() == apply(start, src).points.tobytes()
             assert from_start < from_identity
         else:
             np.testing.assert_array_equal(start.rotation, np.eye(3))
             np.testing.assert_array_equal(start.translation, np.zeros(3))
+            assert moved is src
+
+    @pytest.mark.parametrize("mutual", [False, True])
+    @pytest.mark.parametrize("trial", [0, 1])
+    def test_first_iteration_reuses_the_start_match(self, monkeypatch, trial, mutual):
+        # Trial 0 starts from identity, trial 1 from the coarse pose.
+        src, tgt = self._bernoulli_trial(trial)
+        cfg = RegistrationConfig(max_iters=5, convergence_tol=0.0, mutual=mutual)
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return match_descriptors(*args)
+
+        monkeypatch.setattr(registration, "match_descriptors", counting)
+        reused = register(src, tgt, cfg)
+        # Three matches score the start (identity, eigen components, coarse pose);
+        # the first iteration makes none of its own.
+        assert len(calls) == 3 + cfg.max_iters - 1
+        # Oracle: place the source at the chosen start and match it afresh.
+        coarse_alignment = registration._coarse_alignment
+
+        def without_reuse(source, target, cfg):
+            start, _, _ = coarse_alignment(source, target, cfg)
+            return start, apply(start, source), None
+
+        monkeypatch.setattr(registration, "_coarse_alignment", without_reuse)
+        fresh = register(src, tgt, cfg)
+        assert reused.per_iteration_residuals == fresh.per_iteration_residuals
+        assert reused.motion.rotation.tobytes() == fresh.motion.rotation.tobytes()
+        assert reused.motion.translation.tobytes() == fresh.motion.translation.tobytes()
 
 
 class TestGraphReuse:
@@ -338,27 +387,72 @@ class TestGraphReuse:
         register(source, target, cfg)
         assert calls == ["euclidean", "euclidean"]  # one per cloud, for the coarse match
         calls.clear()
-        monkeypatch.setattr(registration, "_coarse_alignment", lambda *a: identity_motion())
+        monkeypatch.setattr(
+            registration, "_coarse_alignment", lambda src, tgt, cfg: (identity_motion(), src, None)
+        )
         register(source, target, cfg)
         assert calls == []
 
-    @pytest.mark.parametrize("descriptor", ["eigen", "edgeconv"])
+    @pytest.mark.parametrize("max_iters", [1, 4, 9])
     @pytest.mark.parametrize("metric", ["euclidean", "mahalanobis", "geodesic"])
-    def test_matches_rebuilding_the_graph_every_iteration(self, monkeypatch, metric, descriptor):
+    def test_eigen_pipeline_decomposes_each_cloud_once(self, monkeypatch, metric, max_iters):
+        calls = []
+
+        def counting(cloud, graph):
+            calls.append(len(cloud))
+            return eigen_features(cloud, graph)
+
+        monkeypatch.setattr(registration, "eigen_features", counting)
+        cfg = RegistrationConfig(
+            metric=metric, descriptor="eigen", k=10, k_base=6,
+            max_iters=max_iters, convergence_tol=0.0,
+        )
+        source, target = self._pair(11)
+        res = register(source, target, cfg)
+        assert res.iterations == max_iters
+        assert calls == [len(target), len(source)]
+
+    @pytest.mark.parametrize("metric", ["euclidean", "mahalanobis", "geodesic"])
+    def test_edgeconv_matches_rebuilding_the_graph_every_iteration(self, monkeypatch, metric):
         # Oracle: describe every pose on a graph built from that pose.
         cfg = RegistrationConfig(
-            metric=metric, descriptor=descriptor, k=10, k_base=6, max_iters=8
+            metric=metric, descriptor="edgeconv", k=10, k_base=6, max_iters=8
         )
         source, target = self._pair(13)
         cached = register(source, target, cfg)
-        describe = registration._build_descriptors
 
-        def rebuilt(cloud, graph, cfg):
-            fresh = build_graph(cloud, cfg.metric, cfg.k, cfg.k_base)
-            return describe(cloud, fresh, cfg)
+        def rebuilt(cloud, graph):
+            return edgeconv_features(cloud, build_graph(cloud, cfg.metric, cfg.k, cfg.k_base))
 
-        monkeypatch.setattr(registration, "_build_descriptors", rebuilt)
+        monkeypatch.setattr(registration, "edgeconv_features", rebuilt)
         oracle = register(source, target, cfg)
         np.testing.assert_array_equal(cached.motion.rotation, oracle.motion.rotation)
         np.testing.assert_array_equal(cached.motion.translation, oracle.motion.translation)
         assert cached.per_iteration_residuals == oracle.per_iteration_residuals
+
+    @pytest.mark.parametrize("metric", ["euclidean", "mahalanobis", "geodesic"])
+    def test_eigen_poses_match_rebuilding_every_iteration(self, monkeypatch, metric):
+        # Oracle: every iteration's posed source features against a fresh graph
+        # and eigen decomposition of the source as that iteration places it.
+        cfg = RegistrationConfig(
+            metric=metric, descriptor="eigen", k=10, k_base=6, max_iters=8, convergence_tol=0.0
+        )
+        source, target = self._pair(13)
+        posed = []
+
+        def recording(features, rotation):
+            out = pose_eigen_features(features, rotation)
+            posed.append((rotation, out.vectors))
+            return out
+
+        monkeypatch.setattr(registration, "pose_eigen_features", recording)
+        res = register(source, target, cfg)
+        assert len(posed) == res.iterations == cfg.max_iters
+        np.testing.assert_array_equal(posed[0][0], np.eye(3))
+        assert rotation_angle_rad(posed[-1][0]) > 0.1
+        for rotation, got in posed:
+            moved = apply(RigidMotion(rotation, np.zeros(3)), source)
+            want = eigen_features(moved, build_graph(moved, cfg.metric, cfg.k, cfg.k_base)).vectors
+            np.testing.assert_allclose(got[:, :3], want[:, :3], atol=1e-12, rtol=0)
+            off = (np.abs(got[:, 5]) > 1e-9) & (np.abs(want[:, 5]) > 1e-9)
+            np.testing.assert_allclose(got[off, 3:], want[off, 3:], atol=1e-12, rtol=0)
