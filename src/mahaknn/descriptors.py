@@ -14,8 +14,10 @@ from numpy.typing import NDArray
 
 from .errors import InvalidArgumentError
 from .geometry import PointCloud
-from .neighborhood import NeighborGraph
+from .neighborhood import NeighborGraph, nearest
 
+# Output channels of the single edge-conv layer.
+EDGECONV_WIDTH = 64
 # k-means stops after this many Lloyd rounds, or once no center moves by the tolerance.
 _KMEANS_MAX_ITERS = 100
 _KMEANS_TOL = 1e-6
@@ -40,43 +42,32 @@ class DescriptorSet:
         return len(self.vectors)
 
 
-def edgeconv_features(
-    cloud: PointCloud,
-    graph: NeighborGraph,
-    layers: int = 1,
-    width: int = 64,
-    seed: int = 0,
-) -> DescriptorSet:
-    """Stacked edge convolutions with seeded random weights.
+def edgeconv_features(cloud: PointCloud, graph: NeighborGraph, seed: int = 0) -> DescriptorSet:
+    """One edge convolution of the points with seeded random weights.
 
-    Each edge evaluates relu(W @ [f_i || (f_j - f_i)] + b) and a point's
-    features are the elementwise max over its k neighbors. W and b are drawn
-    once per layer from the seeded stream, scaled for unit fan-in variance.
+    Each edge evaluates relu(W @ [x_i || (x_j - x_i)] + b) and a point's
+    features are the elementwise max over its k neighbors. W, then b, are
+    drawn from the seeded stream, scaled for unit fan-in variance.
 
-    With W = [W1 | W2] the edge is relu(P_i + Q_j), where P = f (W1 - W2)^T + b
-    and Q = f W2^T. ReLU is monotone, so the max over neighbors is
-    relu(P_i + max_j Q_j): each layer costs two (n, d) @ (d, width) products
-    and a running max over the k neighbor columns, and builds no (n, k, width)
-    edge tensor. This equals the direct evaluation up to rounding, not bitwise.
+    With W = [W1 | W2] the edge is relu(P_i + Q_j), where P = x (W1 - W2)^T + b
+    and Q = x W2^T. ReLU is monotone, so the max over neighbors is
+    relu(P_i + max_j Q_j): two (n, 3) @ (3, width) products and a running max
+    over the k neighbor columns, with no (n, k, width) edge tensor. This
+    equals the direct evaluation up to rounding, not bitwise.
     """
     if len(graph) != len(cloud):
         raise InvalidArgumentError("graph and cloud sizes differ")
-    if layers < 1:
-        raise InvalidArgumentError("layers must be >= 1")
     rng = np.random.default_rng(seed)
-    feats = cloud.points
-    for _ in range(layers):
-        dim = feats.shape[1]
-        fan_in = 2 * dim
-        w = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(width, fan_in))
-        b = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=width)
-        w_center, w_offset = w[:, :dim], w[:, dim:]
-        q = feats @ w_offset.T
-        max_q = q[graph.neighbors[:, 0]]
-        for column in graph.neighbors.T[1:]:
-            np.maximum(max_q, q[column], out=max_q)
-        feats = np.maximum(feats @ (w_center - w_offset).T + b + max_q, 0.0)
-    return DescriptorSet(feats)
+    pts = cloud.points
+    # An edge [x_i || x_j - x_i] has fan-in 6.
+    w = rng.normal(0.0, 1.0 / np.sqrt(6), size=(EDGECONV_WIDTH, 6))
+    b = rng.normal(0.0, 1.0 / np.sqrt(6), size=EDGECONV_WIDTH)
+    w_center, w_offset = w[:, :3], w[:, 3:]
+    q = pts @ w_offset.T
+    max_q = q[graph.neighbors[:, 0]]
+    for column in graph.neighbors.T[1:]:
+        np.maximum(max_q, q[column], out=max_q)
+    return DescriptorSet(np.maximum(pts @ (w_center - w_offset).T + b + max_q, 0.0))
 
 
 def _orient_normals(normals: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -132,16 +123,12 @@ def pose_eigen_features(features: DescriptorSet, rotation: NDArray[np.float64]) 
     return DescriptorSet(out)
 
 
-def kmeans(
-    features: DescriptorSet,
-    n_clusters: int,
-    seed: int,
-    return_history: bool = False,
-):
+def kmeans(features: DescriptorSet, n_clusters: int, seed: int) -> NDArray[np.intp]:
     """Lloyd iterations from farthest-point seeding; returns per-point labels.
 
-    With return_history=True also returns the per-iteration objective
-    (sum of squared distances to the assigned centroid).
+    Every point-to-center distance (seeding, each assignment, the re-seed of
+    an emptied cluster and the final labels) comes from `nearest`, so ties
+    go where `nearest` sends them and memory stays bounded by its row blocks.
     """
     x = features.vectors
     n = len(x)
@@ -150,16 +137,12 @@ def kmeans(
     rng = np.random.default_rng(seed)
     centers = np.empty((n_clusters, x.shape[1]))
     centers[0] = x[rng.integers(n)]
-    min_d2 = np.sum((x - centers[0]) ** 2, axis=1)
+    min_d2 = nearest(x, centers[:1])[1]
     for c in range(1, n_clusters):
         centers[c] = x[int(np.argmax(min_d2))]
-        min_d2 = np.minimum(min_d2, np.sum((x - centers[c]) ** 2, axis=1))
-    labels = np.zeros(n, dtype=np.intp)
-    history = []
+        np.minimum(min_d2, nearest(x, centers[c : c + 1])[1], out=min_d2)
     for _ in range(_KMEANS_MAX_ITERS):
-        d2 = np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-        labels = np.argmin(d2, axis=1).astype(np.intp)
-        history.append(float(d2[np.arange(n), labels].sum()))
+        labels, d2 = nearest(x, centers)
         new_centers = centers.copy()
         for c in range(n_clusters):
             mask = labels == c
@@ -167,14 +150,9 @@ def kmeans(
                 new_centers[c] = x[mask].mean(axis=0)
             else:
                 # Re-seed an emptied cluster at the worst-assigned point.
-                worst = int(np.argmax(d2[np.arange(n), labels]))
-                new_centers[c] = x[worst]
+                new_centers[c] = x[int(np.argmax(d2))]
         shift = np.max(np.linalg.norm(new_centers - centers, axis=1))
         centers = new_centers
         if shift < _KMEANS_TOL:
             break
-    d2 = np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-    labels = np.argmin(d2, axis=1).astype(np.intp)
-    if return_history:
-        return labels, history
-    return labels
+    return nearest(x, centers)[0]

@@ -191,11 +191,12 @@ def kabsch(source: PointCloud, target: PointCloud, corr: CorrespondenceSet) -> R
 
     Minimizes sum_s w_s * ||t_s - (R @ s_s + t)||^2 over SO(3) x R^3 via SVD of
     the weighted cross-covariance, with the determinant sign corrected so the
-    result is always a proper rotation.
+    result is always a proper rotation. Fewer than 3 pairs cannot fix a
+    rotation, so they raise RankDeficiencyError like collinear pairs do.
     """
     si, ti, w = corr.source_indices, corr.target_indices, corr.weights
     if len(corr) < 3:
-        raise InvalidArgumentError("at least 3 correspondences are required")
+        raise RankDeficiencyError(f"at least 3 correspondences are required, got {len(corr)}")
     if si.min() < 0 or si.max() >= len(source) or ti.min() < 0 or ti.max() >= len(target):
         raise InvalidArgumentError("correspondence indices out of range")
     src = source.points[si]

@@ -17,6 +17,7 @@ import configparser
 import csv
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field, fields
@@ -164,10 +165,14 @@ def write_report(report: BenchmarkReport, out_dir) -> None:
             "config_hash": report.config_hash,
             "toolkit_version": report.toolkit_version,
         },
-        "cells": report.cells,
+        # A statistic with no completed registration is NaN, which JSON spells null.
+        "cells": {
+            name: {stat: None if math.isnan(value) else value for stat, value in cell.items()}
+            for name, cell in report.cells.items()
+        },
     }
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     with open(os.path.join(out_dir, "report.csv"), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -251,6 +256,12 @@ def load_scenario(path) -> Scenario:
     if "input" not in sec:
         raise InvalidArgumentError("[scenario] needs an input")
     noise = _parse_section(parser, "noise", {"spec": NoiseSpec.parse}) if "noise" in parser else {}
+    # Only the keys the file sets reach Scenario, whose defaults fill the rest.
+    if "rot_range" in sec:
+        sec["rot_range_deg"] = sec.pop("rot_range")
+    if "spec" in noise:
+        sec["noise"] = noise["spec"]
+    sec.setdefault("name", "scenario")
     pipelines = []
     for section in parser.sections():
         if section.startswith("pipeline:"):
@@ -258,13 +269,4 @@ def load_scenario(path) -> Scenario:
             pipelines.append((section.partition(":")[2], RegistrationConfig(**kwargs)))
         elif section not in ("scenario", "noise"):
             raise InvalidArgumentError(f"unknown section [{section}]")
-    return Scenario(
-        name=sec.get("name", "scenario"),
-        input=sec["input"],
-        noise=noise.get("spec", NoiseSpec()),
-        rot_range_deg=sec.get("rot_range", (0.0, 45.0)),
-        trans_range=sec.get("trans_range", (-0.5, 0.5)),
-        trials=sec.get("trials", 20),
-        pipelines=tuple(pipelines),
-        base_seed=sec.get("base_seed", 0),
-    )
+    return Scenario(pipelines=tuple(pipelines), **sec)

@@ -3,9 +3,14 @@
 Every neighbour query in the toolkit runs on one exact engine in this module.
 Distances are computed one block of rows at a time, so memory stays O(block)
 instead of O(n^2); `rank_first_k` orders the first k entries of each row and
-`nearest` (k = 1) serves correspondence search and set distance. Ties break
-toward the lower point index, so every graph and match is deterministic and
-equal to a full stable sort of the all-pairs matrix. The geodesic variant
+`nearest` (k = 1) serves correspondence search, set distance and k-means.
+Every ranking is deterministic and sends ties in the computed distances to
+the lower index, as a full stable sort of the all-pairs matrix would. In
+`knn` that covers duplicate points, whose difference-form distances are
+bitwise equal. In `nearest` it does not: q^2 - 2 q.p + p^2 goes through a
+matrix product that can round bitwise-identical target rows apart, so a
+higher-index copy can win by an ulp (6-d points, 500 rows each stored three
+times, 2500 random queries: 4 matched a higher copy). The geodesic variant
 runs all-pairs shortest paths (vectorized Floyd-Warshall) on a symmetrized
 Euclidean k-NN graph. `build_graph` is the one metric -> graph dispatch; with
 a covariance estimated from the cloud itself, each of its graphs is invariant
@@ -21,7 +26,7 @@ from numpy.typing import NDArray
 
 from .errors import InvalidArgumentError
 from .geometry import PointCloud
-from .statistics import DEFAULT_REGULARIZER, CovarianceModel, estimate_covariance
+from .statistics import CovarianceModel, estimate_covariance
 
 METRIC_EUCLIDEAN = "euclidean"
 METRIC_MAHALANOBIS = "mahalanobis"
@@ -91,10 +96,12 @@ def rank_first_k(values: NDArray[np.float64], k: int) -> NDArray[np.intp]:
 def nearest(
     queries: NDArray[np.float64], points: NDArray[np.float64]
 ) -> tuple[NDArray[np.intp], NDArray[np.float64]]:
-    """Each query's nearest point (ties to the lower index) and squared distance.
+    """Each query's nearest point and squared distance.
 
     Distances are `q^2 - 2 q.p + p^2`, the expression of the full queries x
-    points matrix, evaluated one block of query rows at a time.
+    points matrix, evaluated one block of query rows at a time. Ties in that
+    computed value go to the lower index; duplicate points need not compute
+    equal (see the module docstring).
     """
     q2 = np.sum(queries**2, axis=1)
     p2 = np.sum(points**2, axis=1)
@@ -193,7 +200,6 @@ def build_graph(
     metric: str,
     k: int,
     k_base: int | None = None,
-    regularizer: float = DEFAULT_REGULARIZER,
 ) -> NeighborGraph:
     """The k-NN graph of a cloud under a metric name.
 
@@ -203,5 +209,5 @@ def build_graph(
     if metric == METRIC_GEODESIC:
         return knn_geodesic(cloud, k if k_base is None else k_base, k)
     if metric == METRIC_MAHALANOBIS:
-        return knn(cloud, k, METRIC_MAHALANOBIS, estimate_covariance(cloud, regularizer))
+        return knn(cloud, k, METRIC_MAHALANOBIS, estimate_covariance(cloud))
     return knn(cloud, k, metric)

@@ -11,8 +11,8 @@ eigen decomposition also runs once per cloud: each iteration only turns the
 source's cached normals by the cumulative rotation and orients them again,
 since the eigenvalue ratios are rotation-invariant. Edge-conv features of the
 moved source are recomputed on each iteration, in the factored form
-relu(P_i + max_j Q_j): per layer, two products of the (n, d) features with a
-(d, width) weight block and a running max over the k neighbor columns.
+relu(P_i + max_j Q_j): two products of the (n, 3) points with a (3, 64)
+weight block and a running max over the k neighbor columns.
 
 Point-ICP starts from a one-shot match of rotation-invariant eigen components
 when that pose leaves a smaller trimmed nearest-point residual than identity
@@ -53,9 +53,9 @@ DESCRIPTOR_NONE = "none"  # point-ICP on raw coordinates
 
 @dataclass(frozen=True)
 class RegistrationConfig:
-    # Edge-conv depth, width and weight seed and the covariance regularizer
-    # are the defaults of edgeconv_features and build_graph: the variable
-    # under study is the graph metric.
+    # Edge-conv weights (seed 0, one layer of width 64) and the covariance
+    # regularizer are fixed in edgeconv_features and build_graph: the
+    # variable under study is the graph metric.
     metric: str = METRIC_EUCLIDEAN
     descriptor: str = DESCRIPTOR_NONE
     k: int = 20

@@ -249,6 +249,17 @@ class TestCli:
         assert main(["register", "--source", str(cloud), "--target", str(cloud),
                      "--report", str(tmp_path / "r.json")]) == EXIT_NUMERICAL
 
+    # Four source points near the origin all match the target's origin point;
+    # mutual filtering keeps 1 pair and trimming half of them keeps 2.
+    @pytest.mark.parametrize("flags", [["--mutual", "true"], ["--trim-fraction", "0.5"]])
+    def test_too_few_pairs_is_numerical_failure(self, tmp_path, capsys, flags):
+        source, target = tmp_path / "s.xyz", tmp_path / "t.xyz"
+        save_cloud(PointCloud([(0, 0, 0), (0.01, 0, 0), (0, 0.01, 0), (0, 0, 0.01)]), source)
+        save_cloud(PointCloud([(0, 0, 0), (5, 0, 0), (0, 5, 0), (0, 0, 5.0)]), target)
+        assert main(["register", "--source", str(source), "--target", str(target),
+                     "--k", "1", "--report", str(tmp_path / "r.json")] + flags) == EXIT_NUMERICAL
+        assert "at least 3 correspondences" in capsys.readouterr().err
+
     def test_missing_input_is_io_error(self, tmp_path):
         assert main(["corrupt", "--in", str(tmp_path / "absent.xyz"),
                      "--noise", "gaussian", "--out", str(tmp_path / "o.xyz")]) == EXIT_IO

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from mahaknn import descriptors
 from mahaknn.descriptors import (
     DescriptorSet,
     edgeconv_features,
@@ -20,6 +21,7 @@ from mahaknn.neighborhood import (
     floyd_warshall,
     geodesic_adjacency,
     knn,
+    nearest,
 )
 from mahaknn.shapes import plane, sphere, sphere_cap, two_planes
 
@@ -28,20 +30,16 @@ def random_cloud(n, seed=0):
     return PointCloud(np.random.default_rng(seed).normal(size=(n, 3)))
 
 
-def unfactored_edgeconv(cloud, graph, layers=1, width=64, seed=0):
-    """Oracle: the direct edge evaluation, max of relu(W @ [f_i || f_j - f_i] + b)
-    over an (n, k, width) tensor, with the same seeded weight draw."""
+def unfactored_edgeconv(cloud, graph, seed=0):
+    """Oracle: the direct edge evaluation, max of relu(W @ [x_i || x_j - x_i] + b)
+    over an (n, k, 64) tensor, with the same seeded weight draw."""
     rng = np.random.default_rng(seed)
-    feats = cloud.points
-    for _ in range(layers):
-        fan_in = 2 * feats.shape[1]
-        w = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(width, fan_in))
-        b = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=width)
-        center = feats[:, None, :]
-        offset = feats[graph.neighbors] - center
-        edges = np.concatenate([np.broadcast_to(center, offset.shape), offset], axis=2)
-        feats = np.maximum(edges @ w.T + b, 0.0).max(axis=1)
-    return feats
+    w = rng.normal(0.0, 1.0 / np.sqrt(6), size=(64, 6))
+    b = rng.normal(0.0, 1.0 / np.sqrt(6), size=64)
+    center = cloud.points[:, None, :]
+    offset = cloud.points[graph.neighbors] - center
+    edges = np.concatenate([np.broadcast_to(center, offset.shape), offset], axis=2)
+    return np.maximum(edges @ w.T + b, 0.0).max(axis=1)
 
 
 SURFACES = {
@@ -90,8 +88,8 @@ class TestEdgeConv:
     def test_deterministic(self):
         cloud = random_cloud(20, seed=4)
         graph = knn(cloud, 3)
-        a = edgeconv_features(cloud, graph, layers=2, seed=9).vectors
-        b = edgeconv_features(cloud, graph, layers=2, seed=9).vectors
+        a = edgeconv_features(cloud, graph, seed=9).vectors
+        b = edgeconv_features(cloud, graph, seed=9).vectors
         np.testing.assert_array_equal(a, b)
 
     def test_size_mismatch_rejected(self):
@@ -100,14 +98,13 @@ class TestEdgeConv:
         with pytest.raises(InvalidArgumentError):
             edgeconv_features(cloud, graph)
 
-    @pytest.mark.parametrize("layers", [1, 2, 3])
     @pytest.mark.parametrize("metric", METRICS)
     @pytest.mark.parametrize("shape", sorted(SURFACES))
-    def test_factored_max_matches_direct_edges(self, shape, metric, layers):
+    def test_factored_max_matches_direct_edges(self, shape, metric):
         cloud = SURFACES[shape]()
         graph = build_graph(cloud, metric, 12, k_base=8)
-        got = edgeconv_features(cloud, graph, layers=layers, seed=3).vectors
-        want = unfactored_edgeconv(cloud, graph, layers=layers, seed=3)
+        got = edgeconv_features(cloud, graph, seed=3).vectors
+        want = unfactored_edgeconv(cloud, graph, seed=3)
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
 
@@ -117,7 +114,7 @@ class TestEdgeConv:
         graph = knn(cloud, 20)
         tracemalloc.start()
         try:
-            edgeconv_features(cloud, graph, width=64)
+            edgeconv_features(cloud, graph)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -240,9 +237,21 @@ class TestKMeans:
         labels = kmeans(feats, 8, seed=0)
         assert sorted(labels) == list(range(8))
 
-    def test_objective_non_increasing(self):
+    def test_objective_non_increasing(self, monkeypatch):
+        # Every assignment to all 4 centers is one nearest() call; the sum of
+        # its squared distances is the objective at that round.
+        history = []
+
+        def recording(queries, points):
+            index, dist = nearest(queries, points)
+            if len(points) == 4:
+                history.append(float(dist.sum()))
+            return index, dist
+
+        monkeypatch.setattr(descriptors, "nearest", recording)
         feats = self._features(np.random.default_rng(3).normal(size=(100, 5)))
-        _, history = kmeans(feats, 4, seed=1, return_history=True)
+        kmeans(feats, 4, seed=1)
+        assert len(history) >= 2
         assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
 
     def test_invalid_k(self):
@@ -253,6 +262,17 @@ class TestKMeans:
     def test_deterministic(self):
         feats = self._features(np.random.default_rng(5).normal(size=(50, 6)))
         np.testing.assert_array_equal(kmeans(feats, 3, seed=7), kmeans(feats, 3, seed=7))
+
+    def test_memory_is_bounded(self):
+        # One (n, K, d) difference tensor alone would take 16384 * 8 * 64 * 8 B = 64 MiB.
+        feats = self._features(np.random.default_rng(8).normal(size=(16384, 64)))
+        tracemalloc.start()
+        try:
+            kmeans(feats, 8, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestPermutationEquivariance:

@@ -211,6 +211,12 @@ class TestKabsch:
         with pytest.raises(RankDeficiencyError):
             kabsch(src, tgt, identity_corr(5))
 
+    @pytest.mark.parametrize("pairs", [1, 2])
+    def test_fewer_than_three_pairs_raise_rank_deficiency(self, pairs):
+        cloud = random_cloud(5, seed=3)
+        with pytest.raises(RankDeficiencyError):
+            kabsch(cloud, cloud, identity_corr(pairs))
+
     def test_bad_indices_raise(self):
         cloud = random_cloud(5)
         with pytest.raises(InvalidArgumentError):

@@ -113,6 +113,21 @@ class TestWriteReport:
         assert doc["provenance"]["base_seed"] == 42
         assert "icp" in doc["cells"]
 
+    def test_cell_without_registrations_is_strict_json(self, tmp_path):
+        # k = 20 needs 21 points, so every registration on 10 points fails.
+        scenario = small_scenario(
+            input="shape:sphere:10:0", trials=2, pipelines=(("big-k", RegistrationConfig(k=20)),)
+        )
+        write_report(run_scenario(scenario), tmp_path)
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        doc = json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
+        cell = doc["cells"]["big-k"]
+        assert cell["failures"] == 2 and cell["success_rate"] == 0.0
+        assert cell["geodesic_r_deg_mean"] is None and cell["chamfer_std"] is None
+
 
 class TestLoadScenario:
     def test_ini_round_trip(self, tmp_path):
@@ -155,6 +170,25 @@ class TestLoadScenario:
         # Parsed scenarios execute end to end.
         report = run_scenario(sc)
         assert set(report.cells) == {"euc", "mah"}
+
+    def test_minimal_file_takes_the_scenario_defaults(self, tmp_path):
+        path = tmp_path / "scenario.ini"
+        path.write_text("[scenario]\ninput = shape:sphere:50\n\n[pipeline:p]\nk = 10\n")
+        sc = load_scenario(path)
+        assert sc == Scenario(
+            name="scenario",
+            input="shape:sphere:50",
+            noise=NoiseSpec(),
+            rot_range_deg=(0.0, 45.0),
+            trans_range=(-0.5, 0.5),
+            trials=20,
+            pipelines=(("p", RegistrationConfig(k=10)),),
+            base_seed=0,
+        )
+        # The hash this file has always had: reports of older runs stay comparable.
+        assert sc.config_hash() == "6d57c9ff2db229c4"
+        path.write_text("[scenario]\ninput = shape:sphere:50\n[noise]\n[pipeline:p]\nk = 10\n")
+        assert load_scenario(path) == sc
 
     def test_every_config_field_is_settable(self, tmp_path):
         path = tmp_path / "scenario.ini"

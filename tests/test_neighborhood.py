@@ -328,12 +328,11 @@ class TestKnnGeodesic:
 class TestBuildGraph:
     def test_dispatches_to_each_metric(self):
         cloud = two_planes(60, seed=1)
-        model = estimate_covariance(cloud, regularizer=1e-3)
         cases = (
             (build_graph(cloud, "euclidean", 7), knn(cloud, 7)),
             (
-                build_graph(cloud, "mahalanobis", 7, regularizer=1e-3),
-                knn(cloud, 7, "mahalanobis", model),
+                build_graph(cloud, "mahalanobis", 7),
+                knn(cloud, 7, "mahalanobis", estimate_covariance(cloud)),
             ),
             (build_graph(cloud, "geodesic", 7, k_base=4), knn_geodesic(cloud, 4, 7)),
             (build_graph(cloud, "geodesic", 7), knn_geodesic(cloud, 7, 7)),

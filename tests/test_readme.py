@@ -1,13 +1,16 @@
-"""The README's lists of pipeline keys and shape names match the code."""
+"""The README's lists of pipeline keys, shape names, noise parameters and
+subcommands match the code."""
 
 import re
 from pathlib import Path
 
+from mahaknn.cli import _COMMANDS
+from mahaknn.corruption import _VARIANT_PARAMS
 from mahaknn.harness import PIPELINE_FIELDS
 from mahaknn.shapes import SHAPES
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-NUMBER_WORDS = {"seven": 7, "eight": 8, "nine": 9, "ten": 10}
+NUMBER_WORDS = {"six": 6, "seven": 7, "eight": 8, "nine": 9, "ten": 10}
 
 
 def test_pipeline_keys_match_registration_config():
@@ -23,3 +26,20 @@ def test_gen_shapes_match_shape_table():
     assert match, "README no longer lists the gen shapes"
     names = [name.strip() for name in match.group(1).replace("#", "").split(",")]
     assert names == list(SHAPES)
+
+
+def test_noise_parameters_match_variant_params():
+    match = re.search(r"A noise spec names a variant and only the parameters that variant reads:(.*?)\. Any other", README, re.S)
+    assert match, "README no longer lists the noise parameters"
+    listed = {}
+    for clause in match.group(1).split(";"):
+        variants, _, params = clause.partition(" take")
+        for variant in re.findall(r"`(\w+)`", variants):
+            listed[variant] = tuple(re.findall(r"`(\w+)`", params))
+    assert listed == _VARIANT_PARAMS
+
+
+def test_subcommand_count_matches_cli():
+    match = re.search(r"exposes (\w+) subcommands", README)
+    assert match, "README no longer counts the subcommands"
+    assert NUMBER_WORDS[match.group(1)] == len(_COMMANDS)

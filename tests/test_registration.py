@@ -12,7 +12,7 @@ from mahaknn.descriptors import (
     eigen_features,
     pose_eigen_features,
 )
-from mahaknn.errors import InvalidArgumentError, MahaknnError
+from mahaknn.errors import InvalidArgumentError, MahaknnError, SingularCovarianceError
 from mahaknn.geometry import (
     PointCloud,
     RigidMotion,
@@ -31,6 +31,7 @@ from mahaknn.registration import (
     register,
 )
 from mahaknn.shapes import sphere_cap
+from mahaknn.statistics import estimate_covariance
 
 
 def feats(pts):
@@ -169,23 +170,27 @@ class TestDegenerateInputs:
         "mahalanobis-unregularized": {"metric": "mahalanobis", "descriptor": "eigen"},
         "geodesic-edgeconv": {"metric": "geodesic", "descriptor": "edgeconv", "k_base": 4},
     }
-    # The regularizer is not a config field; these pipelines build their
-    # graphs through build_graph with the given value instead of the default.
-    REGULARIZERS = {"mahalanobis-unregularized": 0.0}
+    # The regularizer is not an argument of register or build_graph; this
+    # pipeline estimates its covariance with none, so a flat cloud is singular.
+    UNREGULARIZED = "mahalanobis-unregularized"
 
     @pytest.mark.parametrize("k", [8, 39])  # 39 = n - 1
     @pytest.mark.parametrize("pipeline", sorted(PIPELINES))
     @pytest.mark.parametrize("kind", ["duplicate", "coincident", "collinear", "planar"])
     def test_returns_or_raises_a_toolkit_error(self, monkeypatch, kind, pipeline, k):
-        if pipeline in self.REGULARIZERS:
+        if pipeline == self.UNREGULARIZED:
             monkeypatch.setattr(
-                registration,
-                "build_graph",
-                functools.partial(build_graph, regularizer=self.REGULARIZERS[pipeline]),
+                neighborhood,
+                "estimate_covariance",
+                functools.partial(estimate_covariance, regularizer=0.0),
             )
         source = degenerate_cloud(kind)
         target = apply(make_rigid((10, -5, 20), (0.1, 0.2, -0.3)), source)
         cfg = RegistrationConfig(k=k, max_iters=4, **self.PIPELINES[pipeline])
+        if pipeline == self.UNREGULARIZED and kind != "duplicate":
+            with pytest.raises(SingularCovarianceError):
+                register(source, target, cfg)
+            return
         try:
             result = register(source, target, cfg)
         except (MahaknnError, np.linalg.LinAlgError):
