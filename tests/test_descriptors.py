@@ -98,11 +98,13 @@ class TestEdgeConv:
         with pytest.raises(InvalidArgumentError):
             edgeconv_features(cloud, graph)
 
+    # k = 1 takes no step of the running max, k = 2 one step, k = 12 many.
+    @pytest.mark.parametrize("k", [1, 2, 12])
     @pytest.mark.parametrize("metric", METRICS)
     @pytest.mark.parametrize("shape", sorted(SURFACES))
-    def test_factored_max_matches_direct_edges(self, shape, metric):
+    def test_factored_max_matches_direct_edges(self, shape, metric, k):
         cloud = SURFACES[shape]()
-        graph = build_graph(cloud, metric, 12, k_base=8)
+        graph = build_graph(cloud, metric, k, k_base=8)
         got = edgeconv_features(cloud, graph, seed=3).vectors
         want = unfactored_edgeconv(cloud, graph, seed=3)
         assert got.shape == want.shape
