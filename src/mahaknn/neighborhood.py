@@ -2,23 +2,31 @@
 
 Every neighbour query in the toolkit runs on one exact engine in this module.
 Distances are computed one block of rows at a time, so memory stays O(block)
-instead of O(n^2); `rank_first_k` orders the first k entries of each row and
-`nearest` (k = 1) serves correspondence search, set distance and k-means.
+instead of O(n^2); `_first_k` orders the first k entries of each block row
+and `nearest` (k = 1) serves correspondence search, set distance and k-means.
 Every ranking is deterministic and sends ties in the computed distances to
 the lower index, as a full stable sort of the all-pairs matrix would. In
 `knn` that covers duplicate points, whose difference-form distances are
 bitwise equal. In `nearest` it does not: q^2 - 2 q.p + p^2 goes through a
 matrix product that can round bitwise-identical target rows apart, so a
 higher-index copy can win by an ulp (6-d points, 500 rows each stored three
-times, 2500 random queries: 4 matched a higher copy). The geodesic variant
-runs all-pairs shortest paths (vectorized Floyd-Warshall) on a symmetrized
-Euclidean k-NN graph. `build_graph` is the one metric -> graph dispatch; with
-a covariance estimated from the cloud itself, each of its graphs is invariant
-under rigid motion of the cloud.
+times, 2500 random queries: 4 matched a higher copy); the match is the lowest
+index among equal computed values. The geodesic variant runs one Dijkstra
+search per point over the adjacency lists of a symmetrized Euclidean k-NN
+graph and stops once k points are settled, plus any tied with the k-th.
+Points are ranked by (path length, index); a point whose component has fewer
+than k other points is padded with the unreached points, itself included, in
+index order. `floyd_warshall` and `geodesic_adjacency` are the dense all-pairs
+form of the same ranking, kept as references. `build_graph` is the one
+metric -> graph dispatch; with a covariance estimated from the cloud itself,
+each of its graphs is invariant under rigid motion of the cloud.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,12 +75,13 @@ def _row_blocks(n_rows: int, entries_per_row: int) -> list[slice]:
 
 
 def _first_k(values: NDArray[np.float64], k: int) -> NDArray[np.intp]:
-    """`rank_first_k` of one block: partition, then order only the candidates.
+    """First k column indices of each row by ascending value, ties to lower index.
 
-    When exactly k entries of a row are <= the row's k-th smallest value, they
-    are the first k of its stable sort, and ordering them by (value, index)
-    gives that sort's prefix. Rows with ties at the boundary, or NaNs, take
-    the full stable sort.
+    Partition, then order only the candidates. When exactly k entries of a
+    row are <= the row's k-th smallest value, they are the first k of its
+    stable sort, and ordering them by (value, index) gives that sort's
+    prefix. Rows with ties at the boundary, or NaNs, take the full stable
+    sort.
     """
     cand = np.sort(np.argpartition(values, k - 1, axis=1)[:, :k], axis=1)
     cand_values = np.take_along_axis(values, cand, axis=1)
@@ -83,14 +92,6 @@ def _first_k(values: NDArray[np.float64], k: int) -> NDArray[np.intp]:
     if len(tied):
         first[tied] = np.argsort(values[tied], axis=1, kind="stable")[:, :k]
     return first
-
-
-def rank_first_k(values: NDArray[np.float64], k: int) -> NDArray[np.intp]:
-    """First k column indices of each row by ascending value, ties to lower index."""
-    out = np.empty((len(values), k), dtype=np.intp)
-    for rows in _row_blocks(len(values), values.shape[1]):
-        out[rows] = _first_k(values[rows], k)
-    return out
 
 
 def nearest(
@@ -163,36 +164,119 @@ def floyd_warshall(adjacency: NDArray[np.float64]) -> NDArray[np.float64]:
     return dist
 
 
-def geodesic_adjacency(cloud: PointCloud, k_base: int) -> NDArray[np.float64]:
-    """Symmetric Euclidean k_base-NN adjacency with edge weights = lengths."""
+def _base_edges(
+    cloud: PointCloud, k_base: int
+) -> tuple[NDArray[np.intp], NDArray[np.intp], NDArray[np.float64]]:
+    """Directed edges (row -> column) of the Euclidean k_base-NN graph, with lengths."""
     base = knn(cloud, k_base, METRIC_EUCLIDEAN)
     pts = cloud.points
+    rows = np.repeat(np.arange(len(cloud)), k_base)
+    cols = base.neighbors.reshape(-1)
+    return rows, cols, np.linalg.norm(pts[rows] - pts[cols], axis=1)
+
+
+def geodesic_adjacency(cloud: PointCloud, k_base: int) -> NDArray[np.float64]:
+    """Symmetric Euclidean k_base-NN adjacency with edge weights = lengths."""
+    rows, cols, lengths = _base_edges(cloud, k_base)
     n = len(cloud)
     adj = np.full((n, n), np.inf)
-    rows = np.repeat(np.arange(n), k_base)
-    cols = base.neighbors.reshape(-1)
-    lengths = np.linalg.norm(pts[rows] - pts[cols], axis=1)
     adj[rows, cols] = lengths
     adj[cols, rows] = lengths  # union of directed edges keeps the matrix symmetric
     np.fill_diagonal(adj, 0.0)
     return adj
 
 
+def _adjacency_lists(
+    n: int, rows: NDArray[np.intp], cols: NDArray[np.intp], lengths: NDArray[np.float64]
+) -> tuple[list[list[int]], list[list[float]]]:
+    """Neighbours and edge lengths of each node of an undirected edge list.
+
+    Every edge is walked both ways; of repeated (node, neighbour) pairs only the
+    shortest is kept. Each node's neighbours are in index order.
+    """
+    key = np.concatenate([rows * n + cols, cols * n + rows])
+    weight = np.concatenate([lengths, lengths])
+    order = np.lexsort((weight, key))
+    key, weight = key[order], weight[order]
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    key, weight = key[first], weight[first]
+    bounds = np.searchsorted(key // n, np.arange(n + 1)).tolist()
+    dst_list, weight_list = (key % n).tolist(), weight.tolist()
+    return (
+        [dst_list[a:b] for a, b in zip(bounds[:-1], bounds[1:])],
+        [weight_list[a:b] for a, b in zip(bounds[:-1], bounds[1:])],
+    )
+
+
+def _shortest_first_k(
+    n: int, rows: NDArray[np.intp], cols: NDArray[np.intp], lengths: NDArray[np.float64], k: int
+) -> NDArray[np.intp]:
+    """Each node's k nearest other nodes by path length through an undirected edge list.
+
+    One Dijkstra search per node pops (distance, index) pairs and stops once
+    its k-th node is settled and the heap holds nothing at that distance, so
+    ties and zero-length edges at the k-th distance are settled too. The
+    settled nodes are ranked by (distance, index). A node whose component has
+    fewer than k other nodes is padded with the unreached nodes, itself
+    included, in index order. This is the first k of a stable sort of the
+    all-pairs path-length matrix with +inf on its diagonal.
+    """
+    nbrs, weights = _adjacency_lists(n, rows, cols, lengths)
+    out = np.empty((n, k), dtype=np.intp)
+    best = [math.inf] * n  # tentative distances of the current search
+    push, pop = heapq.heappush, heapq.heappop
+    for source in range(n):
+        best[source] = 0.0
+        touched = [source]
+        heap = [(0.0, source)]
+        settled = []
+        kth = math.inf
+        while heap:
+            d, u = pop(heap)
+            if d > best[u]:
+                continue  # a stale entry: u was reached more cheaply later
+            if d > kth:
+                break
+            if u != source:
+                settled.append((d, u))
+                if len(settled) == k:
+                    kth = d
+            for v, w in zip(nbrs[u], weights[u]):
+                nd = d + w
+                if nd < best[v] and nd <= kth:
+                    if best[v] == math.inf:
+                        touched.append(v)
+                    best[v] = nd
+                    push(heap, (nd, v))
+        for v in touched:
+            best[v] = math.inf
+        settled.sort()
+        first = [u for _, u in settled[:k]]
+        if len(first) < k:
+            reached = set(first)
+            unreached = (i for i in range(n) if i not in reached)
+            first += itertools.islice(unreached, k - len(first))
+        out[source] = first
+    return out
+
+
 def knn_geodesic(cloud: PointCloud, k_base: int, k: int) -> NeighborGraph:
     """k nearest points by shortest-path length through the Euclidean graph.
 
-    Infinite (unreachable) distances rank last, so a point in a small
+    The path lengths run over the union of the directed k_base-NN edges. An
+    unreachable point ranks after every reachable one, so a point in a small
     disconnected component still gets k neighbors, padded by index order.
     k_base may be smaller than k: a sparse base graph is exactly what makes
     shortest-path neighborhoods differ from Euclidean ones.
     """
-    if k_base < 1:
-        raise InvalidArgumentError("k_base must be >= 1")
-    if not 1 <= k < len(cloud):
-        raise InvalidArgumentError(f"k must satisfy 1 <= k < {len(cloud)}, got {k}")
-    dist = floyd_warshall(geodesic_adjacency(cloud, k_base))
-    np.fill_diagonal(dist, np.inf)
-    return NeighborGraph(rank_first_k(dist, k))
+    n = len(cloud)
+    if not 1 <= k_base < n:
+        raise InvalidArgumentError(f"k_base must satisfy 1 <= k_base < {n}, got {k_base}")
+    if not 1 <= k < n:
+        raise InvalidArgumentError(f"k must satisfy 1 <= k < {n}, got {k}")
+    rows, cols, lengths = _base_edges(cloud, k_base)
+    return NeighborGraph(_shortest_first_k(n, rows, cols, lengths, k))
 
 
 def build_graph(

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mahaknn import neighborhood
 from mahaknn.errors import InvalidArgumentError
@@ -15,7 +16,6 @@ from mahaknn.neighborhood import (
     knn,
     knn_geodesic,
     nearest,
-    rank_first_k,
 )
 from mahaknn.shapes import c_ring, generate, two_planes
 from mahaknn.statistics import estimate_covariance, identity_model
@@ -99,7 +99,7 @@ class TestEngine:
             np.testing.assert_array_equal(knn(PointCloud(coords), k).neighbors, dense_knn(coords, k))
 
     @pytest.mark.parametrize("n,rows", SIZES)
-    def test_rank_first_k_matches_stable_sort(self, monkeypatch, n, rows):
+    def test_first_k_matches_stable_sort(self, monkeypatch, n, rows):
         m = 30
         monkeypatch.setattr(neighborhood, "_BLOCK_ENTRIES", m * rows)
         rng = np.random.default_rng(n)
@@ -108,7 +108,10 @@ class TestEngine:
         values[0, 3] = np.nan
         for k in (1, 5, m - 1, m):
             want = np.argsort(values, axis=1, kind="stable")[:, :k]
-            np.testing.assert_array_equal(rank_first_k(values, k), want)
+            got = np.vstack(
+                [neighborhood._first_k(values[b], k) for b in neighborhood._row_blocks(n, m)]
+            )
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("n,rows", SIZES)
     @pytest.mark.parametrize("kind", ["grid", "duplicated", "random"])
@@ -129,6 +132,26 @@ class TestEngine:
             want_index, want_dist = dense_nearest(queries, points)
             np.testing.assert_array_equal(got_index, want_index)
             assert got_dist.tobytes() == want_dist.tobytes()
+
+    def test_nearest_duplicate_rows_follow_computed_value(self):
+        # Every target row is stored three times. The computed q^2 - 2 q.p + p^2
+        # can round bitwise-equal copies apart, so the rule is on the computed
+        # value: its row minimum, and the lowest index among equal minima. On
+        # this fixture a few queries do match a second or third copy.
+        rng = np.random.default_rng(6)
+        base = rng.normal(size=(500, 6))
+        points = np.vstack([base, base, base])
+        queries = rng.normal(size=(2500, 6))
+        index, dist = nearest(queries, points)
+        d2 = (
+            np.sum(queries**2, axis=1)[:, None]
+            - 2.0 * queries @ points.T
+            + np.sum(points**2, axis=1)[None, :]
+        )
+        row_min = d2.min(axis=1)
+        assert dist.tobytes() == row_min.tobytes()
+        lowest = np.argmax(d2 == row_min[:, None], axis=1)
+        np.testing.assert_array_equal(index, lowest)
 
     def test_knn_memory_is_bounded(self):
         # The all-pairs difference tensor alone would take 4096^2 * 3 * 8 B = 384 MiB.
@@ -305,8 +328,15 @@ class TestKnnGeodesic:
 
     def test_k_base_validation(self):
         cloud = PointCloud(np.random.default_rng(6).normal(size=(10, 3)))
-        with pytest.raises(InvalidArgumentError):
-            knn_geodesic(cloud, 0, 3)
+        for k_base in (0, 10, 11):
+            with pytest.raises(InvalidArgumentError, match=f"k_base .* got {k_base}"):
+                knn_geodesic(cloud, k_base, 3)
+        knn_geodesic(cloud, 9, 3)
+
+    def test_k_base_named_through_build_graph(self):
+        with pytest.raises(InvalidArgumentError) as exc:
+            build_graph(generate("sphere", 20, 0), "geodesic", 5, k_base=50)
+        assert str(exc.value) == "k_base must satisfy 1 <= k_base < 20, got 50"
 
     def test_k_out_of_range(self):
         cloud = PointCloud(np.random.default_rng(6).normal(size=(10, 3)))
@@ -323,6 +353,90 @@ class TestKnnGeodesic:
         for k in (1, 8, 33):
             want = np.argsort(dist, axis=1, kind="stable")[:, :k]
             np.testing.assert_array_equal(knn_geodesic(cloud, 3, k).neighbors, want)
+
+
+def stable_first_k_of_paths(n, rows, cols, lengths, k):
+    """Oracle: Floyd-Warshall on the symmetric dense matrix, then a stable sort."""
+    adj = np.full((n, n), np.inf)
+    np.minimum.at(adj, (rows, cols), lengths)
+    np.minimum.at(adj, (cols, rows), lengths)
+    np.fill_diagonal(adj, 0.0)
+    dist = floyd_warshall(adj)
+    np.fill_diagonal(dist, np.inf)
+    return np.argsort(dist, axis=1, kind="stable")[:, :k]
+
+
+@st.composite
+def dyadic_edge_lists(draw):
+    """Random undirected edge lists; weights are multiples of 1/1024, zero included.
+
+    Path sums stay exact in float64, so any ranking difference is a real one.
+    Sparse draws leave several components.
+    """
+    n = draw(st.integers(min_value=2, max_value=14))
+    edge = st.tuples(
+        st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, 3) | st.integers(0, 2048)
+    )
+    edges = draw(st.lists(edge, max_size=3 * n))
+    rows = np.array([e[0] for e in edges], dtype=np.intp)
+    cols = np.array([e[1] for e in edges], dtype=np.intp)
+    lengths = np.array([e[2] for e in edges], dtype=np.float64) / 1024.0
+    return n, rows, cols, lengths
+
+
+class TestShortestFirstK:
+    """The bounded per-point search against all-pairs Floyd-Warshall."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(dyadic_edge_lists())
+    def test_matches_floyd_warshall_stable_sort(self, graph):
+        n, rows, cols, lengths = graph
+        for k in sorted({1, max(1, n // 2), n - 1}):
+            got = neighborhood._shortest_first_k(n, rows, cols, lengths, k)
+            np.testing.assert_array_equal(got, stable_first_k_of_paths(n, rows, cols, lengths, k))
+
+    def test_tie_at_kth_reached_through_zero_length_edge(self):
+        # From 0, node 3 is reached directly at length 1 and settles as the
+        # first neighbour; node 1 sits at the same length only through the
+        # zero-length edge 3-1, and must still win the tie on its lower index.
+        rows = np.array([0, 3, 0], dtype=np.intp)
+        cols = np.array([3, 1, 2], dtype=np.intp)
+        lengths = np.array([1.0, 0.0, 2.0])
+        got = neighborhood._shortest_first_k(4, rows, cols, lengths, 1)
+        np.testing.assert_array_equal(got[0], [1])
+        for k in (1, 2, 3):
+            np.testing.assert_array_equal(
+                neighborhood._shortest_first_k(4, rows, cols, lengths, k),
+                stable_first_k_of_paths(4, rows, cols, lengths, k),
+            )
+
+    def test_duplicate_points_tie_at_kth(self):
+        # Each x in 0..4 is stored twice, in shuffled order, so every point has
+        # a copy at length 0 and two points at each further integer length:
+        # with k = 2 the second neighbour is a tie between the two copies at
+        # length 1, and with k = 4 between those at length 2.
+        rng = np.random.default_rng(11)
+        xs = rng.permutation(np.repeat(np.arange(5.0), 2))
+        cloud = PointCloud(np.column_stack([xs, np.zeros(10), np.zeros(10)]))
+        rows, cols, lengths = neighborhood._base_edges(cloud, 3)
+        for k in range(1, 10):
+            got = knn_geodesic(cloud, 3, k).neighbors
+            np.testing.assert_array_equal(got, stable_first_k_of_paths(10, rows, cols, lengths, k))
+        start = int(np.flatnonzero(xs == 0.0)[0])
+        copy = int(np.flatnonzero(xs == 0.0)[1])
+        ones = np.flatnonzero(xs == 1.0)
+        np.testing.assert_array_equal(knn_geodesic(cloud, 3, 2).neighbors[start], [copy, ones[0]])
+
+    def test_memory_is_bounded(self):
+        # One dense float64 n x n matrix alone would take 4096^2 * 8 B = 128 MiB.
+        cloud = PointCloud(np.random.default_rng(12).normal(size=(4096, 3)))
+        tracemalloc.start()
+        try:
+            knn_geodesic(cloud, 20, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestBuildGraph:
