@@ -21,7 +21,6 @@ from .corruption import NoiseSpec, corrupt
 from .descriptors import edgeconv_features, kmeans
 from .errors import (
     CloudParseError,
-    InvalidArgumentError,
     MahaknnError,
     NoCorrespondenceError,
     RankDeficiencyError,
@@ -214,13 +213,10 @@ def main(argv=None) -> int:
     except _NUMERICAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except CloudParseError as exc:
+    except (CloudParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (OSError, IOError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (InvalidArgumentError, MahaknnError) as exc:
+    except MahaknnError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

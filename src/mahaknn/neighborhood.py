@@ -288,7 +288,12 @@ def build_graph(
     """The k-NN graph of a cloud under a metric name.
 
     Mahalanobis uses the cloud's own regularized global covariance; geodesic
-    walks a Euclidean k_base-NN graph (k_base defaults to k).
+    walks a Euclidean k_base-NN graph (k_base defaults to k), and k_base is
+    read by no other metric. With k_base >= k the geodesic graph equals the
+    Euclidean one up to the rounding of tied distances: the direct base edge
+    to each of a point's k Euclidean nearest is a shortest path, and every
+    other point is at least its Euclidean distance away. That case is not
+    shortcut; it runs the full search.
     """
     if metric == METRIC_GEODESIC:
         return knn_geodesic(cloud, k if k_base is None else k_base, k)

@@ -5,19 +5,20 @@ point-ICP baseline matches raw coordinates, the descriptor pipelines match
 edge-conv or eigen features built on the configured neighbor graph. The
 cumulative motion maps the original source onto the target frame.
 
-Graphs are built once per cloud per registration: the target never moves,
-and every metric's graph is invariant under rigid motion of the source. The
-eigen decomposition also runs once per cloud: each iteration only turns the
+Every pipeline that uses graphs builds them once per cloud per registration,
+under the configured metric and k_base: the target never moves, and every
+metric's graph is invariant under rigid motion of the source. The eigen
+decomposition also runs once per cloud: each iteration only turns the
 source's cached normals by the cumulative rotation and orients them again,
 since the eigenvalue ratios are rotation-invariant. Edge-conv features of the
 moved source are recomputed on each iteration, in the factored form
 relu(P_i + max_j Q_j): two products of the (n, 3) points with a (3, 64)
 weight block and a running max over the k neighbor columns.
 
-Point-ICP starts from a one-shot match of rotation-invariant eigen components
-when that pose leaves a smaller trimmed nearest-point residual than identity
-does, and from identity otherwise. The first iteration reuses the match that
-scored the chosen start.
+Point-ICP's graphs serve only its start pose: a one-shot match of their
+rotation-invariant eigen components (k >= 3), kept when it leaves a smaller
+trimmed nearest-point residual than identity does. The first iteration
+reuses the match that scored the chosen start.
 """
 
 from __future__ import annotations
@@ -39,12 +40,7 @@ from .geometry import (
     kabsch,
     rotation_angle_rad,
 )
-from .neighborhood import (
-    METRIC_EUCLIDEAN,
-    METRICS,
-    build_graph,
-    nearest,
-)
+from .neighborhood import METRIC_EUCLIDEAN, METRICS, build_graph, nearest
 
 DESCRIPTOR_EDGECONV = "edgeconv"
 DESCRIPTOR_EIGEN = "eigen"
@@ -120,18 +116,12 @@ def _pair_residual(moved: PointCloud, target: PointCloud, corr: CorrespondenceSe
     return float(np.sum((matched_src - matched_tgt) ** 2))
 
 
-def _nearest_match(
-    moved: PointCloud, target: PointCloud, trim_fraction: float
-) -> CorrespondenceSet:
-    """Trimmed nearest-point match of moved against target: the match the
-    first point-ICP iteration from this pose makes (before mutual filtering)."""
-    return match_descriptors(
-        DescriptorSet(moved.points), DescriptorSet(target.points), trim_fraction
-    )
-
-
 def _coarse_alignment(
-    source: PointCloud, target: PointCloud, cfg: RegistrationConfig
+    source: PointCloud,
+    target: PointCloud,
+    source_eigen: DescriptorSet,
+    target_eigen: DescriptorSet,
+    trim_fraction: float,
 ) -> tuple[RigidMotion, PointCloud, CorrespondenceSet]:
     """Point-ICP start pose: a one-shot alignment from the rotation-invariant
     eigen components, kept only if it starts with a strictly smaller trimmed
@@ -141,14 +131,17 @@ def _coarse_alignment(
     Also returns the source placed at the start pose and the nearest-point
     match that scored it, which the first iteration reuses.
     """
-    identity_corr = _nearest_match(source, target, cfg.trim_fraction)
+    target_points = DescriptorSet(target.points)
+    identity_corr = match_descriptors(DescriptorSet(source.points), target_points, trim_fraction)
     try:
-        fs = eigen_features(source, build_graph(source, METRIC_EUCLIDEAN, cfg.k)).vectors[:, :3]
-        ft = eigen_features(target, build_graph(target, METRIC_EUCLIDEAN, cfg.k)).vectors[:, :3]
-        corr = match_descriptors(DescriptorSet(fs), DescriptorSet(ft), cfg.trim_fraction)
+        corr = match_descriptors(
+            DescriptorSet(source_eigen.vectors[:, :3]),
+            DescriptorSet(target_eigen.vectors[:, :3]),
+            trim_fraction,
+        )
         coarse = kabsch(source, target, corr)
         moved = apply(coarse, source)
-        coarse_corr = _nearest_match(moved, target, cfg.trim_fraction)
+        coarse_corr = match_descriptors(DescriptorSet(moved.points), target_points, trim_fraction)
         if _pair_residual(moved, target, coarse_corr) < _pair_residual(
             source, target, identity_corr
         ):
@@ -158,39 +151,41 @@ def _coarse_alignment(
     return identity_motion(), source, identity_corr
 
 
+def _setup(source: PointCloud, target: PointCloud, cfg: RegistrationConfig):
+    """The target features, a function giving the source features at a pose
+    (moved cloud, cumulative rotation) and the start (motion, source placed
+    there, the match that scored it or None), picked once per pipeline. The
+    loop holds only these, so point-ICP frees its start-pose graphs."""
+    start = (identity_motion(), source, None)
+    if cfg.descriptor != DESCRIPTOR_NONE or cfg.k >= 3:
+        src_graph = build_graph(source, cfg.metric, cfg.k, k_base=cfg.k_base)
+        tgt_graph = build_graph(target, cfg.metric, cfg.k, k_base=cfg.k_base)
+    if cfg.descriptor == DESCRIPTOR_EDGECONV:
+        tgt_desc = edgeconv_features(target, tgt_graph)
+        return tgt_desc, lambda moved, rotation: edgeconv_features(moved, src_graph), start
+    if cfg.descriptor == DESCRIPTOR_EIGEN:
+        tgt_desc = eigen_features(target, tgt_graph)
+        src_eigen = eigen_features(source, src_graph)
+        return tgt_desc, lambda moved, rotation: pose_eigen_features(src_eigen, rotation), start
+    if cfg.k >= 3:
+        tgt_eigen = eigen_features(target, tgt_graph)
+        src_eigen = eigen_features(source, src_graph)
+        start = _coarse_alignment(source, target, src_eigen, tgt_eigen, cfg.trim_fraction)
+    return DescriptorSet(target.points), lambda moved, rotation: DescriptorSet(moved.points), start
+
+
 def register(
     source: PointCloud, target: PointCloud, cfg: RegistrationConfig
 ) -> RegistrationResult:
     """Alternating match-then-solve registration of source onto target."""
     if len(source) < cfg.k + 1 or len(target) < cfg.k + 1:
         raise InvalidArgumentError("clouds must contain at least k + 1 points")
-    cumulative = identity_motion()
-    current = source
-    start_corr = None
-    if cfg.descriptor == DESCRIPTOR_NONE:
-        if cfg.k >= 3:
-            cumulative, current, start_corr = _coarse_alignment(source, target, cfg)
-        tgt_desc = DescriptorSet(target.points)
-    else:
-        # The target never moves and the source graph is invariant under the
-        # rigid motions applied below, so each graph is built exactly once.
-        src_graph = build_graph(source, cfg.metric, cfg.k, k_base=cfg.k_base)
-        tgt_graph = build_graph(target, cfg.metric, cfg.k, k_base=cfg.k_base)
-        if cfg.descriptor == DESCRIPTOR_EIGEN:
-            tgt_desc = eigen_features(target, tgt_graph)
-            src_eigen = eigen_features(source, src_graph)
-        else:
-            tgt_desc = edgeconv_features(target, tgt_graph)
+    tgt_desc, describe, (cumulative, current, start_corr) = _setup(source, target, cfg)
     residuals: list[float] = []
     corr = None
     iterations = 0
     for _ in range(cfg.max_iters):
-        if cfg.descriptor == DESCRIPTOR_NONE:
-            src_desc = DescriptorSet(current.points)
-        elif cfg.descriptor == DESCRIPTOR_EIGEN:
-            src_desc = pose_eigen_features(src_eigen, cumulative.rotation)
-        else:
-            src_desc = edgeconv_features(current, src_graph)
+        src_desc = describe(current, cumulative.rotation)
         if start_corr is None:
             corr = match_descriptors(src_desc, tgt_desc, cfg.trim_fraction)
         else:

@@ -22,12 +22,10 @@ _SINGULAR_REL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class CovarianceModel:
-    """Regularized 3x3 covariance, its inverse, and the bias used."""
+    """Regularized 3x3 covariance and its inverse."""
 
     covariance: NDArray[np.float64]
     inverse: NDArray[np.float64]
-    regularizer: float
-    sample_count: int
 
     def __post_init__(self):
         for name in ("covariance", "inverse"):
@@ -46,7 +44,7 @@ class CovarianceModel:
 
 def identity_model() -> CovarianceModel:
     """Unit covariance; Mahalanobis distance degenerates to Euclidean."""
-    return CovarianceModel(np.eye(3), np.eye(3), 0.0, 0)
+    return CovarianceModel(np.eye(3), np.eye(3))
 
 
 def estimate_covariance(
@@ -75,7 +73,7 @@ def estimate_covariance(
         vals = np.maximum(vals, regularizer)
     inv = (vecs / vals) @ vecs.T
     inv = (inv + inv.T) / 2.0
-    return CovarianceModel(cov, inv, float(regularizer), len(pts))
+    return CovarianceModel(cov, inv)
 
 
 def mahalanobis_distance(p, q, model: CovarianceModel) -> float:

@@ -58,7 +58,7 @@ def test_criterion_1_metric_correctness():
     for _ in range(10_000):
         a = rng.normal(size=(3, 3))
         cov = a @ a.T + 0.1 * np.eye(3)
-        model = CovarianceModel(cov, np.linalg.inv(cov), 0.0, 0)
+        model = CovarianceModel(cov, np.linalg.inv(cov))
         x, y, z = rng.normal(size=(3, 3))
         dxy = mahalanobis_distance(x, y, model)
         dyx = mahalanobis_distance(y, x, model)

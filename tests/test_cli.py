@@ -260,12 +260,14 @@ class TestCli:
                      "--k", "1", "--report", str(tmp_path / "r.json")] + flags) == EXIT_NUMERICAL
         assert "at least 3 correspondences" in capsys.readouterr().err
 
-    def test_geodesic_k_base_out_of_range_is_usage_error(self, tmp_path, capsys):
+    # Point-ICP's start-pose graphs use the pipeline's metric and k_base too.
+    @pytest.mark.parametrize("descriptor", ["eigen", "none"])
+    def test_geodesic_k_base_out_of_range_is_usage_error(self, tmp_path, capsys, descriptor):
         cloud = tmp_path / "sphere.xyz"
         save_cloud(SHAPES["sphere"](30, 0), cloud)
         assert main(["register", "--source", str(cloud), "--target", str(cloud),
-                     "--metric", "geodesic", "--descriptor", "eigen", "--k", "5", "--k-base", "30",
-                     "--report", str(tmp_path / "r.json")]) == EXIT_USAGE
+                     "--metric", "geodesic", "--descriptor", descriptor, "--k", "5",
+                     "--k-base", "30", "--report", str(tmp_path / "r.json")]) == EXIT_USAGE
         assert capsys.readouterr().err == "error: k_base must satisfy 1 <= k_base < 30, got 30\n"
 
     def test_missing_input_is_io_error(self, tmp_path):

@@ -1,5 +1,6 @@
 """The README's lists of pipeline keys, shape names, noise parameters and
-subcommands match the code."""
+subcommands match the code, and its table of unread config fields is the
+one the registration tests check."""
 
 import re
 from pathlib import Path
@@ -8,6 +9,8 @@ from mahaknn.cli import _COMMANDS
 from mahaknn.corruption import _VARIANT_PARAMS
 from mahaknn.harness import PIPELINE_FIELDS
 from mahaknn.shapes import SHAPES
+
+from test_registration import UNREAD_FIELDS
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 NUMBER_WORDS = {"six": 6, "seven": 7, "eight": 8, "nine": 9, "ten": 10}
@@ -43,3 +46,13 @@ def test_subcommand_count_matches_cli():
     match = re.search(r"exposes (\w+) subcommands", README)
     assert match, "README no longer counts the subcommands"
     assert NUMBER_WORDS[match.group(1)] == len(_COMMANDS)
+
+
+def test_unread_field_table_matches_registration_test():
+    match = re.search(r"\| Field \| Descriptor \| Metric \| k \|\n\| --- \| --- \| --- \| --- \|\n((?:\|.*\n)+)", README)
+    assert match, "README no longer quotes the table of unread fields"
+    rows = [
+        tuple(cell.strip().strip("`") for cell in line.strip("|").split("|"))
+        for line in match.group(1).splitlines()
+    ]
+    assert tuple(rows) == UNREAD_FIELDS

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import tracemalloc
 
@@ -18,13 +19,12 @@ from mahaknn.geometry import (
     RigidMotion,
     apply,
     compose,
-    identity_motion,
     invert,
     make_rigid,
     rotation_angle_rad,
     sample_rigid,
 )
-from mahaknn.neighborhood import build_graph
+from mahaknn.neighborhood import METRICS, build_graph
 from mahaknn.registration import (
     RegistrationConfig,
     match_descriptors,
@@ -299,6 +299,18 @@ class TestRegister:
         target = apply(sample_rigid(rng), source)
         return corrupt(source, target, NoiseSpec.parse("bernoulli:keep_prob=0.7"), rng)
 
+    @staticmethod
+    def _start_pose(src, tgt, cfg):
+        """_coarse_alignment on the eigen features register computes from cfg's graphs."""
+        tgt_eigen = eigen_features(tgt, build_graph(tgt, cfg.metric, cfg.k, k_base=cfg.k_base))
+        src_eigen = eigen_features(src, build_graph(src, cfg.metric, cfg.k, k_base=cfg.k_base))
+        return registration._coarse_alignment(src, tgt, src_eigen, tgt_eigen, cfg.trim_fraction)
+
+    @staticmethod
+    def _nearest_match(moved, tgt, trim_fraction):
+        """The match the first point-ICP iteration from this pose makes (before mutual filtering)."""
+        return match_descriptors(feats(moved.points), feats(tgt.points), trim_fraction)
+
     # Harness trials 0-3 of sphere-cap n=512 under bernoulli:keep_prob=0.7. Start
     # residuals, coarse vs identity: 14.16 vs 12.31, 16.45 vs 32.57, 1.21 vs 5.53,
     # 7.11 vs 5.79; the coarse pose is kept only where it is strictly lower.
@@ -306,13 +318,13 @@ class TestRegister:
     def test_start_pose_is_the_lower_residual_one(self, trial, keeps_coarse):
         src, tgt = self._bernoulli_trial(trial)
         cfg = RegistrationConfig()
-        start, moved, start_corr = registration._coarse_alignment(src, tgt, cfg)
+        start, moved, start_corr = self._start_pose(src, tgt, cfg)
         # The returned match is the one the first iteration would make from the start pose.
-        want = registration._nearest_match(moved, tgt, cfg.trim_fraction)
+        want = self._nearest_match(moved, tgt, cfg.trim_fraction)
         np.testing.assert_array_equal(start_corr.source_indices, want.source_indices)
         np.testing.assert_array_equal(start_corr.target_indices, want.target_indices)
         from_identity = registration._pair_residual(
-            src, tgt, registration._nearest_match(src, tgt, cfg.trim_fraction)
+            src, tgt, self._nearest_match(src, tgt, cfg.trim_fraction)
         )
         from_start = registration._pair_residual(moved, tgt, start_corr)
         if keeps_coarse:
@@ -344,8 +356,8 @@ class TestRegister:
         # Oracle: place the source at the chosen start and match it afresh.
         coarse_alignment = registration._coarse_alignment
 
-        def without_reuse(source, target, cfg):
-            start, _, _ = coarse_alignment(source, target, cfg)
+        def without_reuse(source, target, *args):
+            start, _, _ = coarse_alignment(source, target, *args)
             return start, apply(start, source), None
 
         monkeypatch.setattr(registration, "_coarse_alignment", without_reuse)
@@ -384,19 +396,19 @@ class TestGraphReuse:
         assert res.iterations == max_iters
         assert calls == [metric, metric]
 
+    @pytest.mark.parametrize("k", [2, 10])
     @pytest.mark.parametrize("max_iters", [1, 6])
-    def test_point_icp_builds_graphs_only_in_coarse_init(self, monkeypatch, max_iters):
+    @pytest.mark.parametrize("metric", ["euclidean", "mahalanobis", "geodesic"])
+    def test_point_icp_builds_graphs_only_in_coarse_init(self, monkeypatch, metric, max_iters, k):
         calls = self._count_graph_builds(monkeypatch)
-        source, target = self._pair(12)
-        cfg = RegistrationConfig(descriptor="none", k=10, max_iters=max_iters, convergence_tol=0.0)
-        register(source, target, cfg)
-        assert calls == ["euclidean", "euclidean"]  # one per cloud, for the coarse match
-        calls.clear()
-        monkeypatch.setattr(
-            registration, "_coarse_alignment", lambda src, tgt, cfg: (identity_motion(), src, None)
+        cfg = RegistrationConfig(
+            metric=metric, descriptor="none", k=k, k_base=6,
+            max_iters=max_iters, convergence_tol=0.0,
         )
-        register(source, target, cfg)
-        assert calls == []
+        register(*self._pair(12), cfg)
+        # One per cloud, under the pipeline's metric, for the coarse match;
+        # none when k < 3, where eigen features and so the coarse start are undefined.
+        assert calls == ([metric, metric] if k >= 3 else [])
 
     @pytest.mark.parametrize("max_iters", [1, 4, 9])
     @pytest.mark.parametrize("metric", ["euclidean", "mahalanobis", "geodesic"])
@@ -461,3 +473,94 @@ class TestGraphReuse:
             np.testing.assert_allclose(got[:, :3], want[:, :3], atol=1e-12, rtol=0)
             off = (np.abs(got[:, 5]) > 1e-9) & (np.abs(want[:, 5]) > 1e-9)
             np.testing.assert_allclose(got[off, 3:], want[off, 3:], atol=1e-12, rtol=0)
+
+
+# Combinations of a RegistrationConfig field and a pipeline in which nothing
+# reads the field, as (field, descriptor, metric, k); "any" matches every value.
+# Every other change of a field changes register's output or is rejected with
+# a message. The README quotes this table.
+UNREAD_FIELDS = (
+    ("k_base", "any", "euclidean", "any"),
+    ("k_base", "any", "mahalanobis", "any"),
+    ("metric", "none", "any", "< 3"),
+    ("k_base", "none", "any", "< 3"),
+)
+
+
+def listed_unread(field, cfg):
+    return any(
+        name == field
+        and descriptor in ("any", cfg.descriptor)
+        and metric in ("any", cfg.metric)
+        and (k == "any" or cfg.k < 3)
+        for name, descriptor, metric, k in UNREAD_FIELDS
+    )
+
+
+class TestConfigFields:
+    """Each RegistrationConfig field, changed alone, in every pipeline."""
+
+    # k = 6 for every pipeline, and k = 2 for point-ICP, which then has no
+    # coarse start. k_base < k, so geodesic graphs differ from Euclidean ones.
+    BASES = [
+        {"descriptor": d, "metric": m, "k": 6} for d in ("none", "eigen", "edgeconv") for m in METRICS
+    ] + [{"descriptor": "none", "metric": m, "k": 2} for m in METRICS]
+    COMMON = {"max_iters": 4, "convergence_tol": 0.0, "trim_fraction": 0.3, "k_base": 3}
+    # Changed values; a step above pi rad ends the first iteration.
+    CHANGES = {
+        "metric": list(METRICS),
+        "descriptor": ["none", "eigen", "edgeconv"],
+        "k": [4],
+        "max_iters": [2],
+        "convergence_tol": [4.0],
+        "trim_fraction": [0.1],
+        "k_base": [5],
+        "mutual": [True],
+    }
+
+    @staticmethod
+    def _pair():
+        # Anisotropic Gaussian blob, which no rigid motion maps onto itself; the
+        # target is a moved copy with its own noise, so matches are not exact.
+        rng = np.random.default_rng(21)
+        source = PointCloud(rng.normal(size=(60, 3)) * (1.0, 0.6, 0.3))
+        moved = apply(make_rigid((70, -40, 25), (0.3, -0.2, 0.1)), source).points
+        return source, PointCloud(moved + rng.normal(scale=0.05, size=moved.shape))
+
+    @staticmethod
+    def _outcome(source, target, cfg):
+        try:
+            res = register(source, target, cfg)
+        except InvalidArgumentError as exc:
+            assert str(exc), cfg
+            return None
+        corr = res.correspondences_final
+        return (
+            res.motion.rotation.tobytes(),
+            res.motion.translation.tobytes(),
+            res.iterations,
+            res.per_iteration_residuals,
+            corr.source_indices.tobytes(),
+            corr.target_indices.tobytes(),
+        )
+
+    def test_every_field_is_covered(self):
+        assert list(self.CHANGES) == [f.name for f in dataclasses.fields(RegistrationConfig)]
+
+    @pytest.mark.parametrize("field", sorted(CHANGES))
+    @pytest.mark.parametrize(
+        "base", BASES, ids=[f"{b['descriptor']}-{b['metric']}-k{b['k']}" for b in BASES]
+    )
+    def test_field_is_read_rejected_or_listed(self, base, field):
+        source, target = self._pair()
+        cfg = RegistrationConfig(**base, **self.COMMON)
+        before = self._outcome(source, target, cfg)
+        assert before is not None
+        for value in self.CHANGES[field]:
+            if value == getattr(cfg, field):
+                continue
+            after = self._outcome(source, target, dataclasses.replace(cfg, **{field: value}))
+            if listed_unread(field, cfg):
+                assert after == before, (field, value)
+            else:
+                assert after != before, (field, value)
