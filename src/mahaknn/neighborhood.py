@@ -4,6 +4,14 @@ Every neighbour query in the toolkit runs on one exact engine in this module.
 Distances are computed one block of rows at a time, so memory stays O(block)
 instead of O(n^2); `_first_k` orders the first k entries of each block row
 and `nearest` (k = 1) serves correspondence search, set distance and k-means.
+Each call allocates its block buffers once and fills them in place for every
+block: `knn` sums squared coordinate differences into one (rows, n) buffer,
+with one scratch buffer of the same shape, and builds no difference tensor;
+`nearest` writes the matrix product into one (rows, m) buffer and finishes
+the distance there. Both give the bytes of the temporaries-based forms
+(einsum of the difference tensor; q^2 - 2 q.p + p^2). Rows per block are
+fixed by `_BLOCK_ENTRIES`, because the rounding of `nearest`'s matrix product
+depends on its row count.
 Every ranking is deterministic and sends ties in the computed distances to
 the lower index, as a full stable sort of the all-pairs matrix would. In
 `knn` that covers duplicate points, whose difference-form distances are
@@ -64,12 +72,14 @@ class NeighborGraph:
         return len(self.neighbors)
 
 
-# Entries in the largest float64 temporary of one row block (512 KiB).
+# Entries in one row-block buffer (512 KiB of float64). Rows per block follow
+# from it, and gemm rounding in `nearest` depends on the row count, so a
+# different value can move distances by an ulp: it is fixed, not tuned.
 _BLOCK_ENTRIES = 1 << 16
 
 
 def _row_blocks(n_rows: int, entries_per_row: int) -> list[slice]:
-    """Consecutive row slices whose temporaries stay within _BLOCK_ENTRIES."""
+    """Consecutive row slices whose block buffers stay within _BLOCK_ENTRIES."""
     step = max(1, _BLOCK_ENTRIES // max(entries_per_row, 1))
     return [slice(start, min(start + step, n_rows)) for start in range(0, n_rows, step)]
 
@@ -100,19 +110,62 @@ def nearest(
     """Each query's nearest point and squared distance.
 
     Distances are `q^2 - 2 q.p + p^2`, the expression of the full queries x
-    points matrix, evaluated one block of query rows at a time. Ties in that
-    computed value go to the lower index; duplicate points need not compute
-    equal (see the module docstring).
+    points matrix, evaluated one block of query rows at a time in one reused
+    buffer: `q.p`, times -2, plus `q^2`, plus `p^2`, which is that expression
+    bit for bit. Ties in that computed value go to the lower index; duplicate
+    points need not compute equal (see the module docstring).
     """
+    if queries.ndim != 2 or points.ndim != 2:
+        raise InvalidArgumentError("queries and points must be 2-d arrays")
+    if len(points) == 0:
+        raise InvalidArgumentError("points must hold at least one point")
+    if queries.shape[1] != points.shape[1]:
+        raise InvalidArgumentError(
+            f"queries have dimension {queries.shape[1]} but points have {points.shape[1]}"
+        )
     q2 = np.sum(queries**2, axis=1)
     p2 = np.sum(points**2, axis=1)
     index = np.empty(len(queries), dtype=np.intp)
     dist = np.empty(len(queries))
-    for rows in _row_blocks(len(queries), len(points)):
-        d2 = q2[rows, None] - 2.0 * queries[rows] @ points.T + p2[None, :]
-        index[rows] = np.argmin(d2, axis=1)
-        dist[rows] = d2[np.arange(len(d2)), index[rows]]
+    blocks = _row_blocks(len(queries), len(points))
+    buf = np.empty((blocks[0].stop if blocks else 0, len(points)))
+    for rows in blocks:
+        d2 = buf[: rows.stop - rows.start]
+        np.matmul(queries[rows], points.T, out=d2)
+        d2 *= -2.0
+        d2 += q2[rows, None]
+        d2 += p2
+        np.argmin(d2, axis=1, out=index[rows])
+        dist[rows] = np.take_along_axis(d2, index[rows, None], axis=1)[:, 0]
     return index, dist
+
+
+def _squared_distances(
+    axes: NDArray[np.float64],
+    rows: slice,
+    d2_buf: NDArray[np.float64],
+    sq_buf: NDArray[np.float64],
+) -> NDArray[np.float64]:
+    """Squared distances from the points in `rows` to every point, in `d2_buf`.
+
+    `axes` is the (3, n) C-contiguous transpose of the coordinates. The
+    sum is (dx^2 + dz^2) + dy^2, the order in which numpy's
+    einsum("ijk,ijk->ij") sums a length-3 axis, so the values equal that
+    difference-tensor form bit for bit without building the tensor.
+    `sq_buf` is scratch; both buffers hold at least as many rows as `rows`.
+    Returns the filled leading rows of `d2_buf`.
+    """
+    x, y, z = axes
+    d2, sq = d2_buf[: rows.stop - rows.start], sq_buf[: rows.stop - rows.start]
+    np.subtract(x[rows, None], x, out=d2)
+    d2 *= d2
+    np.subtract(z[rows, None], z, out=sq)
+    sq *= sq
+    d2 += sq
+    np.subtract(y[rows, None], y, out=sq)
+    sq *= sq
+    d2 += sq
+    return d2
 
 
 def knn(
@@ -134,11 +187,13 @@ def knn(
         coords = pts @ model.whitener().T
     else:
         raise InvalidArgumentError(f"unknown metric {metric!r}")
+    axes = np.ascontiguousarray(coords.T)
     out = np.empty((n, k), dtype=np.intp)
-    # Each block's largest temporary is its (rows, n, 3) difference tensor.
-    for rows in _row_blocks(n, 3 * n):
-        diff = coords[rows, None, :] - coords[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    blocks = _row_blocks(n, n)
+    d2_buf = np.empty((blocks[0].stop, n))
+    sq_buf = np.empty_like(d2_buf)
+    for rows in blocks:
+        d2 = _squared_distances(axes, rows, d2_buf, sq_buf)
         d2[np.arange(len(d2)), np.arange(rows.start, rows.stop)] = np.inf
         out[rows] = _first_k(d2, k)
     return NeighborGraph(out)

@@ -61,6 +61,23 @@ def dense_nearest(queries, points):
     return index, d2[np.arange(len(queries)), index]
 
 
+def blocked_nearest(queries, points):
+    """Reference for the buffer kernel: each row block's expression, with temporaries.
+
+    A matrix product's rounding can depend on how many rows it has, so this
+    uses the engine's own row blocks rather than one all-rows product.
+    """
+    q2 = np.sum(queries**2, axis=1)
+    p2 = np.sum(points**2, axis=1)
+    index = np.empty(len(queries), dtype=np.intp)
+    dist = np.empty(len(queries))
+    for rows in neighborhood._row_blocks(len(queries), len(points)):
+        d2 = q2[rows, None] - 2.0 * queries[rows] @ points.T + p2[None, :]
+        index[rows] = np.argmin(d2, axis=1)
+        dist[rows] = d2[np.arange(len(d2)), index[rows]]
+    return index, dist
+
+
 def integer_grid(nx, ny, nz):
     """Lattice points: nearly every neighbour distance is tied with others."""
     g = np.stack(np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij"), -1)
@@ -85,8 +102,8 @@ class TestEngine:
     @pytest.mark.parametrize("n,rows", SIZES)
     @pytest.mark.parametrize("kind", ["grid", "duplicated", "random"])
     def test_knn_matches_dense_oracle(self, monkeypatch, n, rows, kind):
-        # knn counts its (rows, n, 3) difference tensor against the budget.
-        monkeypatch.setattr(neighborhood, "_BLOCK_ENTRIES", 3 * n * rows)
+        # knn counts its (rows, n) distance buffer against the budget.
+        monkeypatch.setattr(neighborhood, "_BLOCK_ENTRIES", n * rows)
         coords = tie_heavy_clouds(n)[kind]
         for k in sorted({1, min(4, n - 1), n - 1}):
             got = knn(PointCloud(coords), k).neighbors
@@ -153,6 +170,48 @@ class TestEngine:
         lowest = np.argmax(d2 == row_min[:, None], axis=1)
         np.testing.assert_array_equal(index, lowest)
 
+    # Budgets giving a partial last block (40 = 2 * 16 + 8 rows), one row per
+    # block, and a budget below one row, which still takes one row per block.
+    @pytest.mark.parametrize("block_entries", [23 * 16, 23, 1, 1 << 16])
+    @pytest.mark.parametrize("n", [40, 0])
+    def test_nearest_equals_temporaries_expression_bitwise(self, monkeypatch, block_entries, n):
+        monkeypatch.setattr(neighborhood, "_BLOCK_ENTRIES", block_entries)
+        rng = np.random.default_rng(7)
+        points = rng.normal(size=(23, 5)) * 10.0 ** rng.integers(-3, 4, size=(23, 1))
+        queries = rng.normal(size=(n, 5))
+        got_index, got_dist = nearest(queries, points)
+        want_index, want_dist = blocked_nearest(queries, points)
+        assert got_index.dtype == np.intp and got_dist.dtype == np.float64
+        assert got_index.shape == got_dist.shape == (n,)
+        np.testing.assert_array_equal(got_index, want_index)
+        assert got_dist.tobytes() == want_dist.tobytes()
+
+    def test_nearest_rejects_empty_points(self):
+        with pytest.raises(InvalidArgumentError, match="points must hold at least one point"):
+            nearest(np.zeros((4, 3)), np.zeros((0, 3)))
+        with pytest.raises(InvalidArgumentError, match="points must hold at least one point"):
+            nearest(np.zeros((0, 3)), np.zeros((0, 3)))
+
+    def test_nearest_rejects_mismatched_dimensions(self):
+        with pytest.raises(InvalidArgumentError, match="queries have dimension 3 but points have 6"):
+            nearest(np.zeros((4, 3)), np.zeros((5, 6)))
+        with pytest.raises(InvalidArgumentError, match="must be 2-d arrays"):
+            nearest(np.zeros(3), np.zeros((5, 3)))
+
+    def test_nearest_memory_is_bounded(self):
+        # The point-icp shape. The full 3072 x 2150 matrix alone would take 50 MiB;
+        # the kernel holds one block buffer plus O(n + m) per-row arrays, and the
+        # bound allows two buffers.
+        rng = np.random.default_rng(8)
+        queries, points = rng.normal(size=(3072, 3)), rng.normal(size=(2150, 3))
+        tracemalloc.start()
+        try:
+            nearest(queries, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * neighborhood._BLOCK_ENTRIES + 64 * (3072 + 2150)
+
     def test_knn_memory_is_bounded(self):
         # The all-pairs difference tensor alone would take 4096^2 * 3 * 8 B = 384 MiB.
         cloud = PointCloud(np.random.default_rng(5).normal(size=(4096, 3)))
@@ -163,6 +222,46 @@ class TestEngine:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+@st.composite
+def distance_clouds(draw):
+    """Small 3-d clouds whose squared distances stress the summation order.
+
+    Random points at scales 1e-3 to 1e3 per axis, copies of a few points,
+    integer grids scaled by a power of two (many exactly tied sums), and
+    whitened coordinates.
+    """
+    kind = draw(st.sampled_from(["scaled", "duplicated", "grid", "whitened"]))
+    n = draw(st.integers(min_value=2, max_value=40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3)))
+    if kind == "grid":
+        return rng.integers(-20, 21, size=(n, 3)).astype(float) * 2.0 ** draw(st.integers(-10, 10))
+    coords = rng.normal(size=(n, 3)) * scale
+    if kind == "duplicated":
+        return coords[rng.integers(0, max(1, n // 3), size=n)]
+    if kind == "whitened":
+        return coords @ estimate_covariance(PointCloud(coords)).whitener().T
+    return coords
+
+
+class TestSquaredDistances:
+    """knn's coordinate-wise block sum against the einsum difference tensor."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(distance_clouds(), st.data())
+    def test_equals_einsum_bitwise(self, coords, data):
+        n = len(coords)
+        start = data.draw(st.integers(0, n - 1))
+        rows = slice(start, data.draw(st.integers(start + 1, n)))
+        axes = np.ascontiguousarray(coords.T)
+        buf, scratch = np.full((n, n), np.nan), np.full((n, n), np.nan)
+        got = neighborhood._squared_distances(axes, rows, buf, scratch)
+        diff = coords[rows, None, :] - coords[None, :, :]
+        want = np.einsum("ijk,ijk->ij", diff, diff)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestKnn:
