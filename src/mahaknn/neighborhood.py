@@ -5,23 +5,26 @@ Distances are computed one block of rows at a time, so memory stays O(block)
 instead of O(n^2); `_first_k` orders the first k entries of each block row
 and `nearest` (k = 1) serves correspondence search, set distance and k-means.
 Each call allocates its block buffers once and fills them in place for every
-block: `knn` sums squared coordinate differences into one (rows, n) buffer,
+block. `knn` sums squared coordinate differences into one (rows, n) buffer,
 with one scratch buffer of the same shape, and builds no difference tensor;
-`nearest` writes the matrix product into one (rows, m) buffer and finishes
-the distance there. Both give the bytes of the temporaries-based forms
-(einsum of the difference tensor; q^2 - 2 q.p + p^2). Rows per block are
-fixed by `_BLOCK_ENTRIES`, because the rounding of `nearest`'s matrix product
-depends on its row count.
+the values are the bytes of the einsum of the difference tensor. `nearest`
+ranks each block with one matrix product of lifted coordinates, the queries
+as [q, 1] times the points as [-2 p; p^2], which leaves p^2 - 2 q.p in one
+(rows, m) buffer; q^2 is added to each row's picked value after the argmin.
+Rows per block are fixed by `_BLOCK_ENTRIES` (n per row in `knn`,
+max(m, d+1) in `nearest`), because the rounding of `nearest`'s matrix
+product depends on its row count.
 Every ranking is deterministic and sends ties in the computed distances to
 the lower index, as a full stable sort of the all-pairs matrix would. In
 `knn` that covers duplicate points, whose difference-form distances are
-bitwise equal. In `nearest` it does not: q^2 - 2 q.p + p^2 goes through a
-matrix product that can round bitwise-identical target rows apart, so a
-higher-index copy can win by an ulp (6-d points, 500 rows each stored three
-times, 2500 random queries: 4 matched a higher copy); the match is the lowest
-index among equal computed values. The geodesic variant runs one Dijkstra
-search per point over the adjacency lists of a symmetrized Euclidean k-NN
-graph and stops once k points are settled, plus any tied with the k-th.
+bitwise equal. In `nearest` it does not: p^2 - 2 q.p goes through a matrix
+product that can round bitwise-identical target rows apart, so a
+higher-index copy can win by an ulp (64-d points, 500 rows each stored three
+times, 2500 random queries: 7 matched a higher copy with one BLAS thread, 5
+with two); the match is the lowest index among equal computed values. The
+geodesic variant runs one Dijkstra search per point over the adjacency lists
+of a symmetrized Euclidean k-NN graph and stops once k points are settled,
+plus any tied with the k-th.
 Points are ranked by (path length, index); a point whose component has fewer
 than k other points is padded with the unreached points, itself included, in
 index order. `floyd_warshall` and `geodesic_adjacency` are the dense all-pairs
@@ -109,11 +112,15 @@ def nearest(
 ) -> tuple[NDArray[np.intp], NDArray[np.float64]]:
     """Each query's nearest point and squared distance.
 
-    Distances are `q^2 - 2 q.p + p^2`, the expression of the full queries x
-    points matrix, evaluated one block of query rows at a time in one reused
-    buffer: `q.p`, times -2, plus `q^2`, plus `p^2`, which is that expression
-    bit for bit. Ties in that computed value go to the lower index; duplicate
-    points need not compute equal (see the module docstring).
+    One matrix product of lifted coordinates per block of query rows ranks
+    the points: the block's queries as `[q, 1]`, copied into one reused
+    (rows, d+1) buffer, times the points as `[-2 p; p^2]` (d+1, m), built
+    once per call, leave `p^2 - 2 q.p` in one reused (rows, m) buffer.
+    `q^2` is the same along a row, so it is added to each row's picked value
+    after the argmin; it is summed before the buffers are allocated. Rows per
+    block are `_BLOCK_ENTRIES // max(m, d+1)`. Ties in the computed value go
+    to the lower index; bitwise-duplicate points can still round apart, so a
+    higher copy can win (see the module docstring).
     """
     if queries.ndim != 2 or points.ndim != 2:
         raise InvalidArgumentError("queries and points must be 2-d arrays")
@@ -123,20 +130,26 @@ def nearest(
         raise InvalidArgumentError(
             f"queries have dimension {queries.shape[1]} but points have {points.shape[1]}"
         )
+    m, dim = points.shape
     q2 = np.sum(queries**2, axis=1)
-    p2 = np.sum(points**2, axis=1)
+    lifted_p = np.empty((dim + 1, m))
+    np.multiply(points.T, -2.0, out=lifted_p[:dim])
+    lifted_p[dim] = np.sum(points**2, axis=1)
     index = np.empty(len(queries), dtype=np.intp)
     dist = np.empty(len(queries))
-    blocks = _row_blocks(len(queries), len(points))
-    buf = np.empty((blocks[0].stop if blocks else 0, len(points)))
+    blocks = _row_blocks(len(queries), max(m, dim + 1))
+    block_rows = blocks[0].stop if blocks else 0
+    lifted_q = np.empty((block_rows, dim + 1))
+    lifted_q[:, dim] = 1.0
+    buf = np.empty((block_rows, m))
     for rows in blocks:
-        d2 = buf[: rows.stop - rows.start]
-        np.matmul(queries[rows], points.T, out=d2)
-        d2 *= -2.0
-        d2 += q2[rows, None]
-        d2 += p2
-        np.argmin(d2, axis=1, out=index[rows])
-        dist[rows] = np.take_along_axis(d2, index[rows, None], axis=1)[:, 0]
+        size = rows.stop - rows.start
+        lifted_q[:size, :dim] = queries[rows]
+        block = buf[:size]
+        np.matmul(lifted_q[:size], lifted_p, out=block)
+        np.argmin(block, axis=1, out=index[rows])
+        dist[rows] = block[np.arange(size), index[rows]]
+    dist += q2
     return index, dist
 
 

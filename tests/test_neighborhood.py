@@ -50,32 +50,48 @@ def dense_knn(coords, k):
     return np.argsort(d2, axis=1, kind="stable")[:, :k]
 
 
+def lift(queries, points):
+    """`[q, 1]` per query row and `[-2 p; p^2]` per point column: their product is p^2 - 2 q.p.
+
+    Both are C-ordered, as in the engine: gemm can round a transposed
+    operand differently.
+    """
+    lifted_q = np.hstack([queries, np.ones((len(queries), 1))])
+    lifted_p = np.ascontiguousarray(np.vstack([-2.0 * points.T, np.sum(points**2, axis=1)]))
+    return lifted_q, lifted_p
+
+
+def pick(products, queries):
+    """Row argmin of the lifted products, and the picked value plus q^2."""
+    index = np.argmin(products, axis=1)
+    return index, products[np.arange(len(queries)), index] + np.sum(queries**2, axis=1)
+
+
 def dense_nearest(queries, points):
-    """All-pairs oracle: the full queries x points matrix and its row argmin."""
-    d2 = (
-        np.sum(queries**2, axis=1)[:, None]
-        - 2.0 * queries @ points.T
-        + np.sum(points**2, axis=1)[None, :]
-    )
-    index = np.argmin(d2, axis=1)
-    return index, d2[np.arange(len(queries)), index]
+    """All-pairs oracle: the full queries x points lifted product and its row argmin."""
+    lifted_q, lifted_p = lift(queries, points)
+    return pick(lifted_q @ lifted_p, queries)
 
 
-def blocked_nearest(queries, points):
-    """Reference for the buffer kernel: each row block's expression, with temporaries.
+def blocked_products(queries, points):
+    """The lifted product of each of the engine's row blocks, with temporaries.
 
     A matrix product's rounding can depend on how many rows it has, so this
     uses the engine's own row blocks rather than one all-rows product.
     """
-    q2 = np.sum(queries**2, axis=1)
-    p2 = np.sum(points**2, axis=1)
-    index = np.empty(len(queries), dtype=np.intp)
-    dist = np.empty(len(queries))
-    for rows in neighborhood._row_blocks(len(queries), len(points)):
-        d2 = q2[rows, None] - 2.0 * queries[rows] @ points.T + p2[None, :]
-        index[rows] = np.argmin(d2, axis=1)
-        dist[rows] = d2[np.arange(len(d2)), index[rows]]
-    return index, dist
+    lifted_q, lifted_p = lift(queries, points)
+    blocks = neighborhood._row_blocks(len(queries), max(len(points), points.shape[1] + 1))
+    return np.vstack([np.empty((0, len(points)))] + [lifted_q[rows] @ lifted_p for rows in blocks])
+
+
+def blocked_nearest(queries, points):
+    """Reference for the buffer kernel: the row argmin of `blocked_products`."""
+    return pick(blocked_products(queries, points), queries)
+
+
+def difference_form(queries, points):
+    """Squared distances summed from coordinate differences (exact on small integers)."""
+    return np.sum((queries[:, None, :] - points[None, :, :]) ** 2, axis=2)
 
 
 def integer_grid(nx, ny, nz):
@@ -146,29 +162,30 @@ class TestEngine:
         for dim in (3, 64):
             queries, points = rng.normal(size=(700, dim)), rng.normal(size=(1100, dim))
             got_index, got_dist = nearest(queries, points)
-            want_index, want_dist = dense_nearest(queries, points)
+            np.testing.assert_array_equal(got_index, dense_nearest(queries, points)[0])
+            # One 700-row product rounds a few distances apart from the
+            # engine's 59-row blocks (3 of 700 at d = 3), so the bytes are
+            # those of the same products on the engine's blocks.
+            want_index, want_dist = blocked_nearest(queries, points)
             np.testing.assert_array_equal(got_index, want_index)
             assert got_dist.tobytes() == want_dist.tobytes()
 
     def test_nearest_duplicate_rows_follow_computed_value(self):
-        # Every target row is stored three times. The computed q^2 - 2 q.p + p^2
-        # can round bitwise-equal copies apart, so the rule is on the computed
+        # Every target row is stored three times. The computed p^2 - 2 q.p can
+        # round bitwise-equal copies apart, so the rule is on the computed
         # value: its row minimum, and the lowest index among equal minima. On
-        # this fixture a few queries do match a second or third copy.
-        rng = np.random.default_rng(6)
-        base = rng.normal(size=(500, 6))
+        # this fixture some queries do match a second or third copy.
+        rng = np.random.default_rng(7)
+        base = rng.normal(size=(500, 64))
         points = np.vstack([base, base, base])
-        queries = rng.normal(size=(2500, 6))
+        queries = rng.normal(size=(2500, 64))
         index, dist = nearest(queries, points)
-        d2 = (
-            np.sum(queries**2, axis=1)[:, None]
-            - 2.0 * queries @ points.T
-            + np.sum(points**2, axis=1)[None, :]
-        )
-        row_min = d2.min(axis=1)
-        assert dist.tobytes() == row_min.tobytes()
-        lowest = np.argmax(d2 == row_min[:, None], axis=1)
+        products = blocked_products(queries, points)
+        row_min = products.min(axis=1)
+        assert dist.tobytes() == (row_min + np.sum(queries**2, axis=1)).tobytes()
+        lowest = np.argmax(products == row_min[:, None], axis=1)
         np.testing.assert_array_equal(index, lowest)
+        assert np.count_nonzero(index >= len(base)) > 0
 
     # Budgets giving a partial last block (40 = 2 * 16 + 8 rows), one row per
     # block, and a budget below one row, which still takes one row per block.
@@ -198,19 +215,29 @@ class TestEngine:
         with pytest.raises(InvalidArgumentError, match="must be 2-d arrays"):
             nearest(np.zeros(3), np.zeros((5, 3)))
 
-    def test_nearest_memory_is_bounded(self):
-        # The point-icp shape. The full 3072 x 2150 matrix alone would take 50 MiB;
-        # the kernel holds one block buffer plus O(n + m) per-row arrays, and the
-        # bound allows two buffers.
+    # The point-icp shape, whose full 3072 x 2150 matrix alone would take 50 MiB,
+    # and k-means seeding's one center at d = 64, where d + 1 sets the rows.
+    @pytest.mark.parametrize("n,m,dim", [(3072, 2150, 3), (16384, 1, 64)])
+    def test_nearest_memory_is_bounded(self, n, m, dim):
+        # q^2 is summed first, through an (n, d) temporary: 8 (d + 1) B per
+        # query. Then the kernel holds one (rows, m) block buffer, the lifted
+        # points and one block of lifted queries ((d+1) x (m + rows) floats),
+        # and q^2, the index and the distance (24 B per query). The peak is the
+        # larger of the two; 32 KiB more covers the list of block slices, each
+        # block's small index arrays and what numpy caches on a first call. A
+        # second (rows, m) buffer at the point-icp shape (504 KiB), or lifting
+        # every query at once, does not fit.
         rng = np.random.default_rng(8)
-        queries, points = rng.normal(size=(3072, 3)), rng.normal(size=(2150, 3))
+        queries, points = rng.normal(size=(n, dim)), rng.normal(size=(m, dim))
         tracemalloc.start()
         try:
             nearest(queries, points)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 8 * neighborhood._BLOCK_ENTRIES + 64 * (3072 + 2150)
+        rows = neighborhood._BLOCK_ENTRIES // max(m, dim + 1)
+        blocks = 8 * rows * m + 8 * (dim + 1) * (m + rows) + 24 * n
+        assert peak < max(8 * (dim + 1) * n, blocks) + 2**15
 
     def test_knn_memory_is_bounded(self):
         # The all-pairs difference tensor alone would take 4096^2 * 3 * 8 B = 384 MiB.
@@ -222,6 +249,61 @@ class TestEngine:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+def integer_cloud(rng, n, dim, copies_of=None):
+    """Integer coordinates in -8..8, where every product, square and sum is exact."""
+    cloud = rng.integers(-8, 9, size=(n, dim)).astype(float)
+    if copies_of is not None:
+        cloud[: n // 2] = copies_of[rng.integers(0, len(copies_of), size=n // 2)]
+    return cloud
+
+
+@st.composite
+def offset_clouds(draw):
+    """Queries and points at scales 1e-3 to 1e3, around an offset far from the origin."""
+    dim = draw(st.sampled_from([3, 6, 64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    offset = rng.normal(size=dim) * scale * 10.0 ** draw(st.floats(0.0, 3.0))
+    points = offset + rng.normal(size=(draw(st.integers(1, 30)), dim)) * scale
+    if draw(st.booleans()):
+        points = points[rng.integers(0, len(points), size=len(points))]
+    queries = offset + rng.normal(size=(draw(st.integers(1, 30)), dim)) * scale
+    return queries, points
+
+
+class TestNearestAccuracy:
+    """`nearest` against difference-form distances, which do not depend on its formula."""
+
+    # Rows per block below, at and above the 37 queries, one row per block,
+    # and the default budget. With m = 1 at d = 64, d + 1 sets the rows.
+    @pytest.mark.parametrize("rows", [1, 16, 36, 37, 38, None])
+    @pytest.mark.parametrize("dim,m", [(3, 40), (6, 40), (64, 40), (64, 1)])
+    def test_exact_on_integer_clouds(self, monkeypatch, rows, dim, m):
+        if rows is not None:
+            monkeypatch.setattr(neighborhood, "_BLOCK_ENTRIES", rows * max(m, dim + 1))
+        rng = np.random.default_rng(dim + m)
+        base = integer_cloud(rng, 6, dim)
+        points = integer_cloud(rng, m, dim, copies_of=base)
+        queries = integer_cloud(rng, 37, dim, copies_of=points)
+        index, dist = nearest(queries, points)
+        true = difference_form(queries, points)
+        np.testing.assert_array_equal(index, np.argmin(true, axis=1))
+        assert dist.tobytes() == true[np.arange(len(queries)), index].tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(offset_clouds())
+    def test_picks_a_true_minimum_within_rounding(self, clouds):
+        queries, points = clouds
+        index, dist = nearest(queries, points)
+        true = difference_form(queries, points)
+        picked = true[np.arange(len(queries)), index]
+        tol = 64 * np.finfo(float).eps * (
+            np.sum(queries**2, axis=1) + np.max(np.sum(points**2, axis=1))
+        )
+        assert np.all(picked - true.min(axis=1) <= tol)
+        assert np.all(np.abs(dist - picked) <= tol)
 
 
 @st.composite
