@@ -21,7 +21,8 @@ _RANK_TOL = 1e-12
 
 
 def _as_points(points) -> NDArray[np.float64]:
-    arr = np.asarray(points, dtype=np.float64)
+    """An (N, 3) float64 copy of `points`, which no caller's array can write to."""
+    arr = np.array(points, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise InvalidArgumentError(f"expected an (N, 3) array, got shape {arr.shape}")
     return arr
@@ -29,9 +30,12 @@ def _as_points(points) -> NDArray[np.float64]:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Ordered sequence of 3D points."""
+    """Ordered sequence of 3D points, held in a read-only copy of its own."""
 
     points: NDArray[np.float64]
+    # The k-NN graphs built on these points; read and written only by
+    # neighborhood.build_graph, which keys them by metric, k and k_base.
+    _graphs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = _as_points(self.points)

@@ -1,36 +1,48 @@
 """k-NN graph construction under Euclidean, Mahalanobis, and geodesic metrics.
 
 Every neighbour query in the toolkit runs on one exact engine in this module.
-Distances are computed one block of rows at a time, so memory stays O(block)
-instead of O(n^2); `_first_k` orders the first k entries of each block row
-and `nearest` (k = 1) serves correspondence search, set distance and k-means.
-Each call allocates its block buffers once and fills them in place for every
-block. `knn` sums squared coordinate differences into one (rows, n) buffer,
-with one scratch buffer of the same shape, and builds no difference tensor;
-the values are the bytes of the einsum of the difference tensor. `nearest`
+Every ranking is deterministic and sends ties in the computed distances to
+the lower index, as a full stable sort of the all-pairs matrix would.
+
+`knn` ranks 3-d coordinates, Euclidean or whitened. From `_GRID_MIN_POINTS`
+points up it buckets them into a uniform cell grid sized for about
+`_CELL_OCCUPANCY` points per occupied cell, with the occupancy exponent
+measured from the counts of occupied cells at two cell sizes. A point's
+candidates are the points of its 3x3x3 block of cells, sorted by index and
+ranked by `_first_k`. A row is accepted only when its k-th distance is below
+the square of its face distance: on each axis, the gap to the nearest
+coordinate of any point two or more cells away, computed as the distances
+are, so that monotone rounding keeps every point outside the block strictly
+farther. Every other row, and every row of a smaller cloud, falls back to the
+brute force: one block of rows at a time against all points, so memory stays
+O(block) instead of O(n^2). Both paths sum squared coordinate differences as
+(dx^2 + dz^2) + dy^2, the bytes of the einsum of the difference tensor,
+without building that tensor, so duplicate points tie bitwise and the
+neighbour arrays are those of the brute force. Each call allocates its
+buffers once and fills them in place for every chunk or block.
+
+`nearest` (k = 1) serves correspondence search, set distance and k-means. It
 ranks each block with one matrix product of lifted coordinates, the queries
 as [q, 1] times the points as [-2 p; p^2], which leaves p^2 - 2 q.p in one
 (rows, m) buffer; q^2 is added to each row's picked value after the argmin.
-Rows per block are fixed by `_BLOCK_ENTRIES` (n per row in `knn`,
-max(m, d+1) in `nearest`), because the rounding of `nearest`'s matrix
-product depends on its row count.
-Every ranking is deterministic and sends ties in the computed distances to
-the lower index, as a full stable sort of the all-pairs matrix would. In
-`knn` that covers duplicate points, whose difference-form distances are
-bitwise equal. In `nearest` it does not: p^2 - 2 q.p goes through a matrix
-product that can round bitwise-identical target rows apart, so a
-higher-index copy can win by an ulp (64-d points, 500 rows each stored three
-times, 2500 random queries: 7 matched a higher copy with one BLAS thread, 5
-with two); the match is the lowest index among equal computed values. The
-geodesic variant runs one Dijkstra search per point over the adjacency lists
-of a symmetrized Euclidean k-NN graph and stops once k points are settled,
-plus any tied with the k-th.
-Points are ranked by (path length, index); a point whose component has fewer
-than k other points is padded with the unreached points, itself included, in
-index order. `floyd_warshall` and `geodesic_adjacency` are the dense all-pairs
-form of the same ranking, kept as references. `build_graph` is the one
-metric -> graph dispatch; with a covariance estimated from the cloud itself,
-each of its graphs is invariant under rigid motion of the cloud.
+Rows per block are fixed by `_BLOCK_ENTRIES` (n per row in `knn`'s brute
+force, max(m, d+1) in `nearest`), because the rounding of `nearest`'s matrix
+product depends on its row count. Its tie rule covers computed values only:
+p^2 - 2 q.p can round bitwise-identical target rows apart, so a higher-index
+copy can win by an ulp (64-d points, 500 rows each stored three times, 2500
+random queries: 7 matched a higher copy with one BLAS thread, 5 with two);
+the match is the lowest index among equal computed values.
+
+The geodesic variant runs one Dijkstra search per point over the adjacency
+lists of a symmetrized Euclidean k-NN graph and stops once k points are
+settled, plus any tied with the k-th. Points are ranked by (path length,
+index); a point whose component has fewer than k other points is padded with
+the unreached points, itself included, in index order. `floyd_warshall` and
+`geodesic_adjacency` are the dense all-pairs form of the same ranking, kept as
+references. `build_graph` is the one metric -> graph dispatch, and it builds
+each graph of a cloud once, keeping it on the cloud; with a covariance
+estimated from the cloud itself, each of its graphs is invariant under rigid
+motion of the cloud.
 """
 
 from __future__ import annotations
@@ -79,6 +91,9 @@ class NeighborGraph:
 # from it, and gemm rounding in `nearest` depends on the row count, so a
 # different value can move distances by an ulp: it is fixed, not tuned.
 _BLOCK_ENTRIES = 1 << 16
+# Entries in one chunk buffer of the cell grid in `knn` (128 KiB of float64).
+# No matrix product runs on it, so its size moves no value.
+_GRID_ENTRIES = 1 << 14
 
 
 def _row_blocks(n_rows: int, entries_per_row: int) -> list[slice]:
@@ -155,21 +170,22 @@ def nearest(
 
 def _squared_distances(
     axes: NDArray[np.float64],
-    rows: slice,
+    rows: slice | NDArray[np.intp],
     d2_buf: NDArray[np.float64],
     sq_buf: NDArray[np.float64],
 ) -> NDArray[np.float64]:
     """Squared distances from the points in `rows` to every point, in `d2_buf`.
 
-    `axes` is the (3, n) C-contiguous transpose of the coordinates. The
-    sum is (dx^2 + dz^2) + dy^2, the order in which numpy's
-    einsum("ijk,ijk->ij") sums a length-3 axis, so the values equal that
-    difference-tensor form bit for bit without building the tensor.
-    `sq_buf` is scratch; both buffers hold at least as many rows as `rows`.
-    Returns the filled leading rows of `d2_buf`.
+    `axes` is the (3, n) C-contiguous transpose of the coordinates and
+    `rows` a slice or an index array. The sum is (dx^2 + dz^2) + dy^2, the
+    order in which numpy's einsum("ijk,ijk->ij") sums a length-3 axis, so
+    the values equal that difference-tensor form bit for bit without
+    building the tensor. `sq_buf` is scratch; both buffers hold at least as
+    many rows as `rows`. Returns the filled leading rows of `d2_buf`.
     """
     x, y, z = axes
-    d2, sq = d2_buf[: rows.stop - rows.start], sq_buf[: rows.stop - rows.start]
+    size = len(x[rows])
+    d2, sq = d2_buf[:size], sq_buf[:size]
     np.subtract(x[rows, None], x, out=d2)
     d2 *= d2
     np.subtract(z[rows, None], z, out=sq)
@@ -181,13 +197,232 @@ def _squared_distances(
     return d2
 
 
+def _brute_force_rows(
+    axes: NDArray[np.float64], rows: NDArray[np.intp], k: int, out: NDArray[np.intp]
+) -> None:
+    """Rank every point for each row in `rows`, one (block rows, n) buffer at a time."""
+    n = axes.shape[1]
+    blocks = _row_blocks(len(rows), n)
+    if not blocks:
+        return
+    d2_buf = np.empty((blocks[0].stop, n))
+    sq_buf = np.empty_like(d2_buf)
+    for block in blocks:
+        index = rows[block]
+        d2 = _squared_distances(axes, index, d2_buf, sq_buf)
+        d2[np.arange(len(d2)), index] = np.inf
+        out[index] = _first_k(d2, k)
+
+
+# Below this many points every row is ranked by brute force: in the size
+# sweep (CHANGES.md) the grid's set-up costs about what it saves there.
+_GRID_MIN_POINTS = 1024
+# Points per occupied cell that the grid's cell edge aims for.
+_CELL_OCCUPANCY = 8
+
+
+def _cell_edge(unit: NDArray[np.float64]) -> float:
+    """Edge of cubic cells that hold about `_CELL_OCCUPANCY` points when occupied.
+
+    `unit` holds the coordinates shifted and scaled into [0, 1]. Occupied
+    cells are counted at edges 1/8 and 1/16. Their ratio gives the occupancy
+    exponent (1 on a curve, 2 on a surface, 3 in a volume), clamped to
+    [1, 3], and the edge is extrapolated from the coarser count with it.
+    Structure finer than 1/16 can break that extrapolation (two parallel
+    planes closer than a coarse cell fill twice the cells once the cells are
+    finer than their gap), so the occupied cells are counted once more at the
+    extrapolated edge. When they hold fewer points than aimed for, the edge
+    grows by the same exponent; it never shrinks, since smaller cells only
+    leave more rows without k candidates inside their faces.
+    """
+    n = len(unit)
+    fine = np.minimum((unit * 16.0).astype(np.intp), 15)
+    n_fine = np.count_nonzero(np.bincount((fine[:, 0] * 16 + fine[:, 1]) * 16 + fine[:, 2]))
+    fine >>= 1
+    n_coarse = np.count_nonzero(np.bincount((fine[:, 0] * 8 + fine[:, 1]) * 8 + fine[:, 2]))
+    exponent = min(max(math.log2(n_fine / n_coarse), 1.0), 3.0)
+    edge = (_CELL_OCCUPANCY * n_coarse / n) ** (1.0 / exponent) / 8.0
+    cell = (unit / edge).astype(np.intp)
+    key = _cell_keys(cell, cell.max(axis=0) + 1)
+    if key is None:
+        return edge
+    key.sort()
+    occupied = np.count_nonzero(np.diff(key)) + 1
+    return edge * max(1.0, _CELL_OCCUPANCY * occupied / n) ** (1.0 / exponent)
+
+
+def _cell_keys(cell: NDArray[np.intp], dims: NDArray[np.intp]) -> NDArray[np.intp] | None:
+    """The int64 key of each cell of a grid of `dims` cells, or None if keys could overflow."""
+    if not math.prod(dims.tolist()) < 2**62:
+        return None
+    return (cell[:, 0] * dims[1] + cell[:, 1]) * dims[2] + cell[:, 2]
+
+
+def _face_distances(coords: NDArray[np.float64], cell: NDArray[np.intp]) -> NDArray[np.float64]:
+    """Squared lower bound on every computed distance from a point to the points outside its block.
+
+    On each axis the bound is the gap, computed as `knn` computes a
+    coordinate difference, from the point to the nearest coordinate of any
+    point two or more cells away. Rounding is monotone, so every point
+    outside the block has a computed squared distance of at least the
+    square of the smallest gap. Gaps are clamped at 0.
+    """
+    n = len(coords)
+    face = np.full(n, np.inf)
+    for axis in range(3):
+        x, c = coords[:, axis], cell[:, axis]
+        order = np.argsort(c, kind="stable")
+        by_cell, x_by_cell = c[order], x[order]
+        # Largest coordinate in cells <= c - 2, smallest in cells >= c + 2.
+        below = np.maximum.accumulate(np.append(-np.inf, x_by_cell))
+        above = np.minimum.accumulate(np.append(x_by_cell, np.inf)[::-1])[::-1]
+        np.minimum(face, x - below[np.searchsorted(by_cell, c - 2, side="right")], out=face)
+        np.minimum(face, above[np.searchsorted(by_cell, c + 2, side="left")] - x, out=face)
+    np.maximum(face, 0.0, out=face)
+    return face * face
+
+
+def _grid(coords: NDArray[np.float64]):
+    """The cell grid of an (n, 3) array, or None where no grid can be built.
+
+    Points are bucketed into cubic cells of edge `_cell_edge`, with two empty
+    layers on each side so that cell-key arithmetic never wraps. Returns the
+    point order by (cell key, index), the rank of each sorted point's cell,
+    each occupied cell's first sorted position and point count, the occupied
+    cells of each cell's 3x3x3 block as CSR ranks (`block_ptr`, `block`),
+    and each sorted point's squared face distance. None when every point
+    sits at one position, or when cell keys could overflow int64 (a far
+    outlier can make the grid huge).
+    """
+    lo = coords.min(axis=0)
+    extent = float(np.max(coords.max(axis=0) - lo))
+    if not 0.0 < extent < math.inf:
+        return None
+    unit = (coords - lo) / extent
+    cell = (unit / _cell_edge(unit)).astype(np.intp) + 2
+    del unit
+    dims = cell.max(axis=0) + 3
+    key = _cell_keys(cell, dims)
+    if key is None:
+        return None
+    face2 = _face_distances(coords, cell)
+    del cell
+    order = np.argsort(key, kind="stable")
+    face2 = face2[order]
+    sorted_key = key[order]
+    head = np.flatnonzero(np.diff(sorted_key, prepend=-1))
+    cells = sorted_key[head]
+    count = np.diff(head, append=len(key))
+    step = np.arange(-1, 2)
+    offsets = (step[:, None, None] * dims[1] + step[:, None]) * dims[2] + step
+    block = cells[:, None] + offsets.reshape(-1)
+    found = np.minimum(np.searchsorted(cells, block), len(cells) - 1)
+    present = cells[found] == block  # an absent cell's search lands on another cell
+    block_ptr = np.concatenate([[0], np.cumsum(np.count_nonzero(present, axis=1))])
+    row_cell = np.repeat(np.arange(len(cells)), count)
+    return order, row_cell, head, count, block_ptr, found[present], face2
+
+
+def _grid_rows(axes: NDArray[np.float64], k: int, out: NDArray[np.intp]) -> NDArray[np.intp]:
+    """Rank the rows the cell grid proves exact into `out`; return the other rows.
+
+    A point's candidates are the points of its 3x3x3 block of cells
+    (`_grid`), sorted by index and padded with a sentinel point at +inf to
+    one width per chunk of rows. Their distances take `knn`'s difference
+    form, so they equal the brute-force values bit for bit, and `_first_k`
+    ranks them with ties to the lower index. A row is accepted only when
+    its k-th distance is below its squared face distance
+    (`_face_distances`): then no point outside the block can reach the
+    first k or tie with the k-th. Rows of a cloud with no grid, rows with
+    fewer than k other candidates and rows whose block alone overflows a
+    chunk buffer are returned unranked.
+    """
+    n = axes.shape[1]
+    grid = _grid(axes.T)
+    if grid is None:
+        return np.arange(n)
+    order, row_cell, head, count, block_ptr, block, face2 = grid
+    width = np.add.reduceat(count[block], block_ptr[:-1])
+    row_width = width[row_cell]
+    sx, sy, sz = np.append(axes, np.full((3, 1), np.inf), axis=1)
+    x, y, z = axes
+    idx_buf = np.empty(_GRID_ENTRIES, dtype=np.intp)
+    cand_buf = np.empty(_GRID_ENTRIES, dtype=np.intp)
+    d2_buf = np.empty(_GRID_ENTRIES)
+    sq_buf = np.empty(_GRID_ENTRIES)
+    rejected = [np.empty(0, dtype=np.intp)]
+    start = 0
+    while start < n:
+        # The longest run of rows whose padded candidate table fits a buffer.
+        span = row_width[start : start + max(1, _GRID_ENTRIES // row_width[start])]
+        fits = np.arange(1, len(span) + 1) * np.maximum.accumulate(span) <= _GRID_ENTRIES
+        stop = start + max(1, np.count_nonzero(fits))
+        cols = int(row_width[start:stop].max())
+        if not k < cols <= _GRID_ENTRIES:
+            rejected.append(order[start:stop])
+            start = stop
+            continue
+        # Candidate lists of the chunk's cells: gather each block's points,
+        # then sort every list by index in one sort of (cell, index) keys.
+        first_cell, last_cell = row_cell[start], row_cell[stop - 1] + 1
+        segments = block[block_ptr[first_cell] : block_ptr[last_cell]]
+        lengths = count[segments]
+        list_width = width[first_cell:last_cell]
+        total = int(list_width.sum())
+        lists = idx_buf[:total]
+        seg_offset = head[segments] - np.cumsum(lengths) + lengths
+        np.add(np.repeat(seg_offset, lengths), np.arange(total), out=lists)
+        np.take(order, lists, out=lists)
+        lists += np.repeat(np.arange(last_cell - first_cell) * (n + 1), list_width)
+        lists.sort()
+        table = cand_buf[: (last_cell - first_cell) * cols].reshape(-1, cols)
+        table.fill(n)
+        table_rows = np.repeat(np.arange(last_cell - first_cell), list_width)
+        columns = np.arange(total) - (np.cumsum(list_width) - list_width)[table_rows]
+        table[table_rows, columns] = lists % (n + 1)
+        # Each row's candidates, and their distances in knn's difference form.
+        rows = order[start:stop]
+        size = stop - start
+        cand = idx_buf[: size * cols].reshape(size, cols)
+        np.take(table, row_cell[start:stop] - first_cell, axis=0, out=cand)
+        d2 = d2_buf[: size * cols].reshape(size, cols)
+        sq = sq_buf[: size * cols].reshape(size, cols)
+        np.take(sx, cand, out=d2)
+        np.subtract(x[rows, None], d2, out=d2)
+        d2 *= d2
+        np.take(sz, cand, out=sq)
+        np.subtract(z[rows, None], sq, out=sq)
+        sq *= sq
+        d2 += sq
+        np.take(sy, cand, out=sq)
+        np.subtract(y[rows, None], sq, out=sq)
+        sq *= sq
+        d2 += sq
+        np.copyto(d2, np.inf, where=cand == rows[:, None])
+        first = _first_k(d2, k)
+        accept = d2[np.arange(size), first[:, -1]] < face2[start:stop]
+        out[rows[accept]] = np.take_along_axis(cand, first, axis=1)[accept]
+        rejected.append(rows[~accept])
+        start = stop
+    return np.concatenate(rejected)
+
+
 def knn(
     cloud: PointCloud,
     k: int,
     metric: str = METRIC_EUCLIDEAN,
     model: CovarianceModel | None = None,
 ) -> NeighborGraph:
-    """Exact k nearest neighbors of every point under the chosen metric."""
+    """Exact k nearest neighbors of every point under the chosen metric.
+
+    Euclidean and whitened coordinates are both 3-d. From `_GRID_MIN_POINTS`
+    points up, a uniform cell grid ranks each point's 3x3x3 block of cells
+    and keeps the rows whose k-th distance is provably below the distance to
+    the block's faces (`_grid_rows`); every other row, and every row of a
+    smaller cloud, is ranked against all points by the blocked brute force.
+    Both compute the same difference-form distances and rank them with
+    `_first_k`, so the neighbour arrays are the same either way.
+    """
     n = len(cloud)
     if not 1 <= k < n:
         raise InvalidArgumentError(f"k must satisfy 1 <= k < {n}, got {k}")
@@ -202,13 +437,8 @@ def knn(
         raise InvalidArgumentError(f"unknown metric {metric!r}")
     axes = np.ascontiguousarray(coords.T)
     out = np.empty((n, k), dtype=np.intp)
-    blocks = _row_blocks(n, n)
-    d2_buf = np.empty((blocks[0].stop, n))
-    sq_buf = np.empty_like(d2_buf)
-    for rows in blocks:
-        d2 = _squared_distances(axes, rows, d2_buf, sq_buf)
-        d2[np.arange(len(d2)), np.arange(rows.start, rows.stop)] = np.inf
-        out[rows] = _first_k(d2, k)
+    rest = _grid_rows(axes, k, out) if n >= _GRID_MIN_POINTS else np.arange(n)
+    _brute_force_rows(axes, rest, k, out)
     return NeighborGraph(out)
 
 
@@ -353,7 +583,7 @@ def build_graph(
     k: int,
     k_base: int | None = None,
 ) -> NeighborGraph:
-    """The k-NN graph of a cloud under a metric name.
+    """The k-NN graph of a cloud under a metric name, built once per cloud.
 
     Mahalanobis uses the cloud's own regularized global covariance; geodesic
     walks a Euclidean k_base-NN graph (k_base defaults to k), and k_base is
@@ -362,9 +592,25 @@ def build_graph(
     to each of a point's k Euclidean nearest is a shortest path, and every
     other point is at least its Euclidean distance away. That case is not
     shortcut; it runs the full search.
+
+    The graph is kept on the cloud, keyed by (metric, k, k_base) with k_base
+    in the key only for geodesic graphs, and a later call with the same key
+    returns it without a rebuild. A cloud's points are a private read-only
+    copy, so a kept graph cannot go stale. One metric's graph is never
+    served for another, even where the two are equal.
     """
-    if metric == METRIC_GEODESIC:
-        return knn_geodesic(cloud, k if k_base is None else k_base, k)
-    if metric == METRIC_MAHALANOBIS:
-        return knn(cloud, k, METRIC_MAHALANOBIS, estimate_covariance(cloud))
-    return knn(cloud, k, metric)
+    if metric != METRIC_GEODESIC:
+        k_base = None
+    elif k_base is None:
+        k_base = k
+    key = (metric, k, k_base)
+    graph = cloud._graphs.get(key)
+    if graph is None:
+        if metric == METRIC_GEODESIC:
+            graph = knn_geodesic(cloud, k_base, k)
+        elif metric == METRIC_MAHALANOBIS:
+            graph = knn(cloud, k, METRIC_MAHALANOBIS, estimate_covariance(cloud))
+        else:
+            graph = knn(cloud, k, metric)
+        cloud._graphs[key] = graph
+    return graph

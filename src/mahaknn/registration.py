@@ -5,9 +5,12 @@ point-ICP baseline matches raw coordinates, the descriptor pipelines match
 edge-conv or eigen features built on the configured neighbor graph. The
 cumulative motion maps the original source onto the target frame.
 
-Every pipeline that uses graphs builds them once per cloud per registration,
-under the configured metric and k_base: the target never moves, and every
-metric's graph is invariant under rigid motion of the source. The eigen
+Every pipeline that uses graphs asks `build_graph` for one per cloud, under
+the configured metric and k_base: the target never moves, and every metric's
+graph is invariant under rigid motion of the source. `build_graph` keeps each
+graph on its cloud, so a graph is built once per cloud, not per registration:
+pipelines handed the same cloud objects, as the harness does within a trial,
+share it. The eigen
 decomposition also runs once per cloud: each iteration only turns the
 source's cached normals by the cumulative rotation and orients them again,
 since the eigenvalue ratios are rotation-invariant. Edge-conv features of the
@@ -45,6 +48,12 @@ from .neighborhood import METRIC_EUCLIDEAN, METRICS, build_graph, nearest
 DESCRIPTOR_EDGECONV = "edgeconv"
 DESCRIPTOR_EIGEN = "eigen"
 DESCRIPTOR_NONE = "none"  # point-ICP on raw coordinates
+
+# Coordinate range that register accepts. Squared distances and covariances
+# of larger coordinates overflow float64, and those of a smaller nonzero
+# extent fall below its normal range, where neither can be ranked or solved.
+MAX_ABS_COORDINATE = 1e150
+MIN_EXTENT = 1e-150
 
 
 @dataclass(frozen=True)
@@ -155,7 +164,7 @@ def _setup(source: PointCloud, target: PointCloud, cfg: RegistrationConfig):
     """The target features, a function giving the source features at a pose
     (moved cloud, cumulative rotation) and the start (motion, source placed
     there, the match that scored it or None), picked once per pipeline. The
-    loop holds only these, so point-ICP frees its start-pose graphs."""
+    loop holds only these; the graphs stay kept on the two clouds."""
     start = (identity_motion(), source, None)
     if cfg.descriptor != DESCRIPTOR_NONE or cfg.k >= 3:
         src_graph = build_graph(source, cfg.metric, cfg.k, k_base=cfg.k_base)
@@ -180,6 +189,8 @@ def register(
     """Alternating match-then-solve registration of source onto target."""
     if len(source) < cfg.k + 1 or len(target) < cfg.k + 1:
         raise InvalidArgumentError("clouds must contain at least k + 1 points")
+    for name, cloud in (("source", source), ("target", target)):
+        _check_range(name, cloud)
     tgt_desc, describe, (cumulative, current, start_corr) = _setup(source, target, cfg)
     residuals: list[float] = []
     corr = None
@@ -201,6 +212,25 @@ def register(
             break
     assert corr is not None
     return RegistrationResult(cumulative, iterations, tuple(residuals), corr)
+
+
+def _check_range(name: str, cloud: PointCloud) -> None:
+    """Reject coordinates outside the range in which distances stay normal floats.
+
+    A cloud at a single position (extent 0) passes: it is degenerate geometry,
+    which the graph, covariance and solver steps classify.
+    """
+    largest = float(np.max(np.abs(cloud.points)))
+    if largest > MAX_ABS_COORDINATE:
+        raise InvalidArgumentError(
+            f"{name} has a coordinate of magnitude {largest:.3g}, "
+            f"above the limit {MAX_ABS_COORDINATE:g}"
+        )
+    extent = float(np.max(np.ptp(cloud.points, axis=0)))
+    if 0.0 < extent < MIN_EXTENT:
+        raise InvalidArgumentError(
+            f"{name} has a bounding-box extent of {extent:.3g}, below the limit {MIN_EXTENT:g}"
+        )
 
 
 def _mutual_filter(

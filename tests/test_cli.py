@@ -239,6 +239,17 @@ class TestCli:
         doc = json.loads((out / "report.json").read_text())
         assert doc["cells"]["icp"]["success_rate"] == 1.0
 
+    @pytest.mark.parametrize(
+        "scale,limit", [(1e160, "above the limit 1e+150"), (1e-160, "below the limit 1e-150")]
+    )
+    def test_coordinate_range_is_usage_error(self, tmp_path, capsys, scale, limit):
+        cloud = tmp_path / "scaled.xyz"
+        save_cloud(PointCloud(SHAPES["sphere-cap"](80, 0).points * scale), cloud)
+        assert main(["register", "--source", str(cloud), "--target", str(cloud),
+                     "--report", str(tmp_path / "r.json")]) == EXIT_USAGE
+        assert limit in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_linalg_error_is_numerical_failure(self, tmp_path, monkeypatch):
         def diverging(source, target, cfg):
             raise np.linalg.LinAlgError("SVD did not converge")

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import mahaknn
 from mahaknn import harness
 from mahaknn.corruption import NoiseSpec
 from mahaknn.errors import InvalidArgumentError
@@ -275,3 +279,34 @@ class TestLoadScenario:
         path = tmp_path / "s.ini"
         path.write_text("[scenario]\nname = 50% noise\ninput = shape:sphere:50\n[pipeline:p]\nk = 10\n")
         assert load_scenario(path).name == "50% noise"
+
+
+def test_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # Matrix products may split their work by thread; the report must not move.
+    scenario = tmp_path / "s.ini"
+    scenario.write_text(
+        "[scenario]\n"
+        "input = shape:sphere-cap:768:0\n"
+        "trials = 2\n"
+        "[noise]\n"
+        "spec = subsample:count=384,applied_to=target\n"
+        "[pipeline:whitened-edgeconv]\n"
+        "metric = mahalanobis\n"
+        "descriptor = edgeconv\n"
+        "max_iters = 8\n"
+        "[pipeline:point-icp]\n"
+        "max_iters = 8\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mahaknn.__file__)))
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        subprocess.run(
+            [sys.executable, "-m", "mahaknn.cli", "bench", "--scenario", str(scenario),
+             "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]

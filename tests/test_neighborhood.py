@@ -1,5 +1,6 @@
 import heapq
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from mahaknn.neighborhood import (
     knn_geodesic,
     nearest,
 )
-from mahaknn.shapes import c_ring, generate, two_planes
+from mahaknn.shapes import c_ring, generate, sphere, sphere_cap, torus, two_planes
 from mahaknn.statistics import estimate_covariance, identity_model
 
 
@@ -413,6 +414,184 @@ class TestKnn:
         g0 = knn(cloud, 6, "mahalanobis", estimate_covariance(cloud, regularizer=0.0))
         g1 = knn(mapped, 6, "mahalanobis", estimate_covariance(mapped, regularizer=0.0))
         np.testing.assert_array_equal(g0.neighbors, g1.neighbors)
+
+
+def brute_force_knn(coords, k):
+    """The blocked brute force over every row: the fallback for rows the grid cannot prove."""
+    axes = np.ascontiguousarray(coords.T)
+    out = np.empty((len(coords), k), dtype=np.intp)
+    neighborhood._brute_force_rows(axes, np.arange(len(coords)), k, out)
+    return out
+
+
+def assert_knn_is_brute_force(coords, k):
+    np.testing.assert_array_equal(knn(PointCloud(coords), k).neighbors, brute_force_knn(coords, k))
+
+
+def grid_fallback(coords, k):
+    """The rows the grid path leaves to the brute force."""
+    out = np.empty((len(coords), k), dtype=np.intp)
+    return neighborhood._grid_rows(np.ascontiguousarray(coords.T), k, out)
+
+
+@st.composite
+def grid_clouds(draw):
+    """Clouds that stress the cell grid: ties, duplicates, flat and thin shapes, outliers."""
+    kind = draw(st.sampled_from(
+        ["scaled", "duplicated", "grid", "planar", "collinear", "outlier", "whitened", "clusters"]
+    ))
+    n = draw(st.integers(min_value=2, max_value=300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-150, 150))
+    if kind == "grid":
+        coords = rng.integers(-6, 7, size=(n, 3)).astype(float)
+    elif kind == "duplicated":
+        coords = rng.normal(size=(max(1, n // 4), 3))[rng.integers(0, max(1, n // 4), size=n)]
+    elif kind == "planar":
+        coords = np.column_stack([rng.normal(size=(n, 2)), np.zeros(n)])
+    elif kind == "collinear":
+        coords = np.outer(rng.uniform(-1.0, 1.0, size=n), rng.normal(size=3))
+    elif kind == "clusters":
+        centers = rng.normal(size=(4, 3))[rng.integers(0, 4, size=n)]
+        coords = centers + rng.normal(size=(n, 3)) * 0.01
+    else:
+        coords = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-1.0, 1.0, size=3)
+    if kind == "outlier":
+        coords[rng.integers(0, n)] = 10.0 ** draw(st.integers(3, 12))
+    if kind == "whitened" and n > 3:
+        coords = coords @ estimate_covariance(PointCloud(coords)).whitener().T
+    return coords * scale
+
+
+class TestGridKnn:
+    """`knn`'s cell grid against the blocked brute force it falls back to."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid_clouds(), st.data())
+    def test_equals_brute_force(self, coords, data):
+        n = len(coords)
+        k = data.draw(st.sampled_from(sorted({1, min(6, n - 1), n - 1})))
+        # A small chunk budget splits clouds into several chunks of rows, and
+        # leaves some blocks too wide for one chunk.
+        entries = data.draw(st.sampled_from([64, 1024, neighborhood._GRID_ENTRIES]))
+        with mock.patch.object(neighborhood, "_GRID_MIN_POINTS", 0), \
+                mock.patch.object(neighborhood, "_GRID_ENTRIES", entries):
+            got = knn(PointCloud(coords), k).neighbors
+        np.testing.assert_array_equal(got, dense_knn(coords, k))
+
+    @pytest.mark.parametrize("metric", ["euclidean", "mahalanobis"])
+    @pytest.mark.parametrize("shape,n", [("sphere-cap", 2150), ("torus", 4096), ("c-ring", 2048)])
+    def test_workload_shapes(self, shape, n, metric):
+        cloud = generate(shape, n, 0)
+        model = estimate_covariance(cloud) if metric == "mahalanobis" else None
+        coords = cloud.points if model is None else cloud.points @ model.whitener().T
+        got = knn(cloud, 20, metric, model).neighbors
+        np.testing.assert_array_equal(got, brute_force_knn(coords, 20))
+        # The grid proves most rows. On a curve that takes the measured
+        # occupancy exponent: a surface rule put every c-ring row in the fallback.
+        assert len(grid_fallback(coords, 20)) < n // 4
+
+    def test_integer_grid_with_duplicates(self):
+        lattice = integer_grid(11, 11, 11)
+        coords = np.vstack([lattice, lattice[::3]])
+        coords = coords[np.random.default_rng(0).permutation(len(coords))]
+        for k in (1, 6, 26):
+            assert_knn_is_brute_force(coords, k)
+        assert len(grid_fallback(coords, 6)) < len(coords) // 4
+
+    def test_identical_points_fall_back(self):
+        coords = np.full((1100, 3), 0.25)
+        assert neighborhood._grid(coords) is None
+        assert_knn_is_brute_force(coords, 7)
+
+    @pytest.mark.parametrize("shape", ["planar", "collinear"])
+    def test_flat_and_thin_clouds(self, shape):
+        rng = np.random.default_rng(1)
+        if shape == "planar":
+            coords = np.column_stack([rng.normal(size=(1200, 2)), np.zeros(1200)])
+        else:
+            coords = np.outer(rng.normal(size=1200), [1.0, -2.0, 0.5])
+        assert_knn_is_brute_force(coords, 10)
+        assert len(grid_fallback(coords, 10)) < 1200 // 4
+
+    def test_far_outlier(self):
+        coords = sphere_cap(1100, seed=2).points.copy()
+        coords[17] = (1e12, -1e12, 1e12)
+        assert_knn_is_brute_force(coords, 10)
+
+    def test_cell_key_overflow_falls_back(self):
+        # With the measured occupancy exponent a grid has at most about n cells
+        # per axis, so keys cannot overflow at these sizes; a cell edge forced
+        # down to 1e-8 of the extent gives about 1e24 cells.
+        coords = sphere_cap(1100, seed=3).points.copy()
+        coords[5] = (1e6, 1e6, 1e6)
+        with mock.patch.object(neighborhood, "_cell_edge", lambda unit: 1e-8):
+            assert neighborhood._grid(coords) is None
+            assert_knn_is_brute_force(coords, 10)
+
+    def test_absent_neighbour_cell_is_not_gathered(self):
+        # Occupied cells of a lattice with holes: a search for an absent
+        # neighbour key lands on the next occupied key, which here is often a
+        # member of the same block, so gathering it would repeat its points.
+        rng = np.random.default_rng(4)
+        lattice = integer_grid(14, 14, 14)
+        keep = lattice[rng.random(len(lattice)) < 0.5]
+        coords = np.repeat(keep, 3, axis=0) + rng.uniform(-0.2, 0.2, size=(3 * len(keep), 3))
+        order, row_cell, head, count, block_ptr, block, face2 = neighborhood._grid(coords)
+        for cell in range(len(head)):
+            members = block[block_ptr[cell] : block_ptr[cell + 1]]
+            assert len(np.unique(members)) == len(members) <= 27
+        assert_knn_is_brute_force(coords, 12)
+
+    @pytest.mark.parametrize("exponent", [-150, -100, -10, 0, 10, 100, 150])
+    def test_scales(self, exponent):
+        coords = sphere_cap(1100, seed=5).points * 10.0**exponent
+        assert_knn_is_brute_force(coords, 20)
+        assert len(grid_fallback(coords, 20)) < 1100 // 4
+
+    def test_overflowing_distances_fall_back(self):
+        # Squared distances of 1e160-scale points are +inf: no k-th distance
+        # is below a face, so every row falls back.
+        coords = sphere_cap(1100, seed=5).points * 1e160
+        assert len(grid_fallback(coords, 20)) == 1100
+        assert_knn_is_brute_force(coords, 20)
+
+    def test_whitened_coordinates(self):
+        cloud = two_planes(1536, seed=1)
+        model = estimate_covariance(cloud)
+        got = knn(cloud, 20, "mahalanobis", model).neighbors
+        np.testing.assert_array_equal(got, brute_force_knn(cloud.points @ model.whitener().T, 20))
+
+    def test_k_is_n_minus_one(self):
+        coords = sphere_cap(1030, seed=6).points
+        assert_knn_is_brute_force(coords, 1029)
+
+    @pytest.mark.parametrize("shape", [sphere, torus])
+    def test_memory_is_bounded(self, shape):
+        # The graph (8 n k B) and the transposed coordinates (24 n B), plus the
+        # largest of three phases. The grid set-up holds at most 16 arrays of
+        # n 8-byte entries (coordinates, cell indices, keys, orders, faces).
+        # The chunk loop holds the grid's tables (at most 12 such arrays, the
+        # block lists of about n / 8 cells included), its four reused
+        # _GRID_ENTRIES buffers and at most four temporaries of one chunk's
+        # size. The brute force of the rows the grid cannot prove (5 on the
+        # sphere, 96 on the torus) holds two reused (rows, n) buffers,
+        # _first_k's (rows, n) partition and its (rows, n) comparison. 32 KiB
+        # more covers small index arrays. Gathering every row's candidates at
+        # once (about 100 n entries) does not fit.
+        n, k = 8192, 20
+        cloud = shape(n, 0)
+        tracemalloc.start()
+        try:
+            knn(cloud, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = neighborhood._BLOCK_ENTRIES // n
+        setup = 16 * 8 * n
+        chunks = 12 * 8 * n + 8 * 8 * neighborhood._GRID_ENTRIES
+        brute = 3 * 8 * rows * n + rows * n
+        assert peak < 8 * n * k + 24 * n + max(setup, chunks, brute) + 2**15
 
 
 class TestFloydWarshall:

@@ -1,11 +1,12 @@
 import dataclasses
 import functools
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from mahaknn import neighborhood, registration
+from mahaknn import harness, neighborhood, registration
 from mahaknn.corruption import NoiseSpec, corrupt
 from mahaknn.descriptors import (
     DescriptorSet,
@@ -473,6 +474,174 @@ class TestGraphReuse:
             np.testing.assert_allclose(got[:, :3], want[:, :3], atol=1e-12, rtol=0)
             off = (np.abs(got[:, 5]) > 1e-9) & (np.abs(want[:, 5]) > 1e-9)
             np.testing.assert_allclose(got[off, 3:], want[off, 3:], atol=1e-12, rtol=0)
+
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        """Count the graph builds behind build_graph, as (engine, k) pairs.
+
+        The base-edge `knn` inside a geodesic build is part of that build.
+        """
+        builds, in_geodesic = [], []
+        knn, knn_geodesic = neighborhood.knn, neighborhood.knn_geodesic
+
+        def counting_knn(cloud, k, *args):
+            if not in_geodesic:
+                builds.append(("knn", k))
+            return knn(cloud, k, *args)
+
+        def counting_geodesic(cloud, k_base, k):
+            builds.append(("geodesic", k))
+            in_geodesic.append(True)
+            try:
+                return knn_geodesic(cloud, k_base, k)
+            finally:
+                in_geodesic.pop()
+
+        monkeypatch.setattr(neighborhood, "knn", counting_knn)
+        monkeypatch.setattr(neighborhood, "knn_geodesic", counting_geodesic)
+        return builds
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_same_key_builds_once(self, monkeypatch, metric):
+        builds = self._count_builds(monkeypatch)
+        cloud = self._pair(14)[0]
+        first = build_graph(cloud, metric, 8, k_base=5)
+        again = build_graph(cloud, metric, 8, k_base=5)
+        assert again is first
+        assert len(builds) == 1
+        fresh = build_graph(PointCloud(cloud.points), metric, 8, k_base=5)
+        np.testing.assert_array_equal(first.neighbors, fresh.neighbors)
+
+    def test_metric_k_and_geodesic_k_base_build_again(self, monkeypatch):
+        builds = self._count_builds(monkeypatch)
+        cloud = self._pair(15)[0]
+        keys = [("euclidean", 8, 5), ("mahalanobis", 8, 5), ("geodesic", 8, 5),
+                ("euclidean", 9, 5), ("geodesic", 9, 5), ("geodesic", 8, 6)]
+        graphs = [build_graph(cloud, metric, k, k_base=k_base) for metric, k, k_base in keys]
+        assert len(builds) == len(keys)
+        for (metric, k, k_base), graph in zip(keys, graphs):
+            assert build_graph(cloud, metric, k, k_base=k_base) is graph
+        assert len(builds) == len(keys)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "mahalanobis"])
+    def test_k_base_does_not_split_non_geodesic_keys(self, monkeypatch, metric):
+        builds = self._count_builds(monkeypatch)
+        cloud = self._pair(16)[0]
+        graphs = {id(build_graph(cloud, metric, 8, k_base=k_base)) for k_base in (None, 3, 8, 20)}
+        assert len(graphs) == 1 and builds == [("knn", 8)]
+
+    def test_geodesic_is_never_served_the_euclidean_graph(self, monkeypatch):
+        # With k = k_base the two graphs are equal up to rounding, but
+        # criterion 7 times the geodesic search, so it must run.
+        builds = self._count_builds(monkeypatch)
+        cloud = self._pair(17)[0]
+        euclidean = build_graph(cloud, "euclidean", 10, k_base=10)
+        geodesic = build_graph(cloud, "geodesic", 10, k_base=10)
+        assert geodesic is not euclidean
+        assert builds == [("knn", 10), ("geodesic", 10)]
+        # An omitted k_base is k, so both spellings share one geodesic entry.
+        assert build_graph(cloud, "geodesic", 10) is geodesic
+        assert builds == [("knn", 10), ("geodesic", 10)]
+
+    def test_second_pipeline_of_a_trial_builds_no_graph(self, monkeypatch):
+        # The harness hands the same corrupted pair to every pipeline of a trial.
+        knn_calls = []
+        knn = neighborhood.knn
+
+        def counting_knn(*args, **kwargs):
+            knn_calls.append(1)
+            return knn(*args, **kwargs)
+
+        per_register = []
+
+        def recording(source, target, cfg):
+            before = len(knn_calls)
+            result = register(source, target, cfg)
+            per_register.append(len(knn_calls) - before)
+            return result
+
+        monkeypatch.setattr(neighborhood, "knn", counting_knn)
+        monkeypatch.setattr(harness, "register", recording)
+        pipelines = tuple(
+            (name, RegistrationConfig(metric="mahalanobis", descriptor=name, k=10, max_iters=3))
+            for name in ("eigen", "edgeconv")
+        )
+        harness.run_scenario(harness.Scenario(
+            name="memo", input="shape:sphere-cap:120:0", trials=2, pipelines=pipelines,
+        ))
+        assert per_register == [2, 0, 2, 0]
+
+    @pytest.mark.parametrize("write", ["view", "flag"])
+    def test_writes_to_the_callers_array_reach_neither_cloud_nor_graph(self, write):
+        base = sphere_cap(120, seed=18).points.copy()
+        original = base.copy()
+        if write == "view":
+            # A cloud built on a view of a wider writable array.
+            wide = np.hstack([base, np.zeros((len(base), 1))])
+            cloud = PointCloud(wide[:, :3])
+            graph = build_graph(cloud, "euclidean", 8)
+            wide[:, :3] = wide[::-1, :3]
+        else:
+            # A cloud built on an array the caller makes writable again.
+            cloud = PointCloud(base)
+            graph = build_graph(cloud, "euclidean", 8)
+            base.setflags(write=True)
+            base[:] = base[::-1]
+        np.testing.assert_array_equal(cloud.points, original)
+        assert not cloud.points.flags.writeable
+        assert build_graph(cloud, "euclidean", 8) is graph
+        fresh = build_graph(PointCloud(original), "euclidean", 8)
+        np.testing.assert_array_equal(graph.neighbors, fresh.neighbors)
+
+
+class TestCoordinateRange:
+    """register names the coordinate range it accepts."""
+
+    PIPELINES = {"point-icp": {}, "point-icp-mutual": {"mutual": True}}
+    PIPELINES.update({
+        f"{metric}-{descriptor}": {"metric": metric, "descriptor": descriptor}
+        for metric in METRICS for descriptor in ("eigen", "edgeconv")
+    })
+
+    @staticmethod
+    def _pair(scale):
+        # Unit-sphere coordinates moved by a pure rotation stay within 1, and
+        # the cap's bounding box is 1.7 wide.
+        source = sphere_cap(200, seed=19)
+        target = apply(make_rigid((10, -5, 20), (0.0, 0.0, 0.0)), source)
+        return PointCloud(source.points * scale), PointCloud(target.points * scale)
+
+    @pytest.mark.parametrize("pipeline", sorted(PIPELINES))
+    @pytest.mark.parametrize(
+        "scale,limit", [(1e160, "above the limit 1e+150"), (1e-160, "below the limit 1e-150")]
+    )
+    def test_out_of_range_is_named(self, pipeline, scale, limit):
+        cfg = RegistrationConfig(k=10, k_base=6, max_iters=3, **self.PIPELINES[pipeline])
+        with pytest.raises(InvalidArgumentError, match=re.escape(limit)):
+            register(*self._pair(scale), cfg)
+
+    # Edge-conv is left out at 1e-150: its layer is not scale-equivariant, and
+    # at small scales its features stop separating the points, so the solver
+    # raises RankDeficiencyError.
+    @pytest.mark.parametrize("pipeline,scale", [
+        (pipeline, scale)
+        for pipeline in sorted(PIPELINES)
+        for scale in (1e150, 1e-150)
+        if scale > 1 or not pipeline.endswith("edgeconv")
+    ])
+    def test_edges_of_the_range_register(self, pipeline, scale):
+        cfg = RegistrationConfig(k=10, k_base=6, max_iters=3, **self.PIPELINES[pipeline])
+        result = register(*self._pair(scale), cfg)
+        assert np.all(np.isfinite(result.motion.rotation))
+        assert np.all(np.isfinite(result.motion.translation))
+
+    def test_coincident_points_are_left_to_the_solver(self):
+        # Extent 0 is degenerate geometry, not a coordinate range.
+        cloud = PointCloud(np.ones((40, 3)))
+        with pytest.raises(MahaknnError) as exc:
+            register(cloud, cloud, RegistrationConfig(k=8, max_iters=2))
+        assert not isinstance(exc.value, InvalidArgumentError)
 
 
 # Combinations of a RegistrationConfig field and a pipeline in which nothing
