@@ -1,7 +1,8 @@
 """Point-cloud file I/O: xyz, ascii PLY, and OFF.
 
 Coordinates are serialized with 17 significant digits so text round-trips
-reproduce doubles bitwise. Faces in OFF/PLY are parsed and discarded.
+reproduce doubles bitwise. Only vertex coordinates are read: faces and every
+other non-vertex element are skipped unparsed.
 """
 
 from __future__ import annotations
@@ -27,125 +28,120 @@ def detect_format(path) -> str:
     return _EXTENSIONS[ext]
 
 
-def _parse_floats(tokens, path, lineno, expect):
-    if len(tokens) < expect:
-        raise CloudParseError(path, lineno, f"expected {expect} numbers")
-    try:
-        values = [float(t) for t in tokens[:expect]]
-    except ValueError:
-        raise CloudParseError(path, lineno, f"invalid number in {tokens!r}") from None
-    if not np.all(np.isfinite(values)):
-        raise CloudParseError(path, lineno, f"non-finite number in {tokens!r}")
-    return values
+def _lines(path, comments):
+    """Yield ``(line number, tokens)`` for each non-blank line of ``path``, and
+    ``(last line number, [])`` at its end; with ``comments``, '#' lines are skipped.
+
+    Lines are decoded one at a time, so a byte that is not UTF-8 is refused on its line."""
+    lineno = 0
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                tokens = raw.decode("utf-8").split()
+            except UnicodeDecodeError:
+                raise CloudParseError(path, lineno, "line is not UTF-8 text") from None
+            if tokens and not (comments and tokens[0].startswith("#")):
+                yield lineno, tokens
+    yield lineno, []
 
 
-def _load_xyz(path) -> np.ndarray:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = line.split()
-            if not tokens or tokens[0].startswith("#"):
-                continue
-            if len(tokens) != 3:
-                raise CloudParseError(path, lineno, "expected three coordinates per line")
-            rows.append(_parse_floats(tokens, path, lineno, 3))
-    if not rows:
-        raise CloudParseError(path, 0, "file contains no points")
-    return np.array(rows)
+def _rows(path, lines, count, width, columns):
+    """Read ``count`` rows of exactly ``width`` finite numbers from ``lines``
+    (every row to the end of the file when ``count`` is None) and return their
+    ``columns`` as an array."""
+    rows, linenos = [], []
+    for lineno, tokens in lines:
+        if not tokens:
+            break
+        if len(tokens) != width:
+            raise CloudParseError(path, lineno, f"expected {width} numbers, found {len(tokens)}")
+        try:
+            rows.append(list(map(float, tokens)))
+        except ValueError:
+            raise CloudParseError(path, lineno, f"invalid number in {tokens!r}") from None
+        linenos.append(lineno)
+        if len(rows) == count:
+            break
+    if len(rows) < (count or 1):
+        found = f"declared {count} vertices, found {len(rows)}" if count else "file contains no points"
+        raise CloudParseError(path, lineno, found)
+    points = np.array(rows)
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise CloudParseError(path, linenos[row], f"non-finite number in {rows[row]!r}")
+    return points[:, columns]
 
 
-def _load_ply(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != "ply":
+def _load_xyz(path, lines) -> np.ndarray:
+    return _rows(path, lines, None, 3, [0, 1, 2])
+
+
+def _load_ply(path, lines) -> np.ndarray:
+    lineno, tokens = next(lines)
+    if lineno != 1 or tokens != ["ply"]:
         raise CloudParseError(path, 1, "missing 'ply' magic")
-    vertex_count = None
-    body_start = None
-    in_vertex_element = False
-    coord_props: list[str] = []
-    for i, raw in enumerate(lines[1:], start=2):
-        tokens = raw.split()
+    elements = []  # (name, row count, property names), in file order
+    for lineno, tokens in lines:
         if not tokens:
-            continue
-        if tokens[0] == "format":
-            if len(tokens) < 2 or tokens[1] != "ascii":
-                raise CloudParseError(path, i, "only ascii PLY is supported")
-        elif tokens[0] == "element":
-            in_vertex_element = tokens[1] == "vertex"
-            if in_vertex_element:
-                try:
-                    vertex_count = int(tokens[2])
-                except (IndexError, ValueError):
-                    raise CloudParseError(path, i, "bad vertex count") from None
-                if vertex_count < 1:
-                    raise CloudParseError(path, i, f"PLY file declares {vertex_count} vertices")
-        elif tokens[0] == "property" and in_vertex_element:
-            coord_props.append(tokens[-1])
-        elif tokens[0] == "end_header":
-            body_start = i
+            raise CloudParseError(path, lineno, "incomplete PLY header")
+        if tokens[0] == "end_header":
             break
-    if vertex_count is None or body_start is None:
-        raise CloudParseError(path, len(lines), "incomplete PLY header")
-    for axis in ("x", "y", "z"):
-        if axis not in coord_props:
-            raise CloudParseError(path, body_start, f"vertex property {axis!r} missing")
-    ix, iy, iz = (coord_props.index(a) for a in ("x", "y", "z"))
-    rows = []
-    lineno = body_start
-    for raw in lines[body_start:]:
-        lineno += 1
-        tokens = raw.split()
-        if not tokens:
-            continue
-        vals = _parse_floats(tokens, path, lineno, len(coord_props))
-        rows.append([vals[ix], vals[iy], vals[iz]])
-        if len(rows) == vertex_count:
-            break
-    if len(rows) != vertex_count:
-        raise CloudParseError(
-            path, lineno, f"declared {vertex_count} vertices, found {len(rows)}"
-        )
-    return np.array(rows)
+        if tokens[0] == "format" and tokens[1:2] != ["ascii"]:
+            raise CloudParseError(path, lineno, "only ascii PLY is supported")
+        if tokens[0] == "element":
+            try:
+                name, count = tokens[1], int(tokens[2])
+            except (IndexError, ValueError):
+                raise CloudParseError(path, lineno, "element needs a name and a row count") from None
+            if count < 0 or (name == "vertex" and count < 1):
+                raise CloudParseError(path, lineno, f"PLY file declares {count} {name} rows")
+            elements.append((name, count, []))
+        elif tokens[0] == "property" and elements:
+            elements[-1][2].append(tokens[-1])
+    header_end = lineno
+    for name, count, props in elements:
+        if name == "vertex":
+            if not set("xyz") <= set(props):
+                raise CloudParseError(path, header_end, "vertex properties x, y and z are required")
+            return _rows(path, lines, count, len(props), [props.index(axis) for axis in "xyz"])
+        for _ in range(count):
+            lineno, tokens = next(lines)
+            if not tokens:
+                raise CloudParseError(path, lineno, f"declared {count} {name} rows, file is short")
+    raise CloudParseError(path, header_end, "PLY file declares no vertex element")
 
 
-def _load_off(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    content = [
-        (i + 1, ln.split())
-        for i, ln in enumerate(lines)
-        if ln.split() and not ln.lstrip().startswith("#")
-    ]
-    if not content:
-        raise CloudParseError(path, 1, "empty OFF file")
-    lineno, tokens = content[0]
-    if tokens[0] != "OFF":
+def _load_off(path, lines) -> np.ndarray:
+    lineno, tokens = next(lines)
+    magic = tokens[0] if tokens else ""
+    if not magic.startswith("OFF"):
         raise CloudParseError(path, lineno, "first token must be 'OFF'")
-    # Counts may share the OFF line (ModelNet quirk) or follow on the next one.
-    if len(tokens) >= 4:
-        counts = tokens[1:4]
-        body = content[1:]
-    else:
-        if len(content) < 2:
-            raise CloudParseError(path, lineno, "missing counts line")
-        lineno, counts = content[1][0], content[1][1]
-        body = content[2:]
+    # Counts may follow the magic on its line, even glued to it as ModelNet40
+    # writes them ("OFF490 518 0"), or sit on the next line.
+    counts = tokens[1:] if magic == "OFF" else [magic[3:]] + tokens[1:]
+    if not counts:
+        lineno, counts = next(lines)
     try:
         n_vertices = int(counts[0])
     except (IndexError, ValueError):
         raise CloudParseError(path, lineno, "bad counts line") from None
     if n_vertices < 1:
         raise CloudParseError(path, lineno, f"OFF file declares {n_vertices} vertices")
-    if len(body) < n_vertices:
-        raise CloudParseError(path, lineno, f"declared {n_vertices} vertices, file is short")
-    return np.array([_parse_floats(t, path, ln, 3) for ln, t in body[:n_vertices]])
+    return _rows(path, lines, n_vertices, 3, [0, 1, 2])
 
 
 _LOADERS = {FORMAT_XYZ: _load_xyz, FORMAT_PLY: _load_ply, FORMAT_OFF: _load_off}
 
 
 def load_cloud(path) -> PointCloud:
-    return PointCloud(_LOADERS[detect_format(path)](path))
+    fmt = detect_format(path)
+    # PLY marks its comments with a keyword; a '#' line in its body is a bad row.
+    lines = _lines(path, comments=fmt != FORMAT_PLY)
+    try:
+        return PointCloud(_LOADERS[fmt](path, lines))
+    finally:
+        lines.close()
 
 
 def save_cloud(cloud: PointCloud, path) -> None:

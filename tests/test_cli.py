@@ -1,29 +1,48 @@
 import csv
 import json
+import struct
+import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mahaknn import cli
 from mahaknn.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from mahaknn.cloudio import load_cloud, save_cloud
+from mahaknn.errors import CloudParseError, InvalidArgumentError
 from mahaknn.geometry import PointCloud
 from mahaknn.neighborhood import METRICS
 from mahaknn.registration import RegistrationConfig
 from mahaknn.shapes import SHAPES, two_planes
 
 
-_PLY_HEADER = "ply\nformat ascii 1.0\nelement vertex {}\nproperty double x\nproperty double y\nproperty double z\nend_header\n"
+_PLY_HEADER = b"ply\nformat ascii 1.0\nelement vertex %d\nproperty double x\nproperty double y\nproperty double z\nend_header\n"
 
 # (file name, contents, line of the fault) of clouds whose contents do not parse.
 MALFORMED_CLOUDS = [
-    ("bad.xyz", "0 0 0\n1 1\n", 2),
-    ("empty.ply", _PLY_HEADER.format(0), 3),
-    ("nan.xyz", "0 0 0\nnan 1 1\n", 2),
-    ("inf.ply", _PLY_HEADER.format(2) + "0 0 0\n1 inf 1\n", 9),
-    ("nan.off", "OFF\n2 0 0\n0 0 0\n1 1 -nan\n", 4),
-    ("negative.off", "OFF\n-1 0 0\n0 0 0\n1 1 1\n", 2),
+    ("bad.xyz", b"0 0 0\n1 1\n", 2),
+    ("empty.ply", _PLY_HEADER % 0, 3),
+    ("nan.xyz", b"0 0 0\nnan 1 1\n", 2),
+    ("inf.ply", _PLY_HEADER % 2 + b"0 0 0\n1 inf 1\n", 9),
+    ("nan.off", b"OFF\n2 0 0\n0 0 0\n1 1 -nan\n", 4),
+    ("negative.off", b"OFF\n-1 0 0\n0 0 0\n1 1 1\n", 2),
+    ("binary.ply", _PLY_HEADER.replace(b"ascii", b"binary_little_endian") % 1
+     + struct.pack("<3d", 0.5, -1.5, 2.0), 2),
+    ("latin1.xyz", b"0 0 0\n# caf\xe9\n1 1 1\n", 2),
+    ("nameless-element.ply", _PLY_HEADER.replace(b"ascii 1.0\n", b"ascii 1.0\nelement\n") % 1 + b"0 0 0\n", 3),
+]
+# Every token a cloud header or row is built from, and a few that break them.
+_CLOUD_FRAGMENTS = [
+    b"ply", b"format ascii 1.0", b"format binary_little_endian 1.0", b"format",
+    b"comment made by hand", b"element vertex 2", b"element vertex 0", b"element vertex -1",
+    b"element vertex", b"element", b"element face 0", b"element face 1", b"element camera 1",
+    b"element vertex x", b"property double x", b"property double y", b"property double z",
+    b"property float w", b"property list uchar int vertex_indices", b"property", b"end_header",
+    b"OFF", b"OFF 2 0 0", b"OFF2 0 0", b"OFF0", b"COFF", b"2 0 0", b"-1 0 0",
+    b"0 0 0", b"1 2 3", b"1 2 3 4", b"1 2", b"3 0 1 2", b"nan 1 1", b"1 inf 1", b"1e999 0 0",
+    b"", b"   ", b"#", b"# comment", b"caf\xe9", b"\xff\xfe", b"0 0 \x80",
 ]
 
 
@@ -48,19 +67,78 @@ class TestCloudIO:
 
     def test_off_counts_on_magic_line(self, tmp_path):
         path = tmp_path / "quirk.off"
-        path.write_text("OFF 2 0 0\n0 0 0\n1 2 3\n")
-        cloud = load_cloud(path)
-        np.testing.assert_array_equal(cloud.points, [[0, 0, 0], [1, 2, 3]])
+        for magic in ("OFF 2 0 0", "OFF2 0 0"):
+            path.write_text(magic + "\n0 0 0\n1 2 3\n")
+            cloud = load_cloud(path)
+            np.testing.assert_array_equal(cloud.points, [[0, 0, 0], [1, 2, 3]])
+
+    def test_ply_reads_the_vertex_element_in_file_order(self, tmp_path):
+        path = tmp_path / "scene.ply"
+        path.write_text(
+            "ply\nformat ascii 1.0\ncomment a camera row comes first\n"
+            "element camera 1\nproperty float focal\nproperty float skew\n"
+            "element vertex 2\nproperty double y\nproperty double x\nproperty uchar red\n"
+            "property double z\nelement face 1\nproperty list uchar int vertex_indices\n"
+            "element edge 0\nproperty int vertex1\nend_header\n"
+            "35 0\n1 2 255 3\n\n4 5 0 6\n3 0 1 1\n"
+        )
+        np.testing.assert_array_equal(load_cloud(path).points, [[2, 1, 3], [5, 4, 6]])
+
+    def test_ply_face_element_may_be_empty(self, tmp_path):
+        path = tmp_path / "faceless.ply"
+        path.write_bytes(
+            _PLY_HEADER.replace(b"end_header", b"element face 0\nproperty list uchar int vertex_indices\nend_header")
+            % 2 + b"0 0 0\n1 2 3\n"
+        )
+        np.testing.assert_array_equal(load_cloud(path).points, [[0, 0, 0], [1, 2, 3]])
 
     def test_parse_error_carries_line_number(self, tmp_path):
-        from mahaknn.errors import CloudParseError
-
-        for name, text, line in MALFORMED_CLOUDS:
+        for name, data, line in MALFORMED_CLOUDS:
             path = tmp_path / name
-            path.write_text(text)
+            path.write_bytes(data)
             with pytest.raises(CloudParseError) as exc:
                 load_cloud(path)
             assert exc.value.line == line, name
+
+    def test_loaders_close_their_file(self, tmp_path):
+        # Reading stops at the last vertex, before the faces that end these files.
+        early = [
+            ("faces.ply", _PLY_HEADER.replace(b"end_header", b"element face 1\nend_header") % 1 + b"0 0 0\n3 0 0 0\n"),
+            ("faces.off", b"OFF\n1 1 0\n0 0 0\n3 0 0 0\n"),
+        ]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for name, data in early + [(name, data) for name, data, _ in MALFORMED_CLOUDS]:
+                (tmp_path / name).write_bytes(data)
+                try:
+                    load_cloud(tmp_path / name)
+                except CloudParseError:
+                    pass
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        magic=st.sampled_from([b"ply", b"OFF", b"OFF2 0 0", b"0 0 0", b""]),
+        lines=st.lists(
+            st.one_of(
+                st.sampled_from(_CLOUD_FRAGMENTS),
+                st.lists(st.one_of(st.sampled_from(_CLOUD_FRAGMENTS), st.integers(-2, 3).map(str).map(str.encode),
+                                   st.floats().map(repr).map(str.encode), st.binary(max_size=3)),
+                         min_size=1, max_size=4).map(b" ".join),
+            ),
+            max_size=14,
+        ),
+        newline=st.sampled_from([b"\n", b"\r\n"]),
+    )
+    def test_only_classified_errors_escape(self, tmp_path_factory, magic, lines, newline):
+        directory = tmp_path_factory.mktemp("fuzz")
+        for ext in (".xyz", ".ply", ".off"):
+            path = directory / f"cloud{ext}"
+            path.write_bytes(newline.join([magic] + lines))
+            try:
+                assert isinstance(load_cloud(path), PointCloud)
+            except (CloudParseError, InvalidArgumentError):
+                pass
 
 
 class TestCli:
@@ -286,9 +364,9 @@ class TestCli:
                      "--noise", "gaussian", "--out", str(tmp_path / "o.xyz")]) == EXIT_IO
 
     def test_unparseable_cloud_is_io_error(self, tmp_path, capsys):
-        for name, text, line in [("words.xyz", "not a number at all\n", 1)] + MALFORMED_CLOUDS:
+        for name, data, line in [("words.xyz", b"not a number at all\n", 1)] + MALFORMED_CLOUDS:
             bad = tmp_path / name
-            bad.write_text(text)
+            bad.write_bytes(data)
             assert main(["knn-compare", "--in", str(bad),
                          "--out", str(tmp_path / "o.csv")]) == EXIT_IO, name
             assert capsys.readouterr().err.startswith(f"error: {bad}:{line}: "), name
