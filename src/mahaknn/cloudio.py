@@ -63,8 +63,8 @@ def _rows(path, lines, count, width, columns):
         if len(rows) == count:
             break
     if len(rows) < (count or 1):
-        found = f"declared {count} vertices, found {len(rows)}" if count else "file contains no points"
-        raise CloudParseError(path, lineno, found)
+        message = f"declared {count} vertices, found {len(rows)}" if count else "file contains no points"
+        raise CloudParseError(path, lineno, message)
     points = np.array(rows)
     finite = np.isfinite(points).all(axis=1)
     if not finite.all():
