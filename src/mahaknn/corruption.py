@@ -49,8 +49,8 @@ class NoiseSpec:
             raise InvalidArgumentError(f"unknown noise variant {self.variant!r}")
         if self.applied_to not in _TARGETS:
             raise InvalidArgumentError(f"applied_to must be one of {_TARGETS}")
-        if self.sigma <= 0 or self.clip < 0:
-            raise InvalidArgumentError("require sigma > 0 and clip >= 0")
+        if not 0 < self.sigma < np.inf or not self.clip >= 0:  # NaN fails both
+            raise InvalidArgumentError("require 0 < sigma < inf and clip >= 0")
         if not 0 < self.keep_prob <= 1:
             raise InvalidArgumentError("keep_prob must be in (0, 1]")
         if not 0 < self.ratio <= 1:

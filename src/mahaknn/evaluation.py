@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
 from .geometry import PointCloud, RigidMotion, euler_zyx_deg, rotation_angle_rad
 from .neighborhood import nearest
 
@@ -49,8 +48,6 @@ def _min_sq_dist(x, y):
 def set_distance(x: PointCloud, y: PointCloud) -> SetDistance:
     """Squared-distance Chamfer plus symmetric Hausdorff."""
     xp, yp = x.points, y.points
-    if len(xp) == 0 or len(yp) == 0:
-        raise InvalidArgumentError("set_distance requires non-empty clouds")
     x_to_y = _min_sq_dist(xp, yp)
     y_to_x = _min_sq_dist(yp, xp)
     chamfer = float(x_to_y.mean() + y_to_x.mean())

@@ -9,13 +9,16 @@ points up it buckets them into a uniform cell grid sized for about
 `_CELL_OCCUPANCY` points per occupied cell, with the occupancy exponent
 measured from the counts of occupied cells at two cell sizes. A point's
 candidates are the points of its 3x3x3 block of cells, sorted by index and
-ranked by `_first_k`. A row is accepted only when its k-th distance is below
-the square of its face distance: on each axis, the gap to the nearest
+ranked by `_first_k`. Cell keys order the cells by (x, y, z), z fastest, so
+each block is nine runs of consecutive keys, found in the key-sorted points
+with two binary searches. A row is accepted only when its k-th distance is
+below the square of its face distance: on each axis, the gap to the nearest
 coordinate of any point two or more cells away, computed as the distances
 are, so that monotone rounding keeps every point outside the block strictly
 farther. Every other row, and every row of a smaller cloud, falls back to the
 brute force: one block of rows at a time against all points, so memory stays
-O(block) instead of O(n^2). Both paths sum squared coordinate differences as
+O(block) instead of O(n^2). Both paths take their distances from one kernel,
+`_squared_distances`, which sums squared coordinate differences as
 (dx^2 + dz^2) + dy^2, the bytes of the einsum of the difference tensor,
 without building that tensor, so duplicate points tie bitwise and the
 neighbour arrays are those of the brute force. Each call allocates its
@@ -169,29 +172,27 @@ def nearest(
 
 
 def _squared_distances(
-    axes: NDArray[np.float64],
-    rows: slice | NDArray[np.intp],
-    d2_buf: NDArray[np.float64],
-    sq_buf: NDArray[np.float64],
+    q, p, d2: NDArray[np.float64], sq: NDArray[np.float64]
 ) -> NDArray[np.float64]:
-    """Squared distances from the points in `rows` to every point, in `d2_buf`.
+    """Squared distances between query and point coordinates, written to `d2`.
 
-    `axes` is the (3, n) C-contiguous transpose of the coordinates and
-    `rows` a slice or an index array. The sum is (dx^2 + dz^2) + dy^2, the
-    order in which numpy's einsum("ijk,ijk->ij") sums a length-3 axis, so
-    the values equal that difference-tensor form bit for bit without
-    building the tensor. `sq_buf` is scratch; both buffers hold at least as
-    many rows as `rows`. Returns the filled leading rows of `d2_buf`.
+    `q` and `p` are (x, y, z) triples of arrays whose differences broadcast
+    to the shape of `d2`: the brute force pairs a column of queries with all
+    points, the cell grid pairs a column of queries with gathered candidate
+    tables. The sum is (dx^2 + dz^2) + dy^2, the order in which numpy's
+    einsum("ijk,ijk->ij") sums a length-3 axis, so the values equal that
+    difference-tensor form bit for bit without building the tensor. `sq` is
+    scratch of the same shape. p's x may be held in `d2` and its z in `sq`,
+    since each is read before it is overwritten; its y may be neither.
     """
-    x, y, z = axes
-    size = len(x[rows])
-    d2, sq = d2_buf[:size], sq_buf[:size]
-    np.subtract(x[rows, None], x, out=d2)
+    qx, qy, qz = q
+    px, py, pz = p
+    np.subtract(qx, px, out=d2)
     d2 *= d2
-    np.subtract(z[rows, None], z, out=sq)
+    np.subtract(qz, pz, out=sq)
     sq *= sq
     d2 += sq
-    np.subtract(y[rows, None], y, out=sq)
+    np.subtract(qy, py, out=sq)
     sq *= sq
     d2 += sq
     return d2
@@ -209,8 +210,9 @@ def _brute_force_rows(
     sq_buf = np.empty_like(d2_buf)
     for block in blocks:
         index = rows[block]
-        d2 = _squared_distances(axes, index, d2_buf, sq_buf)
-        d2[np.arange(len(d2)), index] = np.inf
+        size = len(index)
+        d2 = _squared_distances(axes[:, index, None], axes, d2_buf[:size], sq_buf[:size])
+        d2[np.arange(size), index] = np.inf
         out[index] = _first_k(d2, k)
 
 
@@ -286,13 +288,16 @@ def _grid(coords: NDArray[np.float64]):
     """The cell grid of an (n, 3) array, or None where no grid can be built.
 
     Points are bucketed into cubic cells of edge `_cell_edge`, with two empty
-    layers on each side so that cell-key arithmetic never wraps. Returns the
-    point order by (cell key, index), the rank of each sorted point's cell,
-    each occupied cell's first sorted position and point count, the occupied
-    cells of each cell's 3x3x3 block as CSR ranks (`block_ptr`, `block`),
-    and each sorted point's squared face distance. None when every point
-    sits at one position, or when cell keys could overflow int64 (a far
-    outlier can make the grid huge).
+    layers on each side so that cell-key arithmetic never wraps. Keys order
+    the cells by (x, y, z), z fastest, so the cells (x+i, y+j, z-1 ... z+1)
+    of a 3x3x3 block hold three consecutive keys, and the block of an
+    occupied cell is nine runs of the key-sorted points; the empty layers
+    keep a run from reaching into the next column. Returns the point order
+    by (cell key, index), the rank of each sorted point's cell, each
+    occupied cell's nine run starts and stops as (cells, 9) sorted
+    positions, and each sorted point's squared face distance. None when
+    every point sits at one position, or when cell keys could overflow
+    int64 (a far outlier can make the grid huge).
     """
     lo = coords.min(axis=0)
     extent = float(np.max(coords.max(axis=0) - lo))
@@ -311,45 +316,48 @@ def _grid(coords: NDArray[np.float64]):
     face2 = face2[order]
     sorted_key = key[order]
     head = np.flatnonzero(np.diff(sorted_key, prepend=-1))
-    cells = sorted_key[head]
-    count = np.diff(head, append=len(key))
+    # Key of the middle cell of each of the block's nine z-columns.
     step = np.arange(-1, 2)
-    offsets = (step[:, None, None] * dims[1] + step[:, None]) * dims[2] + step
-    block = cells[:, None] + offsets.reshape(-1)
-    found = np.minimum(np.searchsorted(cells, block), len(cells) - 1)
-    present = cells[found] == block  # an absent cell's search lands on another cell
-    block_ptr = np.concatenate([[0], np.cumsum(np.count_nonzero(present, axis=1))])
-    row_cell = np.repeat(np.arange(len(cells)), count)
-    return order, row_cell, head, count, block_ptr, found[present], face2
+    columns = sorted_key[head, None] + ((step[:, None] * dims[1] + step) * dims[2]).reshape(-1)
+    run_start = np.searchsorted(sorted_key, columns - 1)
+    run_stop = np.searchsorted(sorted_key, columns + 1, side="right")
+    row_cell = np.repeat(np.arange(len(head)), np.diff(head, append=len(key)))
+    return order, row_cell, run_start, run_stop, face2
 
 
 def _grid_rows(axes: NDArray[np.float64], k: int, out: NDArray[np.intp]) -> NDArray[np.intp]:
     """Rank the rows the cell grid proves exact into `out`; return the other rows.
 
-    A point's candidates are the points of its 3x3x3 block of cells
-    (`_grid`), sorted by index and padded with a sentinel point at +inf to
-    one width per chunk of rows. Their distances take `knn`'s difference
-    form, so they equal the brute-force values bit for bit, and `_first_k`
-    ranks them with ties to the lower index. A row is accepted only when
-    its k-th distance is below its squared face distance
-    (`_face_distances`): then no point outside the block can reach the
-    first k or tie with the k-th. Rows of a cloud with no grid, rows with
-    fewer than k other candidates and rows whose block alone overflows a
-    chunk buffer are returned unranked.
+    A point's candidates are the points of its cell's nine runs (`_grid`).
+    For each cell of a chunk of rows the runs are padded with the sentinel
+    position n to the chunk's width, mapped through the point order (the
+    sentinel to a point at +inf) and sorted, so each table row lists the
+    block's points by index with the sentinels last. Each row's table is
+    gathered coordinate by coordinate and its distances are taken by
+    `_squared_distances`, so they equal the brute-force values bit for bit,
+    and `_first_k` ranks them with ties to the lower index. A row is
+    accepted only when its k-th distance is below its squared face distance
+    (`_face_distances`): then no point outside the block can reach the first
+    k or tie with the k-th. Rows of a cloud with no grid, rows with fewer
+    than k other candidates and rows whose block alone overflows a chunk
+    buffer are returned unranked.
     """
     n = axes.shape[1]
     grid = _grid(axes.T)
     if grid is None:
         return np.arange(n)
-    order, row_cell, head, count, block_ptr, block, face2 = grid
-    width = np.add.reduceat(count[block], block_ptr[:-1])
+    order, row_cell, run_start, run_stop, face2 = grid
+    run_length = run_stop - run_start
+    width = run_length.sum(axis=1)
     row_width = width[row_cell]
+    # Sorted position n, and every padding position clipped to it, is the
+    # sentinel point n, whose coordinates are +inf. The other gathers use
+    # mode="clip" only so that numpy writes straight into `out`; their
+    # indices are all in range.
+    point = np.append(order, n)
     sx, sy, sz = np.append(axes, np.full((3, 1), np.inf), axis=1)
-    x, y, z = axes
-    idx_buf = np.empty(_GRID_ENTRIES, dtype=np.intp)
     cand_buf = np.empty(_GRID_ENTRIES, dtype=np.intp)
-    d2_buf = np.empty(_GRID_ENTRIES)
-    sq_buf = np.empty(_GRID_ENTRIES)
+    d2_buf, y_buf, sq_buf = np.empty((3, _GRID_ENTRIES))
     rejected = [np.empty(0, dtype=np.intp)]
     start = 0
     while start < n:
@@ -362,42 +370,27 @@ def _grid_rows(axes: NDArray[np.float64], k: int, out: NDArray[np.intp]) -> NDAr
             rejected.append(order[start:stop])
             start = stop
             continue
-        # Candidate lists of the chunk's cells: gather each block's points,
-        # then sort every list by index in one sort of (cell, index) keys.
-        first_cell, last_cell = row_cell[start], row_cell[stop - 1] + 1
-        segments = block[block_ptr[first_cell] : block_ptr[last_cell]]
-        lengths = count[segments]
-        list_width = width[first_cell:last_cell]
-        total = int(list_width.sum())
-        lists = idx_buf[:total]
-        seg_offset = head[segments] - np.cumsum(lengths) + lengths
-        np.add(np.repeat(seg_offset, lengths), np.arange(total), out=lists)
-        np.take(order, lists, out=lists)
-        lists += np.repeat(np.arange(last_cell - first_cell) * (n + 1), list_width)
-        lists.sort()
-        table = cand_buf[: (last_cell - first_cell) * cols].reshape(-1, cols)
-        table.fill(n)
-        table_rows = np.repeat(np.arange(last_cell - first_cell), list_width)
-        columns = np.arange(total) - (np.cumsum(list_width) - list_width)[table_rows]
-        table[table_rows, columns] = lists % (n + 1)
-        # Each row's candidates, and their distances in knn's difference form.
+        # Candidate lists of the chunk's cells: the sorted positions of each
+        # cell's nine runs, padded with the sentinel to the chunk's width,
+        # then mapped to point indices and sorted.
+        cells = slice(row_cell[start], row_cell[stop - 1] + 1)
+        lengths = np.column_stack([run_length[cells], cols - width[cells]]).ravel()
+        heads = np.column_stack([run_start[cells], np.full(cells.stop - cells.start, n)]).ravel()
+        table = np.repeat(heads - (np.cumsum(lengths) - lengths), lengths)
+        table += np.arange(len(table))
+        np.take(point, table, mode="clip", out=table)
+        table = table.reshape(-1, cols)
+        table.sort(axis=1)
+        # Each row's candidates, and their distances.
         rows = order[start:stop]
         size = stop - start
-        cand = idx_buf[: size * cols].reshape(size, cols)
-        np.take(table, row_cell[start:stop] - first_cell, axis=0, out=cand)
-        d2 = d2_buf[: size * cols].reshape(size, cols)
-        sq = sq_buf[: size * cols].reshape(size, cols)
-        np.take(sx, cand, out=d2)
-        np.subtract(x[rows, None], d2, out=d2)
-        d2 *= d2
-        np.take(sz, cand, out=sq)
-        np.subtract(z[rows, None], sq, out=sq)
-        sq *= sq
-        d2 += sq
-        np.take(sy, cand, out=sq)
-        np.subtract(y[rows, None], sq, out=sq)
-        sq *= sq
-        d2 += sq
+        cand = cand_buf[: size * cols].reshape(size, cols)
+        np.take(table, row_cell[start:stop] - cells.start, axis=0, mode="clip", out=cand)
+        d2, py, sq = (buf[: size * cols].reshape(size, cols) for buf in (d2_buf, y_buf, sq_buf))
+        np.take(sx, cand, mode="clip", out=d2)
+        np.take(sy, cand, mode="clip", out=py)
+        np.take(sz, cand, mode="clip", out=sq)
+        _squared_distances(axes[:, rows, None], (d2, py, sq), d2, sq)
         np.copyto(d2, np.inf, where=cand == rows[:, None])
         first = _first_k(d2, k)
         accept = d2[np.arange(size), first[:, -1]] < face2[start:stop]

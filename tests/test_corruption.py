@@ -38,7 +38,9 @@ class TestNoiseSpec:
                     "subsample:count=1.5",
                     # Parameters the variant never reads.
                     "gaussian:keep_prob=0.5", "sampling:applied_to=target", "none:sigma=3",
-                    "zero_intersection:ratio=0.2", "bernoulli:sigma=-1"):
+                    "zero_intersection:ratio=0.2", "bernoulli:sigma=-1",
+                    # Non-finite noise: NaN would surface as a bad cloud, inf as +-clip.
+                    "gaussian:sigma=nan", "gaussian:sigma=inf", "gaussian:clip=nan"):
             with pytest.raises(InvalidArgumentError):
                 NoiseSpec.parse(bad)
 

@@ -335,14 +335,27 @@ class TestSquaredDistances:
     @settings(max_examples=300, deadline=None)
     @given(distance_clouds(), st.data())
     def test_equals_einsum_bitwise(self, coords, data):
+        # Both call forms: a column of queries against all points (the brute
+        # force), or against a gathered candidate table with p's x held in the
+        # d2 buffer and its z in the scratch buffer (the cell grid).
         n = len(coords)
         start = data.draw(st.integers(0, n - 1))
         rows = slice(start, data.draw(st.integers(start + 1, n)))
+        size = rows.stop - rows.start
         axes = np.ascontiguousarray(coords.T)
-        buf, scratch = np.full((n, n), np.nan), np.full((n, n), np.nan)
-        got = neighborhood._squared_distances(axes, rows, buf, scratch)
-        diff = coords[rows, None, :] - coords[None, :, :]
+        q = axes[:, rows, None]
+        if data.draw(st.booleans()):
+            cand = np.arange(n)
+            buf, scratch = np.full((size, n), np.nan), np.full((size, n), np.nan)
+            got = neighborhood._squared_distances(q, axes, buf, scratch)
+        else:
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            cand = rng.integers(0, n, size=(size, data.draw(st.integers(1, 2 * n))))
+            buf, scratch = np.take(axes[0], cand), np.take(axes[2], cand)
+            got = neighborhood._squared_distances(q, (buf, axes[1][cand], scratch), buf, scratch)
+        diff = coords[rows, None, :] - coords[cand]
         want = np.einsum("ijk,ijk->ij", diff, diff)
+        assert got is buf
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
@@ -530,17 +543,26 @@ class TestGridKnn:
             assert_knn_is_brute_force(coords, 10)
 
     def test_absent_neighbour_cell_is_not_gathered(self):
-        # Occupied cells of a lattice with holes: a search for an absent
-        # neighbour key lands on the next occupied key, which here is often a
-        # member of the same block, so gathering it would repeat its points.
+        # Occupied cells of a lattice with holes. Each cell's nine runs of
+        # sorted points are disjoint and hold exactly the points whose cell
+        # indices differ from the cell's by at most 1 on every axis: an absent
+        # cell adds no point and no point is gathered twice. The indices are
+        # computed here from the coordinates, not from cell keys.
         rng = np.random.default_rng(4)
         lattice = integer_grid(14, 14, 14)
         keep = lattice[rng.random(len(lattice)) < 0.5]
         coords = np.repeat(keep, 3, axis=0) + rng.uniform(-0.2, 0.2, size=(3 * len(keep), 3))
-        order, row_cell, head, count, block_ptr, block, face2 = neighborhood._grid(coords)
-        for cell in range(len(head)):
-            members = block[block_ptr[cell] : block_ptr[cell + 1]]
-            assert len(np.unique(members)) == len(members) <= 27
+        order, row_cell, run_start, run_stop, face2 = neighborhood._grid(coords)
+        assert run_start.shape == run_stop.shape == (row_cell[-1] + 1, 9)
+        lo = coords.min(axis=0)
+        unit = (coords - lo) / float(np.max(coords.max(axis=0) - lo))
+        cell = (unit / neighborhood._cell_edge(unit)).astype(np.intp)
+        for c, (starts, stops) in enumerate(zip(run_start, run_stop)):
+            own = cell[order[np.searchsorted(row_cell, c)]]
+            positions = np.concatenate([np.arange(a, b) for a, b in zip(starts, stops)])
+            assert len(np.unique(positions)) == len(positions)
+            block = np.flatnonzero(np.all(np.abs(cell - own) <= 1, axis=1))
+            np.testing.assert_array_equal(np.sort(order[positions]), block)
         assert_knn_is_brute_force(coords, 12)
 
     @pytest.mark.parametrize("exponent", [-150, -100, -10, 0, 10, 100, 150])
@@ -553,8 +575,9 @@ class TestGridKnn:
         # Squared distances of 1e160-scale points are +inf: no k-th distance
         # is below a face, so every row falls back.
         coords = sphere_cap(1100, seed=5).points * 1e160
-        assert len(grid_fallback(coords, 20)) == 1100
-        assert_knn_is_brute_force(coords, 20)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert len(grid_fallback(coords, 20)) == 1100
+            assert_knn_is_brute_force(coords, 20)
 
     def test_whitened_coordinates(self):
         cloud = two_planes(1536, seed=1)
@@ -570,15 +593,17 @@ class TestGridKnn:
     def test_memory_is_bounded(self, shape):
         # The graph (8 n k B) and the transposed coordinates (24 n B), plus the
         # largest of three phases. The grid set-up holds at most 16 arrays of
-        # n 8-byte entries (coordinates, cell indices, keys, orders, faces).
-        # The chunk loop holds the grid's tables (at most 12 such arrays, the
-        # block lists of about n / 8 cells included), its four reused
-        # _GRID_ENTRIES buffers and at most four temporaries of one chunk's
-        # size. The brute force of the rows the grid cannot prove (5 on the
-        # sphere, 96 on the torus) holds two reused (rows, n) buffers,
-        # _first_k's (rows, n) partition and its (rows, n) comparison. 32 KiB
-        # more covers small index arrays. Gathering every row's candidates at
-        # once (about 100 n entries) does not fit.
+        # n 8-byte entries (coordinates, cell indices, keys, orders, faces,
+        # run bounds). The chunk loop holds the grid's tables (at most 12 such
+        # arrays, the nine run starts, stops and lengths of about n / 8 cells
+        # included), its four reused _GRID_ENTRIES buffers (the candidates and
+        # their x, y and z) and at most four temporaries of one chunk's size
+        # (the chunk's table of padded runs among them). The brute force of
+        # the rows the grid cannot prove (5 on the sphere, 96 on the torus)
+        # holds two reused (rows, n) buffers, _first_k's (rows, n) partition
+        # and its (rows, n) comparison. 32 KiB more covers small index arrays.
+        # Gathering every row's candidates at once (about 100 n entries) does
+        # not fit.
         n, k = 8192, 20
         cloud = shape(n, 0)
         tracemalloc.start()
