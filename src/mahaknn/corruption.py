@@ -122,7 +122,9 @@ def corrupt(
     """Apply spec to the pair; deterministic for a fixed generator state.
 
     Source-side draws always precede target-side draws so applied_to does not
-    change the meaning of a seed for unrelated clouds.
+    change the meaning of a seed for unrelated clouds. A side the spec leaves
+    untouched is returned as the input object itself, so what was kept on it
+    (graphs, eigen features) serves every pair it is part of.
     """
     s_pts, t_pts = source.points, target.points
     v = spec.variant
@@ -173,4 +175,7 @@ def corrupt(
                 raise InvalidArgumentError("subsample count exceeds target size")
             t_pts = t_pts[np.sort(rng.choice(len(t_pts), spec.count, replace=False))]
 
-    return PointCloud(s_pts), PointCloud(t_pts)
+    return (
+        source if s_pts is source.points else PointCloud(s_pts),
+        target if t_pts is target.points else PointCloud(t_pts),
+    )

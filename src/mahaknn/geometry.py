@@ -33,9 +33,10 @@ class PointCloud:
     """Ordered sequence of 3D points, held in a read-only copy of its own."""
 
     points: NDArray[np.float64]
-    # The k-NN graphs built on these points; read and written only by
-    # neighborhood.build_graph, which keys them by metric, k and k_base.
-    _graphs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # What is computed from these points and kept for later calls: k-NN
+    # graphs (neighborhood.build_graph), their eigen features and point-ICP
+    # start poses (registration), each keyed by what it was computed from.
+    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = _as_points(self.points)

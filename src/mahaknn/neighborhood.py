@@ -30,7 +30,14 @@ as [q, 1] times the points as [-2 p; p^2], which leaves p^2 - 2 q.p in one
 (rows, m) buffer; q^2 is added to each row's picked value after the argmin.
 Rows per block are fixed by `_BLOCK_ENTRIES` (n per row in `knn`'s brute
 force, max(m, d+1) in `nearest`), because the rounding of `nearest`'s matrix
-product depends on its row count. Its tie rule covers computed values only:
+product depends on its row count. A one-row block runs as two copies of its
+row: a one-row product goes through gemv, which rounds apart from gemm. So a
+query's result does not depend on which other queries share its call, as far
+as the BLAS rounds a row of a product alike at every row count. With
+OpenBLAS 0.3.31 on AVX-512 that held in every 3-d and 6-d case tested, while
+some 64-d products rounded a row by the product's size and the row's place
+in it, so there only the ranking of random points is independent of the
+other queries. Its tie rule covers computed values only:
 p^2 - 2 q.p can round bitwise-identical target rows apart, so a higher-index
 copy can win by an ulp (64-d points, 500 rows each stored three times, 2500
 random queries: 7 matched a higher copy with one BLAS thread, 5 with two);
@@ -136,9 +143,10 @@ def nearest(
     once per call, leave `p^2 - 2 q.p` in one reused (rows, m) buffer.
     `q^2` is the same along a row, so it is added to each row's picked value
     after the argmin; it is summed before the buffers are allocated. Rows per
-    block are `_BLOCK_ENTRIES // max(m, d+1)`. Ties in the computed value go
-    to the lower index; bitwise-duplicate points can still round apart, so a
-    higher copy can win (see the module docstring).
+    block are `_BLOCK_ENTRIES // max(m, d+1)`, at least one, and a one-row
+    block is multiplied as two copies of its row. Ties in the computed value
+    go to the lower index; bitwise-duplicate points can still round apart,
+    so a higher copy can win (see the module docstring for both).
     """
     if queries.ndim != 2 or points.ndim != 2:
         raise InvalidArgumentError("queries and points must be 2-d arrays")
@@ -156,17 +164,20 @@ def nearest(
     index = np.empty(len(queries), dtype=np.intp)
     dist = np.empty(len(queries))
     blocks = _row_blocks(len(queries), max(m, dim + 1))
-    block_rows = blocks[0].stop if blocks else 0
+    block_rows = max(blocks[0].stop, 2) if blocks else 0
     lifted_q = np.empty((block_rows, dim + 1))
     lifted_q[:, dim] = 1.0
     buf = np.empty((block_rows, m))
+    row_ids = np.arange(block_rows)
     for rows in blocks:
         size = rows.stop - rows.start
-        lifted_q[:size, :dim] = queries[rows]
-        block = buf[:size]
-        np.matmul(lifted_q[:size], lifted_p, out=block)
-        np.argmin(block, axis=1, out=index[rows])
-        dist[rows] = block[np.arange(size), index[rows]]
+        product_rows = max(size, 2)  # one row is broadcast into both
+        lifted_q[:product_rows, :dim] = queries[rows]
+        block = buf[:product_rows]
+        np.matmul(lifted_q[:product_rows], lifted_p, out=block)
+        picked = index[rows]
+        block[:size].argmin(axis=1, out=picked)
+        dist[rows] = block[row_ids[:size], picked]
     dist += q2
     return index, dist
 
@@ -570,6 +581,15 @@ def knn_geodesic(cloud: PointCloud, k_base: int, k: int) -> NeighborGraph:
     return NeighborGraph(_shortest_first_k(n, rows, cols, lengths, k))
 
 
+def graph_key(metric: str, k: int, k_base: int | None = None) -> tuple:
+    """The key under which `build_graph` keeps a cloud's graph: (metric, k,
+    k_base), with k_base (default k) only for geodesic graphs and None for
+    the others, which do not read it."""
+    if metric != METRIC_GEODESIC:
+        return (metric, k, None)
+    return (metric, k, k if k_base is None else k_base)
+
+
 def build_graph(
     cloud: PointCloud,
     metric: str,
@@ -586,24 +606,19 @@ def build_graph(
     other point is at least its Euclidean distance away. That case is not
     shortcut; it runs the full search.
 
-    The graph is kept on the cloud, keyed by (metric, k, k_base) with k_base
-    in the key only for geodesic graphs, and a later call with the same key
-    returns it without a rebuild. A cloud's points are a private read-only
-    copy, so a kept graph cannot go stale. One metric's graph is never
-    served for another, even where the two are equal.
+    The graph is kept on the cloud under `graph_key`, and a later call with
+    the same key returns it without a rebuild. A cloud's points are a
+    private read-only copy, so a kept graph cannot go stale. One metric's
+    graph is never served for another, even where the two are equal.
     """
-    if metric != METRIC_GEODESIC:
-        k_base = None
-    elif k_base is None:
-        k_base = k
-    key = (metric, k, k_base)
-    graph = cloud._graphs.get(key)
+    key = graph_key(metric, k, k_base)
+    graph = cloud._kept.get(key)
     if graph is None:
         if metric == METRIC_GEODESIC:
-            graph = knn_geodesic(cloud, k_base, k)
+            graph = knn_geodesic(cloud, key[2], k)
         elif metric == METRIC_MAHALANOBIS:
             graph = knn(cloud, k, METRIC_MAHALANOBIS, estimate_covariance(cloud))
         else:
             graph = knn(cloud, k, metric)
-        cloud._graphs[key] = graph
+        cloud._kept[key] = graph
     return graph

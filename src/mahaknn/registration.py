@@ -10,9 +10,9 @@ the configured metric and k_base: the target never moves, and every metric's
 graph is invariant under rigid motion of the source. `build_graph` keeps each
 graph on its cloud, so a graph is built once per cloud, not per registration:
 pipelines handed the same cloud objects, as the harness does within a trial,
-share it. The eigen
-decomposition also runs once per cloud: each iteration only turns the
-source's cached normals by the cumulative rotation and orients them again,
+share it. Eigen features are kept on the cloud under their graph's key, so
+the eigen decomposition also runs once per cloud: each iteration only turns
+the source's normals by the cumulative rotation and orients them again,
 since the eigenvalue ratios are rotation-invariant. Edge-conv features of the
 moved source are recomputed on each iteration, in the factored form
 relu(P_i + max_j Q_j): two products of the (n, 3) points with a (3, 64)
@@ -21,7 +21,11 @@ weight block and a running max over the k neighbor columns.
 Point-ICP's graphs serve only its start pose: a one-shot match of their
 rotation-invariant eigen components (k >= 3), kept when it leaves a smaller
 trimmed nearest-point residual than identity does. The first iteration
-reuses the match that scored the chosen start.
+reuses the match that scored the chosen start. The start is kept on the
+target with the source object it was computed for, so the pipelines of a
+trial that differ only in `mutual`, `max_iters` or `convergence_tol`
+compute it once. The mutual filter's backward pass ranks only the distinct
+targets that a pair points at.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from .geometry import (
     kabsch,
     rotation_angle_rad,
 )
-from .neighborhood import METRIC_EUCLIDEAN, METRICS, build_graph, nearest
+from .neighborhood import METRIC_EUCLIDEAN, METRICS, build_graph, graph_key, nearest
 
 DESCRIPTOR_EDGECONV = "edgeconv"
 DESCRIPTOR_EIGEN = "eigen"
@@ -160,26 +164,56 @@ def _coarse_alignment(
     return identity_motion(), source, identity_corr
 
 
+def _eigen(cloud: PointCloud, cfg: RegistrationConfig) -> DescriptorSet:
+    """Eigen features of a cloud on cfg's graph, computed once per cloud and
+    kept on it under the graph's key."""
+    key = ("eigen", graph_key(cfg.metric, cfg.k, cfg.k_base))
+    features = cloud._kept.get(key)
+    if features is None:
+        graph = build_graph(cloud, cfg.metric, cfg.k, k_base=cfg.k_base)
+        features = cloud._kept[key] = eigen_features(cloud, graph)
+    return features
+
+
+def _start_pose(source: PointCloud, target: PointCloud, cfg: RegistrationConfig):
+    """Point-ICP's start from `_coarse_alignment`, computed once per pair.
+
+    It is kept on the target with the source object it was computed for,
+    keyed by cfg's graph key and trim_fraction: the only fields it reads.
+    One start is kept per key, and a call with another source replaces it.
+    The target holds it because an identity start places the source itself:
+    kept on the source, it would make the source refer to itself, a cycle
+    that outlives the last reference to the pair until the garbage
+    collector runs.
+    """
+    key = ("start", graph_key(cfg.metric, cfg.k, cfg.k_base), cfg.trim_fraction)
+    kept = target._kept.get(key)
+    if kept is None or kept[0] is not source:
+        start = _coarse_alignment(
+            source, target, _eigen(source, cfg), _eigen(target, cfg), cfg.trim_fraction
+        )
+        kept = target._kept[key] = (source, start)
+    return kept[1]
+
+
 def _setup(source: PointCloud, target: PointCloud, cfg: RegistrationConfig):
     """The target features, a function giving the source features at a pose
     (moved cloud, cumulative rotation) and the start (motion, source placed
     there, the match that scored it or None), picked once per pipeline. The
-    loop holds only these; the graphs stay kept on the two clouds."""
+    loop holds only these; graphs, eigen features and start poses stay kept
+    on the clouds."""
     start = (identity_motion(), source, None)
-    if cfg.descriptor != DESCRIPTOR_NONE or cfg.k >= 3:
+    if cfg.descriptor == DESCRIPTOR_EDGECONV:
         src_graph = build_graph(source, cfg.metric, cfg.k, k_base=cfg.k_base)
         tgt_graph = build_graph(target, cfg.metric, cfg.k, k_base=cfg.k_base)
-    if cfg.descriptor == DESCRIPTOR_EDGECONV:
         tgt_desc = edgeconv_features(target, tgt_graph)
         return tgt_desc, lambda moved, rotation: edgeconv_features(moved, src_graph), start
     if cfg.descriptor == DESCRIPTOR_EIGEN:
-        tgt_desc = eigen_features(target, tgt_graph)
-        src_eigen = eigen_features(source, src_graph)
+        tgt_desc = _eigen(target, cfg)
+        src_eigen = _eigen(source, cfg)
         return tgt_desc, lambda moved, rotation: pose_eigen_features(src_eigen, rotation), start
     if cfg.k >= 3:
-        tgt_eigen = eigen_features(target, tgt_graph)
-        src_eigen = eigen_features(source, src_graph)
-        start = _coarse_alignment(source, target, src_eigen, tgt_eigen, cfg.trim_fraction)
+        start = _start_pose(source, target, cfg)
     return DescriptorSet(target.points), lambda moved, rotation: DescriptorSet(moved.points), start
 
 
@@ -236,9 +270,16 @@ def _check_range(name: str, cloud: PointCloud) -> None:
 def _mutual_filter(
     src_desc: DescriptorSet, tgt_desc: DescriptorSet, corr: CorrespondenceSet
 ) -> CorrespondenceSet:
-    """Keep only pairs where the target's nearest source is the pairing source."""
-    back, _ = nearest(tgt_desc.vectors, src_desc.vectors)
-    keep = back[corr.target_indices] == corr.source_indices
+    """Keep only pairs where the target's nearest source is the pairing source.
+
+    Only the distinct paired targets are ranked. `nearest` ranks a query the
+    same whichever other queries share its call (see the `neighborhood`
+    module docstring for where this is bitwise), so this equals ranking
+    every target.
+    """
+    paired, where = np.unique(corr.target_indices, return_inverse=True)
+    back, _ = nearest(tgt_desc.vectors[paired], src_desc.vectors)
+    keep = back[where] == corr.source_indices
     if not keep.any():
         raise NoCorrespondenceError("mutual filtering removed every correspondence")
     return CorrespondenceSet(corr.source_indices[keep], corr.target_indices[keep])

@@ -132,6 +132,25 @@ def test_none_is_identity():
     np.testing.assert_array_equal(ct.points, t.points)
 
 
+@pytest.mark.parametrize("text,source_kept,target_kept", [
+    ("none", True, True),
+    ("gaussian", False, False),
+    ("gaussian:applied_to=source", False, True),
+    ("bernoulli:applied_to=target", True, False),
+    ("subsample:count=20,applied_to=source", False, True),
+    ("subsample:count=20,applied_to=target", True, False),
+    ("sampling", False, False),
+    ("zero_intersection", False, False),
+])
+def test_untouched_side_is_the_input_object(text, source_kept, target_kept):
+    # What is kept on an input cloud (graphs, eigen features) then serves
+    # every pair the harness corrupts from it.
+    s, t = pair(40, seed=21)
+    cs, ct = corrupt(s, t, NoiseSpec.parse(text), np.random.default_rng(22))
+    assert (cs is s) == source_kept
+    assert (ct is t) == target_kept
+
+
 def test_deterministic_for_fixed_seed():
     s, t = pair(300, seed=19)
     for spec in (NoiseSpec("gaussian"), NoiseSpec("bernoulli"),

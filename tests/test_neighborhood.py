@@ -78,11 +78,18 @@ def blocked_products(queries, points):
     """The lifted product of each of the engine's row blocks, with temporaries.
 
     A matrix product's rounding can depend on how many rows it has, so this
-    uses the engine's own row blocks rather than one all-rows product.
+    uses the engine's own row blocks rather than one all-rows product. A
+    one-row block is multiplied as two copies of its row, as the engine does.
     """
     lifted_q, lifted_p = lift(queries, points)
     blocks = neighborhood._row_blocks(len(queries), max(len(points), points.shape[1] + 1))
-    return np.vstack([np.empty((0, len(points)))] + [lifted_q[rows] @ lifted_p for rows in blocks])
+    products = [np.empty((0, len(points)))]
+    for rows in blocks:
+        block = lifted_q[rows]
+        if len(block) == 1:
+            block = np.vstack([block, block])
+        products.append((block @ lifted_p)[: rows.stop - rows.start])
+    return np.vstack(products)
 
 
 def blocked_nearest(queries, points):
@@ -305,6 +312,44 @@ class TestNearestAccuracy:
         )
         assert np.all(picked - true.min(axis=1) <= tol)
         assert np.all(np.abs(dist - picked) <= tol)
+
+
+@st.composite
+def row_subsets(draw):
+    """Queries, points and a random subset of query rows: a single row, or
+    each row with a drawn probability."""
+    dim = draw(st.sampled_from([3, 6, 64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-2.0, 2.0))
+    points = rng.normal(size=(draw(st.integers(1, 300)), dim)) * scale
+    queries = rng.normal(size=(draw(st.integers(1, 200)), dim)) * scale
+    if draw(st.booleans()):
+        subset = rng.integers(len(queries), size=1)
+    else:
+        subset = np.flatnonzero(rng.random(len(queries)) < draw(st.floats(0.0, 1.0)))
+    return queries, points, subset
+
+
+class TestNearestRowSubsets:
+    """A query's result does not depend on which other queries share its call."""
+
+    # From one row per block, where every block runs as two, to the default
+    # budget; single-row subsets and remainders make one-row blocks at each.
+    @pytest.mark.parametrize("block_entries", [1, 23 * 16, 1 << 12, 1 << 16])
+    @settings(max_examples=100, deadline=None)
+    @given(clouds=row_subsets())
+    def test_subset_of_rows_equals_rows_of_the_full_call(self, block_entries, clouds):
+        queries, points, subset = clouds
+        with mock.patch.object(neighborhood, "_BLOCK_ENTRIES", block_entries):
+            index, dist = nearest(queries, points)
+            sub_index, sub_dist = nearest(queries[subset], points)
+        np.testing.assert_array_equal(sub_index, index[subset])
+        if queries.shape[1] < 64:
+            assert sub_dist.tobytes() == dist[subset].tobytes()
+        else:
+            # At d = 64 the BLAS can round a product row by the product's size
+            # and the row's place in it, so only the ranking is checked.
+            np.testing.assert_allclose(sub_dist, dist[subset], rtol=1e-12, atol=0)
 
 
 @st.composite

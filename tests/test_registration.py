@@ -1,7 +1,9 @@
 import dataclasses
 import functools
+import gc
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from mahaknn.descriptors import (
 )
 from mahaknn.errors import InvalidArgumentError, MahaknnError, SingularCovarianceError
 from mahaknn.geometry import (
+    CorrespondenceSet,
     PointCloud,
     RigidMotion,
     apply,
@@ -127,6 +130,55 @@ class TestMatchingParity:
         keep, nearest = dense_match(src, tgt, 0.2)
         np.testing.assert_array_equal(corr.source_indices, keep)
         np.testing.assert_array_equal(corr.target_indices, nearest)
+
+    @staticmethod
+    def _check_mutual(src, tgt, source_indices, target_indices):
+        corr = CorrespondenceSet(source_indices, target_indices)
+        want_src, want_tgt = dense_mutual(src, tgt, corr.source_indices, corr.target_indices)
+        try:
+            got = registration._mutual_filter(feats(src), feats(tgt), corr)
+        except MahaknnError:
+            assert len(want_src) == 0
+            return
+        np.testing.assert_array_equal(got.source_indices, want_src)
+        np.testing.assert_array_equal(got.target_indices, want_tgt)
+
+    @pytest.mark.parametrize("kind", ["random", "grid"])
+    def test_mutual_with_many_sources_on_one_target(self, monkeypatch, kind):
+        src, tgt = descriptor_pair(kind, 200, 150, seed=3)
+        ranked = []
+
+        def recording(queries, points):
+            ranked.append(len(queries))
+            return neighborhood.nearest(queries, points)
+
+        monkeypatch.setattr(registration, "nearest", recording)
+        sources = np.arange(len(src))
+        self._check_mutual(src, tgt, sources, np.full(len(src), 17))
+        self._check_mutual(src, tgt, sources, np.where(sources % 3 == 0, 17, 42))
+        # The backward pass ranks the distinct paired targets only.
+        assert ranked == [1, 2]
+
+    @pytest.mark.parametrize("kind", ["random", "grid"])
+    def test_mutual_with_a_single_pair(self, kind):
+        src, tgt = descriptor_pair(kind, 50, 40, seed=4)
+        target = 7
+        nearest_source = int(np.argmin(np.sum((src - tgt[target]) ** 2, axis=1)))
+        # A pair the filter keeps, then one it drops (every pair dropped raises).
+        self._check_mutual(src, tgt, [nearest_source], [target])
+        self._check_mutual(src, tgt, [(nearest_source + 1) % len(src)], [target])
+
+    @pytest.mark.parametrize("kind", ["random", "wide", "grid", "duplicated"])
+    def test_mutual_with_a_one_row_remainder_block(self, monkeypatch, kind):
+        # 30 sources give 4 rows per block; 9 distinct paired targets leave
+        # blocks of 4, 4 and 1 rows.
+        monkeypatch.setattr(neighborhood, "_BLOCK_ENTRIES", 30 * 4)
+        src, tgt = descriptor_pair(kind, 30, 25, seed=5)
+        rng = np.random.default_rng(5)
+        paired = rng.choice(len(tgt), size=9, replace=False)
+        targets = paired[rng.integers(0, 9, size=len(src))]
+        targets[:9] = paired
+        self._check_mutual(src, tgt, np.arange(len(src)), targets)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(7)
@@ -570,7 +622,9 @@ class TestGraphReuse:
         harness.run_scenario(harness.Scenario(
             name="memo", input="shape:sphere-cap:120:0", trials=2, pipelines=pipelines,
         ))
-        assert per_register == [2, 0, 2, 0]
+        # The default noise leaves the source untouched, so corrupt returns the
+        # input cloud itself and its graph serves the second trial too.
+        assert per_register == [2, 0, 1, 0]
 
     @pytest.mark.parametrize("write", ["view", "flag"])
     def test_writes_to_the_callers_array_reach_neither_cloud_nor_graph(self, write):
@@ -593,6 +647,121 @@ class TestGraphReuse:
         assert build_graph(cloud, "euclidean", 8) is graph
         fresh = build_graph(PointCloud(original), "euclidean", 8)
         np.testing.assert_array_equal(graph.neighbors, fresh.neighbors)
+
+
+class TestStartPoseReuse:
+    """Point-ICP's start pose is computed once per (source, target) pair."""
+
+    @staticmethod
+    def _count_starts(monkeypatch):
+        calls = []
+        coarse_alignment = registration._coarse_alignment
+
+        def counting(source, target, *args):
+            calls.append(1)
+            return coarse_alignment(source, target, *args)
+
+        monkeypatch.setattr(registration, "_coarse_alignment", counting)
+        return calls
+
+    @staticmethod
+    def _outcome(res):
+        return (
+            res.motion.rotation.tobytes(),
+            res.motion.translation.tobytes(),
+            res.per_iteration_residuals,
+        )
+
+    def test_one_harness_trial_of_point_icp_decomposes_each_cloud_once(self, monkeypatch):
+        # The point-icp benchmark workload, one trial: point-ICP, then point-ICP
+        # with the mutual filter, on one corrupted pair.
+        eigen_calls = []
+
+        def counting(cloud, graph):
+            eigen_calls.append(len(cloud))
+            return eigen_features(cloud, graph)
+
+        monkeypatch.setattr(registration, "eigen_features", counting)
+        starts = self._count_starts(monkeypatch)
+        scenario = harness.Scenario(
+            name="point-icp", input="shape:sphere-cap:3072:0",
+            noise=NoiseSpec.parse("bernoulli:keep_prob=0.7"), trials=1,
+            pipelines=(
+                ("point-icp", RegistrationConfig(convergence_tol=0.0)),
+                ("point-icp-mutual", RegistrationConfig(convergence_tol=0.0, mutual=True)),
+            ),
+        )
+        report = harness.run_scenario(scenario)
+        assert all(cell["failures"] == 0 for cell in report.cells.values())
+        assert len(eigen_calls) == 2 and len(set(eigen_calls)) == 2
+        assert len(starts) == 1
+
+    def test_loop_settings_share_the_start(self, monkeypatch):
+        source, target = TestGraphReuse._pair(19)
+        base = RegistrationConfig(max_iters=6, convergence_tol=0.0)
+        # Oracle: each configuration on fresh copies of the clouds.
+        configs = [
+            base,
+            dataclasses.replace(base, mutual=True),
+            dataclasses.replace(base, max_iters=2),
+            dataclasses.replace(base, convergence_tol=1e-2),
+            # Non-geodesic graphs do not read k_base, so neither does their start.
+            dataclasses.replace(base, k_base=7),
+        ]
+        fresh = [
+            self._outcome(register(PointCloud(source.points), PointCloud(target.points), cfg))
+            for cfg in configs
+        ]
+        starts = self._count_starts(monkeypatch)
+        shared = [self._outcome(register(source, target, cfg)) for cfg in configs]
+        assert len(starts) == 1
+        assert shared == fresh
+
+    @pytest.mark.parametrize("change", [
+        {"metric": "mahalanobis"},
+        {"k": 8},
+        {"trim_fraction": 0.2},
+        {"metric": "geodesic", "k_base": 7},
+    ])
+    def test_start_is_not_served_for_other_graphs_or_trimming(self, monkeypatch, change):
+        source, target = TestGraphReuse._pair(20)
+        base = RegistrationConfig(
+            metric="geodesic" if "k_base" in change else "euclidean", k=10, k_base=6
+        )
+        starts = self._count_starts(monkeypatch)
+        register(source, target, base)
+        register(source, target, dataclasses.replace(base, **change))
+        assert len(starts) == 2
+
+    def test_start_is_not_served_for_another_pair(self, monkeypatch):
+        source, target = TestGraphReuse._pair(21)
+        cfg = RegistrationConfig(max_iters=4)
+        starts = self._count_starts(monkeypatch)
+        first = self._outcome(register(source, target, cfg))
+        # Equal points in other objects: computed again, to the same result.
+        assert self._outcome(register(source, PointCloud(target.points), cfg)) == first
+        assert len(starts) == 2
+        assert self._outcome(register(PointCloud(source.points), target, cfg)) == first
+        assert len(starts) == 3
+        # One start is kept per key, so the first source's was replaced.
+        assert self._outcome(register(source, target, cfg)) == first
+        assert len(starts) == 4
+        register(source, target, cfg)
+        assert len(starts) == 4
+
+    # Trial 0 starts from identity, where the placed source is the source
+    # itself, and trial 1 from the coarse pose.
+    @pytest.mark.parametrize("trial", [0, 1])
+    def test_kept_start_leaves_no_reference_cycle(self, trial):
+        source, target = TestRegister._bernoulli_trial(trial)
+        register(source, target, RegistrationConfig(max_iters=2))
+        refs = [weakref.ref(source), weakref.ref(target)]
+        gc.disable()
+        try:
+            del source, target
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
 
 class TestCoordinateRange:
