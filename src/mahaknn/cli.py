@@ -45,10 +45,6 @@ _NUMERICAL_ERRORS = (
 )
 
 
-# Earlier spellings of `register` flags, kept beside the derived ones.
-_REGISTER_ALIASES = {"trim_fraction": ("--trim",)}
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -75,10 +71,10 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("register", help="register a source cloud onto a target")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
+    # One flag per config field; like every flag, it takes any unique prefix (--trim).
     for f in fields(RegistrationConfig):
-        flags = ("--" + f.name.replace("_", "-"),) + _REGISTER_ALIASES.get(f.name, ())
-        p.add_argument(*flags, dest=f.name, type=PIPELINE_FIELDS[f.name], default=f.default,
-                       help="default: %(default)s")
+        p.add_argument("--" + f.name.replace("_", "-"), type=PIPELINE_FIELDS[f.name],
+                       default=f.default, help="default: %(default)s")
     p.add_argument("--report", required=True, help="output JSON report path")
     p.add_argument("--aligned", default=None,
                    help="aligned source cloud output (default: <report stem>_aligned.xyz)")

@@ -1,4 +1,5 @@
-"""Rigid-motion algebra and the closed-form SVD alignment solver.
+"""Rigid-motion algebra, the closed-form SVD alignment solver and the
+coordinate range within which clouds are ranked and solved.
 
 All rotations are 3x3 proper orthogonal matrices; Euler angles use the
 intrinsic Z*Y*X convention throughout (Rz @ Ry @ Rx), fixed so that
@@ -16,8 +17,15 @@ from .errors import InvalidArgumentError, RankDeficiencyError
 
 _ORTHO_TOL = 1e-9
 # Second singular value of the cross-covariance below this (relative to the
-# largest) means the weighted source points are essentially collinear.
+# largest) means the paired source points are essentially collinear.
 _RANK_TOL = 1e-12
+
+# Coordinate range of the clouds that `check_range` accepts. Squared
+# distances and covariances of larger coordinates overflow float64, and those
+# of a smaller nonzero extent fall below its normal range, where neither can
+# be ranked or solved.
+MAX_ABS_COORDINATE = 1e150
+MIN_EXTENT = 1e-150
 
 
 def _as_points(points) -> NDArray[np.float64]:
@@ -51,6 +59,28 @@ class PointCloud:
         return len(self.points)
 
 
+def check_range(name: str, cloud: PointCloud) -> None:
+    """Reject coordinates outside the range in which distances stay normal floats.
+
+    Called where raw coordinates are first ranked or solved: `register` and
+    `neighborhood.knn`. It is not a `PointCloud` invariant, since motions
+    applied along the way may place a cloud just past the limit. A cloud at a
+    single position (extent 0) passes: it is degenerate geometry, which the
+    graph, covariance and solver steps classify.
+    """
+    largest = float(np.max(np.abs(cloud.points)))
+    if largest > MAX_ABS_COORDINATE:
+        raise InvalidArgumentError(
+            f"{name} has a coordinate of magnitude {largest:.3g}, "
+            f"above the limit {MAX_ABS_COORDINATE:g}"
+        )
+    extent = float(np.max(np.ptp(cloud.points, axis=0)))
+    if 0.0 < extent < MIN_EXTENT:
+        raise InvalidArgumentError(
+            f"{name} has a bounding-box extent of {extent:.3g}, below the limit {MIN_EXTENT:g}"
+        )
+
+
 @dataclass(frozen=True)
 class RigidMotion:
     """Element of SE(3): proper rotation plus translation."""
@@ -77,32 +107,20 @@ class RigidMotion:
 
 @dataclass(frozen=True)
 class CorrespondenceSet:
-    """Weighted index pairs between a source and a target cloud."""
+    """Index pairs between a source and a target cloud; `kabsch` weighs every pair alike."""
 
     source_indices: NDArray[np.intp]
     target_indices: NDArray[np.intp]
-    weights: NDArray[np.float64] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         si = np.asarray(self.source_indices, dtype=np.intp).reshape(-1)
         ti = np.asarray(self.target_indices, dtype=np.intp).reshape(-1)
         if len(si) != len(ti):
             raise InvalidArgumentError("index arrays differ in length")
-        if self.weights is None:
-            w = np.ones(len(si), dtype=np.float64)
-        else:
-            w = np.asarray(self.weights, dtype=np.float64).reshape(-1)
-        if len(w) != len(si):
-            raise InvalidArgumentError("weights length mismatch")
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise InvalidArgumentError("weights must be finite and non-negative")
-        if w.sum() <= 0:
-            raise InvalidArgumentError("weights must sum to a positive value")
-        for a in (si, ti, w):
-            a.setflags(write=False)
+        si.setflags(write=False)
+        ti.setflags(write=False)
         object.__setattr__(self, "source_indices", si)
         object.__setattr__(self, "target_indices", ti)
-        object.__setattr__(self, "weights", w)
 
     def __len__(self) -> int:
         return len(self.source_indices)
@@ -192,29 +210,30 @@ def rotation_angle_rad(rotation: NDArray[np.float64]) -> float:
 
 
 def kabsch(source: PointCloud, target: PointCloud, corr: CorrespondenceSet) -> RigidMotion:
-    """Closed-form weighted least-squares motion mapping source onto target.
+    """Closed-form least-squares motion mapping source onto target.
 
-    Minimizes sum_s w_s * ||t_s - (R @ s_s + t)||^2 over SO(3) x R^3 via SVD of
-    the weighted cross-covariance, with the determinant sign corrected so the
-    result is always a proper rotation. Fewer than 3 pairs cannot fix a
-    rotation, so they raise RankDeficiencyError like collinear pairs do.
+    Minimizes sum_s ||t_s - (R @ s_s + t)||^2 over SO(3) x R^3 via SVD of
+    the cross-covariance of the centred pairs, with the determinant sign
+    corrected so the result is always a proper rotation. Fewer than 3 pairs
+    cannot fix a rotation, so they raise RankDeficiencyError like collinear
+    pairs do.
     """
-    si, ti, w = corr.source_indices, corr.target_indices, corr.weights
-    if len(corr) < 3:
-        raise RankDeficiencyError(f"at least 3 correspondences are required, got {len(corr)}")
+    si, ti = corr.source_indices, corr.target_indices
+    n = len(corr)
+    if n < 3:
+        raise RankDeficiencyError(f"at least 3 correspondences are required, got {n}")
     if si.min() < 0 or si.max() >= len(source) or ti.min() < 0 or ti.max() >= len(target):
         raise InvalidArgumentError("correspondence indices out of range")
     src = source.points[si]
     tgt = target.points[ti]
-    wsum = w.sum()
-    src_c = (w @ src) / wsum
-    tgt_c = (w @ tgt) / wsum
-    s_tilde = src - src_c
-    t_tilde = tgt - tgt_c
-    h = (w[:, None] * s_tilde).T @ t_tilde  # maximizes tr(R @ h)
+    # Centroids summed as a product with ones, the order report bytes depend on.
+    ones = np.ones(n)
+    src_c = (ones @ src) / n
+    tgt_c = (ones @ tgt) / n
+    h = (src - src_c).T @ (tgt - tgt_c)  # maximizes tr(R @ h)
     u, sig, vt = np.linalg.svd(h)
     if sig[1] < _RANK_TOL * max(sig[0], np.finfo(float).tiny):
-        raise RankDeficiencyError("weighted source points are (nearly) collinear")
+        raise RankDeficiencyError("source points are (nearly) collinear")
     d = np.sign(np.linalg.det(vt.T @ u.T))
     rot = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
     # Re-orthonormalize to keep the SO(3) invariants tight under roundoff.

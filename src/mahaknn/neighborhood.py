@@ -4,10 +4,12 @@ Every neighbour query in the toolkit runs on one exact engine in this module.
 Every ranking is deterministic and sends ties in the computed distances to
 the lower index, as a full stable sort of the all-pairs matrix would.
 
-`knn` ranks 3-d coordinates, Euclidean or whitened. From `_GRID_MIN_POINTS`
-points up it buckets them into a uniform cell grid sized for about
-`_CELL_OCCUPANCY` points per occupied cell, with the occupancy exponent
-measured from the counts of occupied cells at two cell sizes. A point's
+`knn` ranks 3-d coordinates, Euclidean or whitened, of a cloud within the
+coordinate range of `geometry.check_range`, outside which squared distances
+overflow or leave float64's normal range. From `_GRID_MIN_POINTS` points up
+it buckets them into a uniform cell grid sized for about `_CELL_OCCUPANCY`
+points per occupied cell, with the occupancy exponent measured from the
+counts of occupied cells at two cell sizes. A point's
 candidates are the points of its 3x3x3 block of cells, sorted by index and
 ranked by `_first_k`. Cell keys order the cells by (x, y, z), z fastest, so
 each block is nine runs of consecutive keys, found in the key-sorted points
@@ -66,7 +68,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InvalidArgumentError
-from .geometry import PointCloud
+from .geometry import PointCloud, check_range
 from .statistics import CovarianceModel, estimate_covariance
 
 METRIC_EUCLIDEAN = "euclidean"
@@ -146,7 +148,9 @@ def nearest(
     block are `_BLOCK_ENTRIES // max(m, d+1)`, at least one, and a one-row
     block is multiplied as two copies of its row. Ties in the computed value
     go to the lower index; bitwise-duplicate points can still round apart,
-    so a higher copy can win (see the module docstring for both).
+    so a higher copy can win (see the module docstring for both). An empty
+    point set and mismatched dimensions raise InvalidArgumentError; zero
+    queries give two empty arrays.
     """
     if queries.ndim != 2 or points.ndim != 2:
         raise InvalidArgumentError("queries and points must be 2-d arrays")
@@ -312,7 +316,7 @@ def _grid(coords: NDArray[np.float64]):
     """
     lo = coords.min(axis=0)
     extent = float(np.max(coords.max(axis=0) - lo))
-    if not 0.0 < extent < math.inf:
+    if extent == 0.0:
         return None
     unit = (coords - lo) / extent
     cell = (unit / _cell_edge(unit)).astype(np.intp) + 2
@@ -419,17 +423,20 @@ def knn(
 ) -> NeighborGraph:
     """Exact k nearest neighbors of every point under the chosen metric.
 
-    Euclidean and whitened coordinates are both 3-d. From `_GRID_MIN_POINTS`
-    points up, a uniform cell grid ranks each point's 3x3x3 block of cells
-    and keeps the rows whose k-th distance is provably below the distance to
-    the block's faces (`_grid_rows`); every other row, and every row of a
-    smaller cloud, is ranked against all points by the blocked brute force.
+    A cloud outside `geometry.check_range`'s coordinate range raises
+    InvalidArgumentError naming the limit. Euclidean and whitened
+    coordinates are both 3-d. From `_GRID_MIN_POINTS` points up, a uniform
+    cell grid ranks each point's 3x3x3 block of cells and keeps the rows
+    whose k-th distance is provably below the distance to the block's faces
+    (`_grid_rows`); every other row, and every row of a smaller cloud, is
+    ranked against all points by the blocked brute force.
     Both compute the same difference-form distances and rank them with
     `_first_k`, so the neighbour arrays are the same either way.
     """
     n = len(cloud)
     if not 1 <= k < n:
         raise InvalidArgumentError(f"k must satisfy 1 <= k < {n}, got {k}")
+    check_range("cloud", cloud)
     pts = cloud.points
     if metric == METRIC_EUCLIDEAN:
         coords = pts
@@ -617,6 +624,8 @@ def build_graph(
         if metric == METRIC_GEODESIC:
             graph = knn_geodesic(cloud, key[2], k)
         elif metric == METRIC_MAHALANOBIS:
+            # knn's range check, made before the covariance, which overflows first.
+            check_range("cloud", cloud)
             graph = knn(cloud, k, METRIC_MAHALANOBIS, estimate_covariance(cloud))
         else:
             graph = knn(cloud, k, metric)

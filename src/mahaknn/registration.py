@@ -10,13 +10,15 @@ the configured metric and k_base: the target never moves, and every metric's
 graph is invariant under rigid motion of the source. `build_graph` keeps each
 graph on its cloud, so a graph is built once per cloud, not per registration:
 pipelines handed the same cloud objects, as the harness does within a trial,
-share it. Eigen features are kept on the cloud under their graph's key, so
-the eigen decomposition also runs once per cloud: each iteration only turns
-the source's normals by the cumulative rotation and orients them again,
-since the eigenvalue ratios are rotation-invariant. Edge-conv features of the
-moved source are recomputed on each iteration, in the factored form
-relu(P_i + max_j Q_j): two products of the (n, 3) points with a (3, 64)
-weight block and a running max over the k neighbor columns.
+share it, and `corrupt` returns a side it leaves untouched as the input
+object, so that side's graphs serve every trial. Eigen features are kept on
+the cloud under their graph's key, so the eigen decomposition also runs once
+per cloud: each iteration only turns the source's normals by the cumulative
+rotation and orients them again, since the eigenvalue ratios are
+rotation-invariant. Edge-conv features of the moved source are recomputed on
+each iteration, in the factored form relu(P_i + max_j Q_j): two products of
+the (n, 3) points with a (3, 64) weight block and a running max over the k
+neighbor columns.
 
 Point-ICP's graphs serve only its start pose: a one-shot match of their
 rotation-invariant eigen components (k >= 3), kept when it leaves a smaller
@@ -26,6 +28,9 @@ target with the source object it was computed for, so the pipelines of a
 trial that differ only in `mutual`, `max_iters` or `convergence_tol`
 compute it once. The mutual filter's backward pass ranks only the distinct
 targets that a pair points at.
+
+`register` rejects a source or target outside `geometry.check_range`'s
+coordinate range before any work, with InvalidArgumentError naming the limit.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from .geometry import (
     PointCloud,
     RigidMotion,
     apply,
+    check_range,
     compose,
     identity_motion,
     kabsch,
@@ -52,13 +58,6 @@ from .neighborhood import METRIC_EUCLIDEAN, METRICS, build_graph, graph_key, nea
 DESCRIPTOR_EDGECONV = "edgeconv"
 DESCRIPTOR_EIGEN = "eigen"
 DESCRIPTOR_NONE = "none"  # point-ICP on raw coordinates
-
-# Coordinate range that register accepts. Squared distances and covariances
-# of larger coordinates overflow float64, and those of a smaller nonzero
-# extent fall below its normal range, where neither can be ranked or solved.
-MAX_ABS_COORDINATE = 1e150
-MIN_EXTENT = 1e-150
-
 
 @dataclass(frozen=True)
 class RegistrationConfig:
@@ -106,7 +105,7 @@ def match_descriptors(
 
     Each source point pairs with its closest target descriptor (ties to the
     lower index); the trim_fraction of pairs with the largest feature distance
-    is dropped, weights are 1.
+    is dropped.
     """
     src = source_desc.vectors
     tgt = target_desc.vectors
@@ -224,7 +223,7 @@ def register(
     if len(source) < cfg.k + 1 or len(target) < cfg.k + 1:
         raise InvalidArgumentError("clouds must contain at least k + 1 points")
     for name, cloud in (("source", source), ("target", target)):
-        _check_range(name, cloud)
+        check_range(name, cloud)
     tgt_desc, describe, (cumulative, current, start_corr) = _setup(source, target, cfg)
     residuals: list[float] = []
     corr = None
@@ -246,25 +245,6 @@ def register(
             break
     assert corr is not None
     return RegistrationResult(cumulative, iterations, tuple(residuals), corr)
-
-
-def _check_range(name: str, cloud: PointCloud) -> None:
-    """Reject coordinates outside the range in which distances stay normal floats.
-
-    A cloud at a single position (extent 0) passes: it is degenerate geometry,
-    which the graph, covariance and solver steps classify.
-    """
-    largest = float(np.max(np.abs(cloud.points)))
-    if largest > MAX_ABS_COORDINATE:
-        raise InvalidArgumentError(
-            f"{name} has a coordinate of magnitude {largest:.3g}, "
-            f"above the limit {MAX_ABS_COORDINATE:g}"
-        )
-    extent = float(np.max(np.ptp(cloud.points, axis=0)))
-    if 0.0 < extent < MIN_EXTENT:
-        raise InvalidArgumentError(
-            f"{name} has a bounding-box extent of {extent:.3g}, below the limit {MIN_EXTENT:g}"
-        )
 
 
 def _mutual_filter(

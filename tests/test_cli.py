@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import struct
@@ -191,6 +192,20 @@ class TestCli:
         for f in fields(RegistrationConfig):
             assert getattr(defaults, f.name) == f.default
 
+    def test_register_flags_have_one_spelling(self):
+        subcommands = next(
+            action for action in cli._build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        spellings = [
+            action.option_strings for action in subcommands.choices["register"]._actions
+            if not isinstance(action, argparse._HelpAction)
+        ]
+        assert all(len(flags) == 1 for flags in spellings)
+        want = ["--source", "--target", "--report", "--aligned"]
+        want += ["--" + f.name.replace("_", "-") for f in fields(RegistrationConfig)]
+        assert sorted(flags[0] for flags in spellings) == sorted(want)
+
     def test_register_rejects_bad_values(self, tmp_path):
         base = ["register", "--source", "s", "--target", "t", "--report", str(tmp_path / "r")]
         assert main(base + ["--mutual", "on"]) == EXIT_USAGE
@@ -317,16 +332,29 @@ class TestCli:
         doc = json.loads((out / "report.json").read_text())
         assert doc["cells"]["icp"]["success_rate"] == 1.0
 
+    # Every subcommand that ranks a cloud's coordinates, with {cloud} and {out} to fill in.
+    RANKING_COMMANDS = {
+        "register": ["register", "--source", "{cloud}", "--target", "{cloud}", "--report", "{out}"],
+        "knn-compare": ["knn-compare", "--in", "{cloud}", "--out", "{out}"],
+    }
+    RANKING_COMMANDS.update({
+        f"cluster-{metric}": ["cluster", "--in", "{cloud}", "--metric", metric, "--K", "3",
+                              "--out", "{out}"]
+        for metric in METRICS
+    })
+
+    @pytest.mark.parametrize("command", sorted(RANKING_COMMANDS))
     @pytest.mark.parametrize(
         "scale,limit", [(1e160, "above the limit 1e+150"), (1e-160, "below the limit 1e-150")]
     )
-    def test_coordinate_range_is_usage_error(self, tmp_path, capsys, scale, limit):
+    def test_coordinate_range_is_usage_error(self, tmp_path, capsys, command, scale, limit):
         cloud = tmp_path / "scaled.xyz"
+        out = tmp_path / "out"
         save_cloud(PointCloud(SHAPES["sphere-cap"](80, 0).points * scale), cloud)
-        assert main(["register", "--source", str(cloud), "--target", str(cloud),
-                     "--report", str(tmp_path / "r.json")]) == EXIT_USAGE
+        argv = [arg.format(cloud=cloud, out=out) for arg in self.RANKING_COMMANDS[command]]
+        assert main(argv) == EXIT_USAGE
         assert limit in capsys.readouterr().err
-        assert not (tmp_path / "r.json").exists()
+        assert not out.exists()
 
     def test_linalg_error_is_numerical_failure(self, tmp_path, monkeypatch):
         def diverging(source, target, cfg):

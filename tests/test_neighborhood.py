@@ -1,4 +1,5 @@
 import heapq
+import re
 import tracemalloc
 from unittest import mock
 
@@ -8,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from mahaknn import neighborhood
 from mahaknn.errors import InvalidArgumentError
-from mahaknn.geometry import PointCloud, apply, sample_rigid
+from mahaknn.geometry import MAX_ABS_COORDINATE, MIN_EXTENT, PointCloud, apply, sample_rigid
 from mahaknn.neighborhood import (
+    METRICS,
     NeighborGraph,
     build_graph,
     floyd_warshall,
@@ -532,8 +534,15 @@ class TestGridKnn:
         # A small chunk budget splits clouds into several chunks of rows, and
         # leaves some blocks too wide for one chunk.
         entries = data.draw(st.sampled_from([64, 1024, neighborhood._GRID_ENTRIES]))
+        # The drawn scales reach past the coordinate range knn accepts.
+        extent = np.max(np.ptp(coords, axis=0))
+        in_range = np.max(np.abs(coords)) <= MAX_ABS_COORDINATE and not 0 < extent < MIN_EXTENT
         with mock.patch.object(neighborhood, "_GRID_MIN_POINTS", 0), \
                 mock.patch.object(neighborhood, "_GRID_ENTRIES", entries):
+            if not in_range:
+                with pytest.raises(InvalidArgumentError, match="the limit"):
+                    knn(PointCloud(coords), k)
+                return
             got = knn(PointCloud(coords), k).neighbors
         np.testing.assert_array_equal(got, dense_knn(coords, k))
 
@@ -616,13 +625,19 @@ class TestGridKnn:
         assert_knn_is_brute_force(coords, 20)
         assert len(grid_fallback(coords, 20)) < 1100 // 4
 
-    def test_overflowing_distances_fall_back(self):
-        # Squared distances of 1e160-scale points are +inf: no k-th distance
-        # is below a face, so every row falls back.
-        coords = sphere_cap(1100, seed=5).points * 1e160
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            assert len(grid_fallback(coords, 20)) == 1100
-            assert_knn_is_brute_force(coords, 20)
+    @pytest.mark.parametrize(
+        "scale,limit", [(1e160, "above the limit 1e+150"), (1e-160, "below the limit 1e-150")]
+    )
+    def test_overflowing_distances_are_rejected(self, scale, limit):
+        # Squared distances of 1e160-scale points are +inf and those of
+        # 1e-160-scale points subnormal, so neither can be ranked. Every graph
+        # is refused before its covariance or its distances are computed.
+        cloud = PointCloud(sphere_cap(1100, seed=5).points * scale)
+        with pytest.raises(InvalidArgumentError, match=re.escape(limit)):
+            knn(cloud, 20)
+        for metric in METRICS:
+            with pytest.raises(InvalidArgumentError, match=re.escape(limit)):
+                build_graph(cloud, metric, 20)
 
     def test_whitened_coordinates(self):
         cloud = two_planes(1536, seed=1)
