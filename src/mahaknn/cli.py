@@ -17,7 +17,7 @@ from dataclasses import fields
 import numpy as np
 
 from .cloudio import load_cloud, save_cloud
-from .corruption import NoiseSpec, corrupt
+from .corruption import PAIR_VARIANTS, NoiseSpec, corrupt
 from .descriptors import edgeconv_features, kmeans
 from .errors import (
     CloudParseError,
@@ -110,14 +110,13 @@ def _cmd_corrupt(args) -> int:
     spec = NoiseSpec.parse(args.noise)
     rng = np.random.default_rng(args.seed)
     src, tgt = corrupt(cloud, cloud, spec, rng)
-    if spec.variant in ("sampling", "zero_intersection"):
-        # These produce a genuine pair; write two files.
+    if spec.variant in PAIR_VARIANTS:
         stem, ext = os.path.splitext(args.out)
         save_cloud(src, f"{stem}_source{ext}")
         save_cloud(tgt, f"{stem}_target{ext}")
-        return EXIT_OK
-    # Single-cloud result: write whichever side the spec touched (target wins).
-    save_cloud(tgt if spec.applied_to in ("target", "both") else src, args.out)
+    else:
+        # The touched side, the target when both are: an untouched side is `cloud` itself.
+        save_cloud(tgt if tgt is not cloud else src, args.out)
     return EXIT_OK
 
 

@@ -1,9 +1,12 @@
 """Noise and density perturbations for building benchmark pairs.
 
-Variants: gaussian (clipped additive noise), bernoulli (random point drop),
-sampling (disjoint random subsets of a corresponding pair), zero_intersection
-(a half/half split with no shared indices), subsample (fixed-count random
-subset), none.
+Per-side variants perturb each cloud that `applied_to` names (source, target
+or both): gaussian (clipped additive noise), bernoulli (random point drop) and
+subsample (fixed-count random subset). Split variants (`PAIR_VARIANTS`) split
+one permutation of an equal-length pair's n indices into disjoint sets:
+sampling gives each side floor(ratio * n) points, zero_intersection gives the
+source floor(n / 2) and the target the rest. `none` changes nothing. A side
+the spec leaves untouched is returned as the input object itself.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ SAMPLING = "sampling"
 ZERO_INTERSECTION = "zero_intersection"
 SUBSAMPLE = "subsample"
 NONE = "none"
+# Variants that split one corresponding pair into a source and a target.
+PAIR_VARIANTS = (SAMPLING, ZERO_INTERSECTION)
 
 # The parameters each variant reads, in text-form order; parse rejects any other.
 _VARIANT_PARAMS = {
@@ -101,16 +106,36 @@ _PARAM_PARSERS = {
 }
 
 
-def _add_gaussian(pts, spec: NoiseSpec, rng: np.random.Generator):
-    noise = np.clip(rng.normal(0.0, spec.sigma, size=pts.shape), -spec.clip, spec.clip)
-    return pts + noise
+def _perturb(pts, spec: NoiseSpec, rng: np.random.Generator, side: str):
+    """One cloud's points under a per-side variant (gaussian, bernoulli or subsample)."""
+    if spec.variant == GAUSSIAN:
+        return pts + np.clip(rng.normal(0.0, spec.sigma, size=pts.shape), -spec.clip, spec.clip)
+    if spec.variant == BERNOULLI:
+        while True:  # redraw until at least one point is kept
+            mask = rng.random(len(pts)) < spec.keep_prob
+            if mask.any():
+                return pts[mask]
+    if spec.count > len(pts):
+        raise InvalidArgumentError(f"subsample count exceeds {side} size")
+    return pts[np.sort(rng.choice(len(pts), spec.count, replace=False))]
 
 
-def _bernoulli_mask(n: int, keep_prob: float, rng: np.random.Generator):
-    while True:
-        mask = rng.random(n) < keep_prob
-        if mask.any():
-            return mask
+def _split(s_pts, t_pts, spec: NoiseSpec, rng: np.random.Generator):
+    """The split variants' pair: perm[:m] of one permutation and perm[m:stop], each in order."""
+    n = len(s_pts)
+    if len(t_pts) != n:
+        raise InvalidArgumentError(f"{spec.variant} needs equal-length clouds")
+    if spec.variant == SAMPLING:
+        m = int(np.floor(spec.ratio * n))
+        stop = 2 * m
+    else:
+        m, stop = n // 2, n
+    if m < 1 or stop > n:
+        raise InvalidArgumentError(
+            f"{spec.variant} leaves no room for two disjoint non-empty subsets of {n} points"
+        )
+    perm = rng.permutation(n)
+    return s_pts[np.sort(perm[:m])], t_pts[np.sort(perm[m:stop])]
 
 
 def corrupt(
@@ -127,54 +152,13 @@ def corrupt(
     (graphs, eigen features) serves every pair it is part of.
     """
     s_pts, t_pts = source.points, target.points
-    v = spec.variant
-    on_source = spec.applied_to in ("source", "both")
-    on_target = spec.applied_to in ("target", "both")
-
-    if v == NONE:
-        pass
-    elif v == GAUSSIAN:
-        if on_source:
-            s_pts = _add_gaussian(s_pts, spec, rng)
-        if on_target:
-            t_pts = _add_gaussian(t_pts, spec, rng)
-    elif v == BERNOULLI:
-        if on_source:
-            s_pts = s_pts[_bernoulli_mask(len(s_pts), spec.keep_prob, rng)]
-        if on_target:
-            t_pts = t_pts[_bernoulli_mask(len(t_pts), spec.keep_prob, rng)]
-    elif v == SAMPLING:
-        if len(s_pts) != len(t_pts):
-            raise InvalidArgumentError("sampling noise needs equal-length clouds")
-        n = len(s_pts)
-        m = int(np.floor(spec.ratio * n))
-        if m < 1 or 2 * m > n:
-            raise InvalidArgumentError(
-                "sampling ratio must leave room for two disjoint subsets"
-            )
-        perm = rng.permutation(n)
-        s_pts = s_pts[np.sort(perm[:m])]
-        t_pts = t_pts[np.sort(perm[m : 2 * m])]
-    elif v == ZERO_INTERSECTION:
-        if len(s_pts) != len(t_pts):
-            raise InvalidArgumentError("zero_intersection needs equal-length clouds")
-        n = len(s_pts)
-        if n < 2:
-            raise InvalidArgumentError("zero_intersection needs at least 2 points")
-        perm = rng.permutation(n)
-        half = n // 2
-        s_pts = s_pts[np.sort(perm[:half])]
-        t_pts = t_pts[np.sort(perm[half:])]
-    elif v == SUBSAMPLE:
-        if on_source:
-            if spec.count > len(s_pts):
-                raise InvalidArgumentError("subsample count exceeds source size")
-            s_pts = s_pts[np.sort(rng.choice(len(s_pts), spec.count, replace=False))]
-        if on_target:
-            if spec.count > len(t_pts):
-                raise InvalidArgumentError("subsample count exceeds target size")
-            t_pts = t_pts[np.sort(rng.choice(len(t_pts), spec.count, replace=False))]
-
+    if spec.variant in PAIR_VARIANTS:
+        s_pts, t_pts = _split(s_pts, t_pts, spec, rng)
+    elif spec.variant != NONE:
+        if spec.applied_to in ("source", "both"):
+            s_pts = _perturb(s_pts, spec, rng, "source")
+        if spec.applied_to in ("target", "both"):
+            t_pts = _perturb(t_pts, spec, rng, "target")
     return (
         source if s_pts is source.points else PointCloud(s_pts),
         target if t_pts is target.points else PointCloud(t_pts),

@@ -59,22 +59,22 @@ class PointCloud:
         return len(self.points)
 
 
-def check_range(name: str, cloud: PointCloud) -> None:
+def check_range(name: str, points, max_abs: float = MAX_ABS_COORDINATE) -> None:
     """Reject coordinates outside the range in which distances stay normal floats.
 
-    Called where raw coordinates are first ranked or solved: `register` and
-    `neighborhood.knn`. It is not a `PointCloud` invariant, since motions
-    applied along the way may place a cloud just past the limit. A cloud at a
-    single position (extent 0) passes: it is degenerate geometry, which the
-    graph, covariance and solver steps classify.
+    Called where coordinates are first ranked or solved: `register` and
+    `neighborhood.knn`, which also checks the whitened coordinates it ranks
+    against a looser `max_abs`. It is not a `PointCloud` invariant, since
+    motions applied along the way may place a cloud just past the limit. A
+    cloud at a single position (extent 0) passes: it is degenerate geometry,
+    which the graph, covariance and solver steps classify.
     """
-    largest = float(np.max(np.abs(cloud.points)))
-    if largest > MAX_ABS_COORDINATE:
+    largest = float(np.max(np.abs(points)))
+    if largest > max_abs:
         raise InvalidArgumentError(
-            f"{name} has a coordinate of magnitude {largest:.3g}, "
-            f"above the limit {MAX_ABS_COORDINATE:g}"
+            f"{name} has a coordinate of magnitude {largest:.3g}, above the limit {max_abs:g}"
         )
-    extent = float(np.max(np.ptp(cloud.points, axis=0)))
+    extent = float(np.max(np.ptp(points, axis=0)))
     if 0.0 < extent < MIN_EXTENT:
         raise InvalidArgumentError(
             f"{name} has a bounding-box extent of {extent:.3g}, below the limit {MIN_EXTENT:g}"

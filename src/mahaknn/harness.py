@@ -100,8 +100,6 @@ def load_input_cloud(spec: str) -> PointCloud:
 def run_scenario(scenario: Scenario) -> BenchmarkReport:
     source = load_input_cloud(scenario.input)
     per_pipeline = {name: {s: [] for s in _STATS} for name, _ in scenario.pipelines}
-    successes = {name: 0 for name, _ in scenario.pipelines}
-    failures = {name: 0 for name, _ in scenario.pipelines}
     wall = {name: 0.0 for name, _ in scenario.pipelines}
 
     for trial in range(scenario.trials):
@@ -114,20 +112,13 @@ def run_scenario(scenario: Scenario) -> BenchmarkReport:
             try:
                 result = register(src_c, tgt_c, cfg)
             except (MahaknnError, np.linalg.LinAlgError):
-                failures[name] += 1
+                continue  # a failure adds no statistics row
+            finally:
                 wall[name] += time.perf_counter() - start
-                continue
-            wall[name] += time.perf_counter() - start
-            err = pose_error(result.motion, truth)
-            sd = set_distance(apply(result.motion, source), target)
-            stats = per_pipeline[name]
-            stats["rmse_r_deg"].append(err.rmse_r_deg)
-            stats["rmse_t"].append(err.rmse_t)
-            stats["geodesic_r_deg"].append(err.geodesic_r_deg)
-            stats["chamfer"].append(sd.chamfer)
-            stats["hausdorff"].append(sd.hausdorff)
-            if err.geodesic_r_deg < SUCCESS_THRESHOLD_DEG:
-                successes[name] += 1
+            row = {**vars(pose_error(result.motion, truth)),
+                   **vars(set_distance(apply(result.motion, source), target))}
+            for stat in _STATS:
+                per_pipeline[name][stat].append(row[stat])
 
     cells = {}
     timings = {}
@@ -137,8 +128,9 @@ def run_scenario(scenario: Scenario) -> BenchmarkReport:
             arr = np.asarray(values, dtype=float)
             cell[f"{stat}_mean"] = float(arr.mean()) if len(arr) else float("nan")
             cell[f"{stat}_std"] = float(arr.std()) if len(arr) else float("nan")
-        cell["success_rate"] = successes[name] / scenario.trials
-        cell["failures"] = failures[name]
+        geodesic = per_pipeline[name]["geodesic_r_deg"]
+        cell["success_rate"] = sum(g < SUCCESS_THRESHOLD_DEG for g in geodesic) / scenario.trials
+        cell["failures"] = scenario.trials - len(geodesic)
         cell["trials"] = scenario.trials
         cells[name] = cell
         timings[name] = wall[name] / scenario.trials

@@ -77,6 +77,13 @@ METRIC_GEODESIC = "geodesic"
 # Every metric name `build_graph` accepts.
 METRICS = (METRIC_EUCLIDEAN, METRIC_MAHALANOBIS, METRIC_GEODESIC)
 
+# Largest whitened coordinate that `knn` ranks. Squared distances stay finite
+# below it (3 * (2e153)**2 < 1.8e308), and it is above every whitened
+# coordinate of a `build_graph` cloud: a regularized covariance's whitener has
+# norm at most 1 / sqrt(DEFAULT_REGULARIZER), about 316, and raw coordinates
+# are at most sqrt(3) * MAX_ABS_COORDINATE long.
+MAX_ABS_WHITENED = 1e153
+
 
 @dataclass(frozen=True)
 class NeighborGraph:
@@ -423,27 +430,30 @@ def knn(
 ) -> NeighborGraph:
     """Exact k nearest neighbors of every point under the chosen metric.
 
-    A cloud outside `geometry.check_range`'s coordinate range raises
-    InvalidArgumentError naming the limit. Euclidean and whitened
-    coordinates are both 3-d. From `_GRID_MIN_POINTS` points up, a uniform
-    cell grid ranks each point's 3x3x3 block of cells and keeps the rows
-    whose k-th distance is provably below the distance to the block's faces
-    (`_grid_rows`); every other row, and every row of a smaller cloud, is
-    ranked against all points by the blocked brute force.
+    A cloud outside `geometry.check_range`'s coordinate range, or whitened
+    coordinates above `MAX_ABS_WHITENED`, raise InvalidArgumentError naming
+    the limit. Euclidean and whitened coordinates are both 3-d. From
+    `_GRID_MIN_POINTS` points up, a uniform cell grid ranks each point's
+    3x3x3 block of cells and keeps the rows whose k-th distance is provably
+    below the distance to the block's faces (`_grid_rows`); every other row,
+    and every row of a smaller cloud, is ranked against all points by the
+    blocked brute force.
     Both compute the same difference-form distances and rank them with
     `_first_k`, so the neighbour arrays are the same either way.
     """
     n = len(cloud)
     if not 1 <= k < n:
         raise InvalidArgumentError(f"k must satisfy 1 <= k < {n}, got {k}")
-    check_range("cloud", cloud)
+    check_range("cloud", cloud.points)
     pts = cloud.points
     if metric == METRIC_EUCLIDEAN:
         coords = pts
     elif metric == METRIC_MAHALANOBIS:
         if model is None:
             raise InvalidArgumentError("mahalanobis metric requires a covariance model")
+        # Finite, since a finite whitener's norm is at most sqrt(float max).
         coords = pts @ model.whitener().T
+        check_range("whitened cloud", coords, MAX_ABS_WHITENED)
     else:
         raise InvalidArgumentError(f"unknown metric {metric!r}")
     axes = np.ascontiguousarray(coords.T)
@@ -625,7 +635,7 @@ def build_graph(
             graph = knn_geodesic(cloud, key[2], k)
         elif metric == METRIC_MAHALANOBIS:
             # knn's range check, made before the covariance, which overflows first.
-            check_range("cloud", cloud)
+            check_range("cloud", cloud.points)
             graph = knn(cloud, k, METRIC_MAHALANOBIS, estimate_covariance(cloud))
         else:
             graph = knn(cloud, k, metric)

@@ -223,7 +223,7 @@ def register(
     if len(source) < cfg.k + 1 or len(target) < cfg.k + 1:
         raise InvalidArgumentError("clouds must contain at least k + 1 points")
     for name, cloud in (("source", source), ("target", target)):
-        check_range(name, cloud)
+        check_range(name, cloud.points)
     tgt_desc, describe, (cumulative, current, start_corr) = _setup(source, target, cfg)
     residuals: list[float] = []
     corr = None

@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from mahaknn import corruption
 from mahaknn.corruption import NoiseSpec, corrupt
 from mahaknn.errors import InvalidArgumentError
 from mahaknn.geometry import PointCloud
@@ -159,3 +162,63 @@ def test_deterministic_for_fixed_seed():
         b = corrupt(s, t, spec, np.random.default_rng(20))
         np.testing.assert_array_equal(a[0].points, b[0].points)
         np.testing.assert_array_equal(a[1].points, b[1].points)
+
+
+# sha256 of len(source) and the (source, target) point bytes, first 16 hex
+# digits, at seeds 0, 1 and 2 on `digest_pair`. Any change to the draw order
+# or to what a draw selects changes a digest.
+DIGESTS = {
+    "none": ("c389461975a3fc5a", "c389461975a3fc5a", "c389461975a3fc5a"),
+    "gaussian:applied_to=source": ("c95ecba2440dd095", "288c77c08cebf908", "de59d51dc3f05f0a"),
+    "gaussian:applied_to=target": ("141a19cc7c2eec79", "1e43903c515c1678", "d957c3bafebaa7f4"),
+    "gaussian": ("88797f34bf80aa29", "86224ed9eaed7c01", "9f3b6c647af15d87"),
+    "bernoulli:keep_prob=0.5,applied_to=source": (
+        "208131847aeb7115", "e9c5d479d5cb8262", "9e2d5122b3cd5a32"),
+    "bernoulli:keep_prob=0.5,applied_to=target": (
+        "b224009b1be51ffb", "bc25ca5362ba58f3", "177c2d5e8c7654c2"),
+    "bernoulli:keep_prob=0.5": ("d860c9b0f6d22a70", "98ea15ad8f879c96", "ef5442d7b87869cf"),
+    "subsample:count=4,applied_to=source": (
+        "229746318f919428", "50e1db3a34e7b7d7", "469f6ebafa6163ce"),
+    "subsample:count=4,applied_to=target": (
+        "5fa739e6aff92509", "458c17392739ff82", "8a1cced08b52affc"),
+    "subsample:count=4": ("e9c0153e885335ee", "3d2fd3b769755e57", "7eb26e2f18694cf2"),
+    "sampling:ratio=0.3": ("a1c24eb1dd9bebed", "2ce635f524a8c1fe", "54bee3b993d2b7b8"),
+    "sampling": ("6b90ddd87ccbb49b", "1024a63cc603b9a1", "d594eb9a0e3c2c75"),
+    "zero_intersection": ("a6fe6e27f95cf94b", "eca3f501fd2c9d26", "7d8b33e5af3f1244"),
+}
+
+
+def digest_pair():
+    """11 points, so sampling and zero_intersection leave points over and split unevenly."""
+    pts = np.arange(33, dtype=float).reshape(11, 3) / 7.0
+    return PointCloud(pts), PointCloud(2.0 * pts + 1.0)
+
+
+@pytest.mark.parametrize("text", DIGESTS)
+def test_output_bytes_are_pinned(text):
+    s, t = digest_pair()
+    for seed, want in enumerate(DIGESTS[text]):
+        cs, ct = corrupt(s, t, NoiseSpec.parse(text), np.random.default_rng(seed))
+        blob = b"%d;" % len(cs) + cs.points.tobytes() + ct.points.tobytes()
+        assert hashlib.sha256(blob).hexdigest()[:16] == want, (text, seed)
+
+
+def test_digests_cover_every_variant_and_side():
+    specs = [NoiseSpec.parse(text) for text in DIGESTS]
+    for variant, params in corruption._VARIANT_PARAMS.items():
+        sides = corruption._TARGETS if "applied_to" in params else ("both",)
+        for side in sides:
+            assert any(s.variant == variant and s.applied_to == side for s in specs)
+
+
+@pytest.mark.parametrize("variant", corruption.PAIR_VARIANTS)
+def test_split_needs_equal_lengths(variant):
+    s, t = pair(10, seed=23)
+    with pytest.raises(InvalidArgumentError, match=f"^{variant} needs equal-length"):
+        corrupt(s, PointCloud(t.points[:9]), NoiseSpec(variant), np.random.default_rng(0))
+
+
+def test_zero_intersection_needs_two_points():
+    one = PointCloud(np.zeros((1, 3)))
+    with pytest.raises(InvalidArgumentError, match="^zero_intersection leaves no room"):
+        corrupt(one, one, NoiseSpec("zero_intersection"), np.random.default_rng(0))

@@ -1,6 +1,7 @@
 import heapq
 import re
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -21,7 +22,7 @@ from mahaknn.neighborhood import (
     nearest,
 )
 from mahaknn.shapes import c_ring, generate, sphere, sphere_cap, torus, two_planes
-from mahaknn.statistics import estimate_covariance, identity_model
+from mahaknn.statistics import CovarianceModel, estimate_covariance, identity_model
 
 
 def dijkstra_all_pairs(adj):
@@ -644,6 +645,29 @@ class TestGridKnn:
         model = estimate_covariance(cloud)
         got = knn(cloud, 20, "mahalanobis", model).neighbors
         np.testing.assert_array_equal(got, brute_force_knn(cloud.points @ model.whitener().T, 20))
+
+    def test_whitened_overflow_is_rejected(self):
+        # The raw coordinates are in range, but a caller's model whitens them
+        # to 1e250, whose squared differences are +inf: unchecked, every row
+        # got the neighbours [0 1 2 3 4], row 0 itself included.
+        cloud = PointCloud(sphere_cap(200, seed=0).points * 1e100)
+        model = CovarianceModel(np.eye(3) * 1e-300, np.eye(3) * 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match=re.escape("above the limit 1e+153")):
+                knn(cloud, 5, "mahalanobis", model)
+
+    def test_whitened_limit_admits_every_build_graph_cloud(self):
+        # A coordinate near the raw limit that never varies is whitened by the
+        # regularizer alone, about 316-fold, and is still ranked. A power of
+        # two keeps the mean exact, so the variance on that axis is 0.
+        pts = sphere_cap(1100, seed=5).points.copy()
+        pts[:, 0] = 2.0**498
+        cloud = PointCloud(pts)
+        whitened = pts @ estimate_covariance(cloud).whitener().T
+        assert np.max(np.abs(whitened)) > 100 * MAX_ABS_COORDINATE
+        got = build_graph(cloud, "mahalanobis", 20).neighbors
+        np.testing.assert_array_equal(got, brute_force_knn(whitened, 20))
 
     def test_k_is_n_minus_one(self):
         coords = sphere_cap(1030, seed=6).points
