@@ -62,12 +62,13 @@ class PointCloud:
 def check_range(name: str, points, max_abs: float = MAX_ABS_COORDINATE) -> None:
     """Reject coordinates outside the range in which distances stay normal floats.
 
-    Called where coordinates are first ranked or solved: `register` and
-    `neighborhood.knn`, which also checks the whitened coordinates it ranks
-    against a looser `max_abs`. It is not a `PointCloud` invariant, since
-    motions applied along the way may place a cloud just past the limit. A
-    cloud at a single position (extent 0) passes: it is degenerate geometry,
-    which the graph, covariance and solver steps classify.
+    Called where coordinates are first ranked or solved: `register`,
+    `statistics.estimate_covariance` and `neighborhood.knn`, which also
+    checks the whitened coordinates it ranks against a looser `max_abs`. It
+    is not a `PointCloud` invariant, since motions applied along the way may
+    place a cloud just past the limit. A cloud at a single position (extent
+    0) passes: it is degenerate geometry, which the graph, covariance and
+    solver steps classify.
     """
     largest = float(np.max(np.abs(points)))
     if largest > max_abs:

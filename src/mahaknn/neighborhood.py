@@ -6,25 +6,25 @@ the lower index, as a full stable sort of the all-pairs matrix would.
 
 `knn` ranks 3-d coordinates, Euclidean or whitened, of a cloud within the
 coordinate range of `geometry.check_range`, outside which squared distances
-overflow or leave float64's normal range. From `_GRID_MIN_POINTS` points up
-it buckets them into a uniform cell grid sized for about `_CELL_OCCUPANCY`
-points per occupied cell, with the occupancy exponent measured from the
-counts of occupied cells at two cell sizes. A point's
-candidates are the points of its 3x3x3 block of cells, sorted by index and
-ranked by `_first_k`. Cell keys order the cells by (x, y, z), z fastest, so
-each block is nine runs of consecutive keys, found in the key-sorted points
-with two binary searches. A row is accepted only when its k-th distance is
-below the square of its face distance: on each axis, the gap to the nearest
-coordinate of any point two or more cells away, computed as the distances
-are, so that monotone rounding keeps every point outside the block strictly
-farther. Every other row, and every row of a smaller cloud, falls back to the
-brute force: one block of rows at a time against all points, so memory stays
-O(block) instead of O(n^2). Both paths take their distances from one kernel,
-`_squared_distances`, which sums squared coordinate differences as
-(dx^2 + dz^2) + dy^2, the bytes of the einsum of the difference tensor,
-without building that tensor, so duplicate points tie bitwise and the
-neighbour arrays are those of the brute force. Each call allocates its
-buffers once and fills them in place for every chunk or block.
+overflow or leave float64's normal range. It buckets them into a uniform
+cell grid sized for about `_CELL_OCCUPANCY` points per occupied cell, with
+the occupancy exponent measured from the counts of occupied cells at two
+cell sizes. A point's candidates are the points of its 3x3x3 block of
+cells, sorted by index and ranked by `_first_k`. Cell keys order the cells
+by (x, y, z), z fastest, so each block is nine runs of consecutive keys,
+found in the key-sorted points with two binary searches. A row is accepted
+only when its k-th distance is below the square of its face distance: on
+each axis, the gap to the nearest coordinate of any point two or more cells
+away, computed as the distances are, so that monotone rounding keeps every
+point outside the block strictly farther. Every other row, and every row of
+a cloud with no grid, falls back to the brute force: one block of rows at a
+time against all points, so memory stays O(block) instead of O(n^2). Both
+paths take their distances from one kernel, `_squared_distances`, which sums
+squared coordinate differences as (dx^2 + dz^2) + dy^2, the bytes of the
+einsum of the difference tensor, without building that tensor, so duplicate
+points tie bitwise and the neighbour arrays are those of the brute force.
+Each call allocates its buffers once and fills them in place for every
+chunk or block.
 
 `nearest` (k = 1) serves correspondence search, set distance and k-means. It
 ranks each block with one matrix product of lifted coordinates, the queries
@@ -238,9 +238,6 @@ def _brute_force_rows(
         out[index] = _first_k(d2, k)
 
 
-# Below this many points every row is ranked by brute force: in the size
-# sweep (CHANGES.md) the grid's set-up costs about what it saves there.
-_GRID_MIN_POINTS = 1024
 # Points per occupied cell that the grid's cell edge aims for.
 _CELL_OCCUPANCY = 8
 
@@ -432,14 +429,13 @@ def knn(
 
     A cloud outside `geometry.check_range`'s coordinate range, or whitened
     coordinates above `MAX_ABS_WHITENED`, raise InvalidArgumentError naming
-    the limit. Euclidean and whitened coordinates are both 3-d. From
-    `_GRID_MIN_POINTS` points up, a uniform cell grid ranks each point's
-    3x3x3 block of cells and keeps the rows whose k-th distance is provably
-    below the distance to the block's faces (`_grid_rows`); every other row,
-    and every row of a smaller cloud, is ranked against all points by the
-    blocked brute force.
-    Both compute the same difference-form distances and rank them with
-    `_first_k`, so the neighbour arrays are the same either way.
+    the limit. Euclidean and whitened coordinates are both 3-d. A uniform
+    cell grid ranks each point's 3x3x3 block of cells and keeps the rows
+    whose k-th distance is provably below the distance to the block's faces
+    (`_grid_rows`); every other row, and every row of a cloud with no grid,
+    is ranked against all points by the blocked brute force. Both compute
+    the same difference-form distances and rank them with `_first_k`, so
+    the neighbour arrays are the same either way.
     """
     n = len(cloud)
     if not 1 <= k < n:
@@ -458,8 +454,7 @@ def knn(
         raise InvalidArgumentError(f"unknown metric {metric!r}")
     axes = np.ascontiguousarray(coords.T)
     out = np.empty((n, k), dtype=np.intp)
-    rest = _grid_rows(axes, k, out) if n >= _GRID_MIN_POINTS else np.arange(n)
-    _brute_force_rows(axes, rest, k, out)
+    _brute_force_rows(axes, _grid_rows(axes, k, out), k, out)
     return NeighborGraph(out)
 
 
@@ -634,8 +629,6 @@ def build_graph(
         if metric == METRIC_GEODESIC:
             graph = knn_geodesic(cloud, key[2], k)
         elif metric == METRIC_MAHALANOBIS:
-            # knn's range check, made before the covariance, which overflows first.
-            check_range("cloud", cloud.points)
             graph = knn(cloud, k, METRIC_MAHALANOBIS, estimate_covariance(cloud))
         else:
             graph = knn(cloud, k, metric)

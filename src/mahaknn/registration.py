@@ -227,7 +227,6 @@ def register(
     tgt_desc, describe, (cumulative, current, start_corr) = _setup(source, target, cfg)
     residuals: list[float] = []
     corr = None
-    iterations = 0
     for _ in range(cfg.max_iters):
         src_desc = describe(current, cumulative.rotation)
         if start_corr is None:
@@ -240,11 +239,10 @@ def register(
         delta = kabsch(current, target, corr)
         cumulative = compose(delta, cumulative)
         current = apply(delta, current)
-        iterations += 1
         if rotation_angle_rad(delta.rotation) < cfg.convergence_tol:
             break
     assert corr is not None
-    return RegistrationResult(cumulative, iterations, tuple(residuals), corr)
+    return RegistrationResult(cumulative, len(residuals), tuple(residuals), corr)
 
 
 def _mutual_filter(

@@ -13,7 +13,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InvalidArgumentError, SingularCovarianceError
-from .geometry import PointCloud
+from .geometry import PointCloud, check_range
 
 DEFAULT_REGULARIZER = 1e-5
 
@@ -22,7 +22,7 @@ _SINGULAR_REL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class CovarianceModel:
-    """Regularized 3x3 covariance and its inverse."""
+    """Regularized 3x3 covariance and its inverse, both finite."""
 
     covariance: NDArray[np.float64]
     inverse: NDArray[np.float64]
@@ -32,6 +32,8 @@ class CovarianceModel:
             m = np.asarray(getattr(self, name), dtype=np.float64)
             if m.shape != (3, 3):
                 raise InvalidArgumentError(f"{name} must be 3x3")
+            if not np.all(np.isfinite(m)):
+                raise InvalidArgumentError(f"{name} must be finite")
             m.setflags(write=False)
             object.__setattr__(self, name, m)
 
@@ -52,13 +54,16 @@ def estimate_covariance(
 ) -> CovarianceModel:
     """Population covariance of the cloud plus regularizer * I on the diagonal.
 
-    The inverse is computed through a symmetric eigendecomposition with the
-    eigenvalues floored at the regularizer, so positive definiteness survives
+    A cloud outside `geometry.check_range`'s range, where the products
+    overflow, raises InvalidArgumentError naming the limit. The inverse is
+    computed through a symmetric eigendecomposition with the eigenvalues
+    floored at the regularizer, so positive definiteness survives
     floating-point cancellation.
     """
     if regularizer < 0 or not np.isfinite(regularizer):
         raise InvalidArgumentError("regularizer must be finite and >= 0")
     pts = cloud.points
+    check_range("cloud", pts)
     mu = pts.mean(axis=0)
     centered = pts - mu
     cov = centered.T @ centered / len(pts) + regularizer * np.eye(3)

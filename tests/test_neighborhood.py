@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mahaknn import neighborhood
+from mahaknn.corruption import NoiseSpec, corrupt
 from mahaknn.errors import InvalidArgumentError
 from mahaknn.geometry import MAX_ABS_COORDINATE, MIN_EXTENT, PointCloud, apply, sample_rigid
 from mahaknn.neighborhood import (
@@ -538,8 +539,7 @@ class TestGridKnn:
         # The drawn scales reach past the coordinate range knn accepts.
         extent = np.max(np.ptp(coords, axis=0))
         in_range = np.max(np.abs(coords)) <= MAX_ABS_COORDINATE and not 0 < extent < MIN_EXTENT
-        with mock.patch.object(neighborhood, "_GRID_MIN_POINTS", 0), \
-                mock.patch.object(neighborhood, "_GRID_ENTRIES", entries):
+        with mock.patch.object(neighborhood, "_GRID_ENTRIES", entries):
             if not in_range:
                 with pytest.raises(InvalidArgumentError, match="the limit"):
                     knn(PointCloud(coords), k)
@@ -548,16 +548,31 @@ class TestGridKnn:
         np.testing.assert_array_equal(got, dense_knn(coords, k))
 
     @pytest.mark.parametrize("metric", ["euclidean", "mahalanobis"])
-    @pytest.mark.parametrize("shape,n", [("sphere-cap", 2150), ("torus", 4096), ("c-ring", 2048)])
-    def test_workload_shapes(self, shape, n, metric):
-        cloud = generate(shape, n, 0)
-        model = estimate_covariance(cloud) if metric == "mahalanobis" else None
-        coords = cloud.points if model is None else cloud.points @ model.whitener().T
-        got = knn(cloud, 20, metric, model).neighbors
-        np.testing.assert_array_equal(got, brute_force_knn(coords, 20))
-        # The grid proves most rows. On a curve that takes the measured
-        # occupancy exponent: a surface rule put every c-ring row in the fallback.
-        assert len(grid_fallback(coords, 20)) < n // 4
+    @pytest.mark.parametrize("shape,n,noise,k", [
+        pytest.param("sphere-cap", 2150, "none", 20, id="sphere-cap-2150"),
+        pytest.param("torus", 4096, "none", 20, id="torus-4096"),
+        pytest.param("c-ring", 2048, "none", 20, id="c-ring-2048"),
+        # The benchmark's clouds below 1024 points: whitened-descriptor's
+        # 768-point source and 384-point subsample, and geodesic-manifold's
+        # 384-point halves at its k and k_base.
+        pytest.param("sphere-cap", 768, "subsample:count=384,applied_to=target", 20,
+                     id="whitened-descriptor"),
+        pytest.param("two-planes", 768, "zero_intersection", 10, id="geodesic-manifold-k10"),
+        pytest.param("two-planes", 768, "zero_intersection", 6, id="geodesic-manifold-k6"),
+    ])
+    def test_workload_shapes(self, shape, n, noise, k, metric):
+        # The pair of a trial as `harness.run_scenario` draws it at seed 0.
+        source = generate(shape, n, 0)
+        rng = np.random.default_rng(0)
+        target = apply(sample_rigid(rng, (0.0, 45.0), (-0.5, 0.5)), source)
+        for cloud in corrupt(source, target, NoiseSpec.parse(noise), rng):
+            model = estimate_covariance(cloud) if metric == "mahalanobis" else None
+            coords = cloud.points if model is None else cloud.points @ model.whitener().T
+            got = knn(cloud, k, metric, model).neighbors
+            np.testing.assert_array_equal(got, brute_force_knn(coords, k))
+            # The grid proves most rows. On a curve that takes the measured
+            # occupancy exponent: a surface rule put every c-ring row in the fallback.
+            assert len(grid_fallback(coords, k)) < len(cloud) // 4
 
     def test_integer_grid_with_duplicates(self):
         lattice = integer_grid(11, 11, 11)

@@ -1,9 +1,13 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mahaknn.errors import InvalidArgumentError, SingularCovarianceError
 from mahaknn.geometry import PointCloud
+from mahaknn.shapes import sphere_cap
 from mahaknn.statistics import (
     CovarianceModel,
     DEFAULT_REGULARIZER,
@@ -51,6 +55,30 @@ class TestEstimateCovariance:
     def test_negative_regularizer_rejected(self):
         with pytest.raises(InvalidArgumentError):
             estimate_covariance(PointCloud([(0, 0, 0)]), regularizer=-1.0)
+
+    @pytest.mark.parametrize(
+        "scale,limit", [(1e160, "above the limit 1e+150"), (1e-160, "below the limit 1e-150")]
+    )
+    def test_coordinate_range_is_rejected(self, scale, limit):
+        # The products of 1e160-scale points overflow and those of
+        # 1e-160-scale points are subnormal.
+        cloud = PointCloud(sphere_cap(200, seed=0).points * scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match=re.escape(limit)):
+                estimate_covariance(cloud)
+
+
+class TestCovarianceModel:
+    @pytest.mark.parametrize("name", ["covariance", "inverse"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_entry_is_rejected(self, name, bad):
+        # An infinite inverse gives an all-NaN whitener, whose coordinates
+        # pass every range comparison in knn.
+        matrices = {"covariance": np.eye(3), "inverse": np.eye(3)}
+        matrices[name] = np.diag([bad, 1.0, 1.0])
+        with pytest.raises(InvalidArgumentError, match=f"{name} must be finite"):
+            CovarianceModel(**matrices)
 
 
 class TestMahalanobisDistance:
