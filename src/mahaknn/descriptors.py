@@ -23,7 +23,7 @@ _KMEANS_MAX_ITERS = 100
 _KMEANS_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DescriptorSet:
     """One fixed-width feature vector per cloud point."""
 

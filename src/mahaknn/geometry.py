@@ -36,15 +36,12 @@ def _as_points(points) -> NDArray[np.float64]:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointCloud:
     """Ordered sequence of 3D points, held in a read-only copy of its own."""
 
     points: NDArray[np.float64]
-    # What is computed from these points and kept for later calls: k-NN
-    # graphs (neighborhood.build_graph), their eigen features and point-ICP
-    # start poses (registration), each keyed by what it was computed from.
-    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _kept: dict = field(default_factory=dict, init=False, repr=False)  # see `kept`
 
     def __post_init__(self):
         pts = _as_points(self.points)
@@ -57,6 +54,15 @@ class PointCloud:
 
     def __len__(self) -> int:
         return len(self.points)
+
+    def kept(self, key, build):
+        """The value kept on this cloud under `key`, built by `build()` on first use.
+
+        The points are a private read-only copy, so a kept value cannot go stale.
+        """
+        if key not in self._kept:
+            self._kept[key] = build()
+        return self._kept[key]
 
 
 def check_range(name: str, points, max_abs: float = MAX_ABS_COORDINATE) -> None:
@@ -82,7 +88,7 @@ def check_range(name: str, points, max_abs: float = MAX_ABS_COORDINATE) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RigidMotion:
     """Element of SE(3): proper rotation plus translation."""
 
@@ -106,7 +112,7 @@ class RigidMotion:
         object.__setattr__(self, "translation", t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrespondenceSet:
     """Index pairs between a source and a target cloud; `kabsch` weighs every pair alike."""
 

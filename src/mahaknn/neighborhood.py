@@ -51,10 +51,10 @@ settled, plus any tied with the k-th. Points are ranked by (path length,
 index); a point whose component has fewer than k other points is padded with
 the unreached points, itself included, in index order. `floyd_warshall` and
 `geodesic_adjacency` are the dense all-pairs form of the same ranking, kept as
-references. `build_graph` is the one metric -> graph dispatch, and it builds
-each graph of a cloud once, keeping it on the cloud; with a covariance
-estimated from the cloud itself, each of its graphs is invariant under rigid
-motion of the cloud.
+references. `build_graph` is the one graph builder, the geodesic base graph
+included, and keeps each graph on its cloud; with a covariance estimated
+from the cloud itself, each of its graphs is invariant under rigid motion of
+the cloud.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ METRICS = (METRIC_EUCLIDEAN, METRIC_MAHALANOBIS, METRIC_GEODESIC)
 MAX_ABS_WHITENED = 1e153
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NeighborGraph:
     """Per-point ordered neighbor indices (nearest first), k entries each."""
 
@@ -481,8 +481,8 @@ def floyd_warshall(adjacency: NDArray[np.float64]) -> NDArray[np.float64]:
 def _base_edges(
     cloud: PointCloud, k_base: int
 ) -> tuple[NDArray[np.intp], NDArray[np.intp], NDArray[np.float64]]:
-    """Directed edges (row -> column) of the Euclidean k_base-NN graph, with lengths."""
-    base = knn(cloud, k_base, METRIC_EUCLIDEAN)
+    """Directed edges (row -> column) of the cloud's Euclidean k_base-NN graph, with lengths."""
+    base = build_graph(cloud, METRIC_EUCLIDEAN, k_base)
     pts = cloud.points
     rows = np.repeat(np.arange(len(cloud)), k_base)
     cols = base.neighbors.reshape(-1)
@@ -618,19 +618,15 @@ def build_graph(
     other point is at least its Euclidean distance away. That case is not
     shortcut; it runs the full search.
 
-    The graph is kept on the cloud under `graph_key`, and a later call with
-    the same key returns it without a rebuild. A cloud's points are a
-    private read-only copy, so a kept graph cannot go stale. One metric's
-    graph is never served for another, even where the two are equal.
+    This is the one graph builder: every graph asked of a cloud, the
+    geodesic search's Euclidean base graph included, is built here and kept
+    on the cloud under `graph_key` by `PointCloud.kept`, so a later call with
+    the same key returns it without a rebuild. One metric's graph is never
+    served for another, even where the two are equal.
     """
     key = graph_key(metric, k, k_base)
-    graph = cloud._kept.get(key)
-    if graph is None:
-        if metric == METRIC_GEODESIC:
-            graph = knn_geodesic(cloud, key[2], k)
-        elif metric == METRIC_MAHALANOBIS:
-            graph = knn(cloud, k, METRIC_MAHALANOBIS, estimate_covariance(cloud))
-        else:
-            graph = knn(cloud, k, metric)
-        cloud._kept[key] = graph
-    return graph
+    if metric == METRIC_GEODESIC:
+        return cloud.kept(key, lambda: knn_geodesic(cloud, key[2], k))
+    if metric == METRIC_MAHALANOBIS:
+        return cloud.kept(key, lambda: knn(cloud, k, metric, estimate_covariance(cloud)))
+    return cloud.kept(key, lambda: knn(cloud, k, metric))

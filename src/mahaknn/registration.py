@@ -5,26 +5,25 @@ point-ICP baseline matches raw coordinates, the descriptor pipelines match
 edge-conv or eigen features built on the configured neighbor graph. The
 cumulative motion maps the original source onto the target frame.
 
-Every pipeline that uses graphs asks `build_graph` for one per cloud, under
-the configured metric and k_base: the target never moves, and every metric's
-graph is invariant under rigid motion of the source. `build_graph` keeps each
-graph on its cloud, so a graph is built once per cloud, not per registration:
-pipelines handed the same cloud objects, as the harness does within a trial,
-share it, and `corrupt` returns a side it leaves untouched as the input
-object, so that side's graphs serve every trial. Eigen features are kept on
-the cloud under their graph's key, so the eigen decomposition also runs once
-per cloud: each iteration only turns the source's normals by the cumulative
-rotation and orients them again, since the eigenvalue ratios are
-rotation-invariant. Edge-conv features of the moved source are recomputed on
-each iteration, in the factored form relu(P_i + max_j Q_j): two products of
-the (n, 3) points with a (3, 64) weight block and a running max over the k
-neighbor columns.
+What is computed from one cloud is kept on it by `PointCloud.kept`: the
+graphs that `neighborhood.build_graph` builds under the configured metric, k
+and k_base, and their eigen features. The target never moves, and every
+metric's graph is invariant under rigid motion of the source, so each is
+built once per cloud, not per registration: pipelines handed the same cloud
+objects, as the harness does within a trial, share them, and `corrupt`
+returns a side it leaves untouched as the input object, whose kept values
+then serve every trial. Each iteration only turns the source's eigen normals
+by the cumulative rotation and orients them again, since the eigenvalue
+ratios are rotation-invariant. Edge-conv features of the moved source are
+recomputed on each iteration, in the factored form relu(P_i + max_j Q_j):
+two products of the (n, 3) points with a (3, 64) weight block and a running
+max over the k neighbor columns.
 
 Point-ICP's graphs serve only its start pose: a one-shot match of their
 rotation-invariant eigen components (k >= 3), kept when it leaves a smaller
 trimmed nearest-point residual than identity does. The first iteration
-reuses the match that scored the chosen start. The start is kept on the
-target with the source object it was computed for, so the pipelines of a
+reuses the match that scored the chosen start. The start is the one value
+kept for a pair rather than a cloud (`_start_pose`), so the pipelines of a
 trial that differ only in `mutual`, `max_iters` or `convergence_tol`
 compute it once. The mutual filter's backward pass ranks only the distinct
 targets that a pair points at.
@@ -164,21 +163,19 @@ def _coarse_alignment(
 
 
 def _eigen(cloud: PointCloud, cfg: RegistrationConfig) -> DescriptorSet:
-    """Eigen features of a cloud on cfg's graph, computed once per cloud and
-    kept on it under the graph's key."""
-    key = ("eigen", graph_key(cfg.metric, cfg.k, cfg.k_base))
-    features = cloud._kept.get(key)
-    if features is None:
-        graph = build_graph(cloud, cfg.metric, cfg.k, k_base=cfg.k_base)
-        features = cloud._kept[key] = eigen_features(cloud, graph)
-    return features
+    """Eigen features of a cloud on cfg's graph, kept on the cloud under the graph's key."""
+    return cloud.kept(
+        ("eigen", graph_key(cfg.metric, cfg.k, cfg.k_base)),
+        lambda: eigen_features(cloud, build_graph(cloud, cfg.metric, cfg.k, k_base=cfg.k_base)),
+    )
 
 
 def _start_pose(source: PointCloud, target: PointCloud, cfg: RegistrationConfig):
     """Point-ICP's start from `_coarse_alignment`, computed once per pair.
 
-    It is kept on the target with the source object it was computed for,
-    keyed by cfg's graph key and trim_fraction: the only fields it reads.
+    The one value not kept by `PointCloud.kept`, since it belongs to a pair:
+    it is kept on the target with the source object it was computed for,
+    keyed by cfg's graph key and trim_fraction, the only fields it reads.
     One start is kept per key, and a call with another source replaces it.
     The target holds it because an identity start places the source itself:
     kept on the source, it would make the source refer to itself, a cycle

@@ -20,7 +20,7 @@ DEFAULT_REGULARIZER = 1e-5
 _SINGULAR_REL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovarianceModel:
     """Regularized 3x3 covariance and its inverse, both finite."""
 

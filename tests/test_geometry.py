@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mahaknn.descriptors import DescriptorSet
 from mahaknn.errors import InvalidArgumentError, RankDeficiencyError
 from mahaknn.geometry import (
     CorrespondenceSet,
@@ -16,6 +17,8 @@ from mahaknn.geometry import (
     rotation_angle_rad,
     sample_rigid,
 )
+from mahaknn.neighborhood import NeighborGraph
+from mahaknn.statistics import identity_model
 
 
 def random_cloud(n, seed=0, scale=1.0):
@@ -260,3 +263,20 @@ class TestValidation:
     def test_correspondence_rejects_unequal_lengths(self):
         with pytest.raises(InvalidArgumentError):
             CorrespondenceSet([0, 1, 2], [0, 1])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PointCloud(np.zeros((3, 3))),
+    identity_motion,
+    lambda: CorrespondenceSet([0, 1], [1, 0]),
+    lambda: NeighborGraph(np.zeros((3, 2))),
+    lambda: DescriptorSet(np.zeros((3, 4))),
+    identity_model,
+], ids=["cloud", "motion", "correspondences", "graph", "descriptors", "covariance"])
+def test_array_value_types_compare_by_identity(make):
+    # Generated field-wise equality would compare arrays and raise.
+    x, copy = make(), make()
+    assert x == x
+    assert x != copy
+    assert x in [x] and copy not in [x]
+    assert {x, copy} == {copy, x} and len({x, copy}) == 2

@@ -525,6 +525,49 @@ def grid_clouds(draw):
     return coords * scale
 
 
+def tied_cloud(rng, n, scale):
+    """A normal cloud with many tied distances: rounded coordinates and duplicated rows."""
+    coords = np.round(rng.normal(size=(n, 3)) * scale)
+    copies = rng.integers(0, n, size=rng.integers(0, n // 2 + 1))
+    coords[rng.integers(0, n, size=len(copies))] = coords[copies]
+    return coords
+
+
+class TestKnnPrefix:
+    """A narrower k-NN list is the prefix of a wider one, bit for bit."""
+
+    # A small chunk budget sends the wide blocks of a normal cloud's dense
+    # middle to the brute force, while the grid ranks its sparser rows.
+    ENTRIES = 256
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(min_value=300, max_value=500),
+        st.sampled_from([1.0, 4.0, 100.0]),
+        st.sampled_from(["euclidean", "mahalanobis"]),
+        st.data(),
+    )
+    def test_narrower_list_is_a_prefix(self, seed, n, scale, metric, data):
+        cloud = PointCloud(tied_cloud(np.random.default_rng(seed), n, scale))
+        k = data.draw(st.integers(2, 16))
+        model = estimate_covariance(cloud) if metric == "mahalanobis" else None
+        with mock.patch.object(neighborhood, "_GRID_ENTRIES", self.ENTRIES):
+            wide = knn(cloud, k, metric, model).neighbors
+            for j in range(1, k):
+                narrow = knn(cloud, j, metric, model).neighbors
+                assert narrow.tobytes() == wide[:, :j].tobytes()
+
+    @pytest.mark.parametrize("metric", ["euclidean", "mahalanobis"])
+    def test_both_paths_rank_rows(self, metric):
+        coords = tied_cloud(np.random.default_rng(0), 300, 4.0)
+        if metric == "mahalanobis":
+            coords = coords @ estimate_covariance(PointCloud(coords)).whitener().T
+        with mock.patch.object(neighborhood, "_GRID_ENTRIES", self.ENTRIES):
+            for k in (1, 16):
+                assert 0 < len(grid_fallback(coords, k)) < len(coords)
+
+
 class TestGridKnn:
     """`knn`'s cell grid against the blocked brute force it falls back to."""
 

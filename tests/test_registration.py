@@ -596,6 +596,22 @@ class TestGraphReuse:
         assert build_graph(cloud, "geodesic", 10) is geodesic
         assert builds == [("knn", 10), ("geodesic", 10)]
 
+    def test_geodesic_base_graph_is_kept_and_shared(self, monkeypatch):
+        built = []
+        knn = neighborhood.knn
+
+        def recording_knn(*args, **kwargs):
+            built.append(knn(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(neighborhood, "knn", recording_knn)
+        cloud = self._pair(22)[0]
+        build_graph(cloud, "geodesic", 10, k_base=6)
+        euclidean = build_graph(cloud, "euclidean", 6)
+        assert len(built) == 1
+        assert euclidean is built[0]
+        np.testing.assert_array_equal(euclidean.neighbors, knn(cloud, 6).neighbors)
+
     def test_second_pipeline_of_a_trial_builds_no_graph(self, monkeypatch):
         # The harness hands the same corrupted pair to every pipeline of a trial.
         knn_calls = []
