@@ -21,6 +21,7 @@ from .corruption import PAIR_VARIANTS, NoiseSpec, corrupt
 from .descriptors import edgeconv_features, kmeans
 from .errors import (
     CloudParseError,
+    LinearAlgebraError,
     MahaknnError,
     NoCorrespondenceError,
     RankDeficiencyError,
@@ -41,7 +42,8 @@ _NUMERICAL_ERRORS = (
     RankDeficiencyError,
     SingularCovarianceError,
     NoCorrespondenceError,
-    np.linalg.LinAlgError,
+    LinearAlgebraError,
+    np.linalg.LinAlgError,  # from knn-compare and cluster, which do not go through `register`
 )
 
 

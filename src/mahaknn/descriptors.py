@@ -13,7 +13,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InvalidArgumentError
-from .geometry import PointCloud
+from .geometry import PointCloud, hold
 from .neighborhood import NeighborGraph, nearest
 
 # Output channels of the single edge-conv layer.
@@ -30,13 +30,7 @@ class DescriptorSet:
     vectors: NDArray[np.float64]
 
     def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=np.float64)
-        if v.ndim != 2:
-            raise InvalidArgumentError("vectors must be a 2-D array")
-        if not np.all(np.isfinite(v)):
-            raise InvalidArgumentError("descriptor vectors contain non-finite entries")
-        v.setflags(write=False)
-        object.__setattr__(self, "vectors", v)
+        hold(self, "vectors", (None, None))
 
     def __len__(self) -> int:
         return len(self.vectors)

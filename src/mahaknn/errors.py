@@ -17,6 +17,10 @@ class SingularCovarianceError(MahaknnError):
     """Covariance is singular and no regularizer was supplied."""
 
 
+class LinearAlgebraError(MahaknnError):
+    """A numpy linear-algebra routine failed, such as an SVD that did not converge."""
+
+
 class NoCorrespondenceError(MahaknnError):
     """Matching produced an empty correspondence set."""
 

@@ -28,38 +28,48 @@ MAX_ABS_COORDINATE = 1e150
 MIN_EXTENT = 1e-150
 
 
-def _as_points(points) -> NDArray[np.float64]:
-    """An (N, 3) float64 copy of `points`, which no caller's array can write to."""
-    arr = np.array(points, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise InvalidArgumentError(f"expected an (N, 3) array, got shape {arr.shape}")
-    return arr
+def hold(value, field: str, shape: tuple, dtype=np.float64, copy: bool = False) -> None:
+    """Set `value.field` to a read-only `dtype` array of `shape`, where `None`
+    matches any length: the one rule for the arrays that value types hold.
+
+    Floats must be finite and an integer `dtype` takes integral values only;
+    a failure raises InvalidArgumentError naming the field. The array handed
+    in is frozen in place, or a copy of it is when it is a view, whose base
+    stays writable, or when `copy` is set, as `PointCloud` sets it for the
+    points that key every value kept on it.
+    """
+    arr = np.asarray(getattr(value, field))
+    if arr.dtype.kind not in "iuf":
+        raise InvalidArgumentError(f"{field} must hold numbers, got dtype {arr.dtype}")
+    if arr.ndim != len(shape) or any(s not in (None, d) for s, d in zip(shape, arr.shape)):
+        raise InvalidArgumentError(f"{field} must have shape {shape}, got {arr.shape}")
+    if arr.dtype.kind == "f" and not np.all(np.isfinite(arr)):
+        raise InvalidArgumentError(f"{field} must be finite")
+    if arr.dtype.kind == "f" and np.dtype(dtype).kind == "i" and np.any(arr % 1):
+        raise InvalidArgumentError(f"{field} must hold integers")
+    held = arr.astype(dtype, copy=copy or arr.base is not None)
+    held.setflags(write=False)
+    object.__setattr__(value, field, held)
 
 
 @dataclass(frozen=True, eq=False)
 class PointCloud:
-    """Ordered sequence of 3D points, held in a read-only copy of its own."""
+    """Ordered sequence of at least one 3D point, held in a copy of its own."""
 
     points: NDArray[np.float64]
     _kept: dict = field(default_factory=dict, init=False, repr=False)  # see `kept`
 
     def __post_init__(self):
-        pts = _as_points(self.points)
-        if len(pts) < 1:
+        hold(self, "points", (None, 3), copy=True)
+        if len(self.points) < 1:
             raise InvalidArgumentError("point cloud must contain at least one point")
-        if not np.all(np.isfinite(pts)):
-            raise InvalidArgumentError("point cloud contains non-finite coordinates")
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
 
     def __len__(self) -> int:
         return len(self.points)
 
     def kept(self, key, build):
-        """The value kept on this cloud under `key`, built by `build()` on first use.
-
-        The points are a private read-only copy, so a kept value cannot go stale.
-        """
+        """The value kept on this cloud under `key`, built by `build()` on first
+        use; the points are a private copy, so a kept value cannot go stale."""
         if key not in self._kept:
             self._kept[key] = build()
         return self._kept[key]
@@ -90,44 +100,32 @@ def check_range(name: str, points, max_abs: float = MAX_ABS_COORDINATE) -> None:
 
 @dataclass(frozen=True, eq=False)
 class RigidMotion:
-    """Element of SE(3): proper rotation plus translation."""
+    """Element of SE(3): a proper rotation (orthogonal, determinant +1) plus a translation."""
 
     rotation: NDArray[np.float64]
     translation: NDArray[np.float64]
 
     def __post_init__(self):
-        rot = np.asarray(self.rotation, dtype=np.float64)
-        t = np.asarray(self.translation, dtype=np.float64).reshape(3)
-        if rot.shape != (3, 3):
-            raise InvalidArgumentError("rotation must be a 3x3 matrix")
-        if not (np.all(np.isfinite(rot)) and np.all(np.isfinite(t))):
-            raise InvalidArgumentError("rigid motion contains non-finite entries")
-        if np.max(np.abs(rot.T @ rot - np.eye(3))) > _ORTHO_TOL:
+        hold(self, "rotation", (3, 3))
+        hold(self, "translation", (3,))
+        if np.max(np.abs(self.rotation.T @ self.rotation - np.eye(3))) > _ORTHO_TOL:
             raise InvalidArgumentError("rotation is not orthogonal")
-        if abs(np.linalg.det(rot) - 1.0) > _ORTHO_TOL:
+        if abs(np.linalg.det(self.rotation) - 1.0) > _ORTHO_TOL:
             raise InvalidArgumentError("rotation determinant is not +1")
-        rot.setflags(write=False)
-        t.setflags(write=False)
-        object.__setattr__(self, "rotation", rot)
-        object.__setattr__(self, "translation", t)
 
 
 @dataclass(frozen=True, eq=False)
 class CorrespondenceSet:
-    """Index pairs between a source and a target cloud; `kabsch` weighs every pair alike."""
+    """Equal-length index arrays pairing source and target points; `kabsch` weighs pairs alike."""
 
     source_indices: NDArray[np.intp]
     target_indices: NDArray[np.intp]
 
     def __post_init__(self):
-        si = np.asarray(self.source_indices, dtype=np.intp).reshape(-1)
-        ti = np.asarray(self.target_indices, dtype=np.intp).reshape(-1)
-        if len(si) != len(ti):
+        hold(self, "source_indices", (None,), np.intp)
+        hold(self, "target_indices", (None,), np.intp)
+        if len(self.source_indices) != len(self.target_indices):
             raise InvalidArgumentError("index arrays differ in length")
-        si.setflags(write=False)
-        ti.setflags(write=False)
-        object.__setattr__(self, "source_indices", si)
-        object.__setattr__(self, "target_indices", ti)
 
     def __len__(self) -> int:
         return len(self.source_indices)
@@ -151,12 +149,11 @@ def _axis_rotation(axis: int, angle_rad: float) -> NDArray[np.float64]:
 def make_rigid(euler_deg, translation) -> RigidMotion:
     """Build a motion from (alpha, beta, gamma) degrees as Rz(g) @ Ry(b) @ Rx(a)."""
     ang = np.asarray(euler_deg, dtype=np.float64).reshape(3)
-    t = np.asarray(translation, dtype=np.float64).reshape(3)
-    if not (np.all(np.isfinite(ang)) and np.all(np.isfinite(t))):
-        raise InvalidArgumentError("non-finite Euler angles or translation")
+    if not np.all(np.isfinite(ang)):
+        raise InvalidArgumentError("non-finite Euler angles")
     a, b, g = np.deg2rad(ang)
     rot = _axis_rotation(2, g) @ _axis_rotation(1, b) @ _axis_rotation(0, a)
-    return RigidMotion(rot, t)
+    return RigidMotion(rot, translation)
 
 
 def euler_zyx_deg(rotation: NDArray[np.float64]) -> NDArray[np.float64]:

@@ -68,7 +68,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InvalidArgumentError
-from .geometry import PointCloud, check_range
+from .geometry import PointCloud, check_range, hold
 from .statistics import CovarianceModel, estimate_covariance
 
 METRIC_EUCLIDEAN = "euclidean"
@@ -92,11 +92,7 @@ class NeighborGraph:
     neighbors: NDArray[np.intp]
 
     def __post_init__(self):
-        nb = np.asarray(self.neighbors, dtype=np.intp)
-        if nb.ndim != 2:
-            raise InvalidArgumentError("neighbors must be an (n, k) index array")
-        nb.setflags(write=False)
-        object.__setattr__(self, "neighbors", nb)
+        hold(self, "neighbors", (None, None), np.intp)
 
     @property
     def k(self) -> int:

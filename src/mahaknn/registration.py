@@ -28,19 +28,20 @@ trial that differ only in `mutual`, `max_iters` or `convergence_tol`
 compute it once. The mutual filter's backward pass ranks only the distinct
 targets that a pair points at.
 
-`register` rejects a source or target outside `geometry.check_range`'s
-coordinate range before any work, with InvalidArgumentError naming the limit.
+`register` rejects a source or target outside `geometry.check_range`'s range
+before any work, and raises a later numpy `LinAlgError` as `LinearAlgebraError`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .descriptors import DescriptorSet, edgeconv_features, eigen_features, pose_eigen_features
-from .errors import InvalidArgumentError, MahaknnError, NoCorrespondenceError
+from .errors import InvalidArgumentError, LinearAlgebraError, MahaknnError, NoCorrespondenceError
 from .geometry import (
     CorrespondenceSet,
     PointCloud,
@@ -58,6 +59,10 @@ DESCRIPTOR_EDGECONV = "edgeconv"
 DESCRIPTOR_EIGEN = "eigen"
 DESCRIPTOR_NONE = "none"  # point-ICP on raw coordinates
 
+# What each field's annotation (a string here) admits. bool, an int, counts only as "bool".
+_TYPES = {"str": str, "int": numbers.Integral, "float": numbers.Real, "bool": (bool, np.bool_)}
+
+
 @dataclass(frozen=True)
 class RegistrationConfig:
     # Edge-conv weights (seed 0, one layer of width 64) and the covariance
@@ -73,6 +78,10 @@ class RegistrationConfig:
     mutual: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not isinstance(v, _TYPES[f.type]) or (isinstance(v, bool) and f.type != "bool"):
+                raise InvalidArgumentError(f"{f.name} must be {f.type}, got {v!r}")
         if self.metric not in METRICS:
             raise InvalidArgumentError(f"unknown metric {self.metric!r}")
         if self.descriptor not in (DESCRIPTOR_EDGECONV, DESCRIPTOR_EIGEN, DESCRIPTOR_NONE):
@@ -221,23 +230,26 @@ def register(
         raise InvalidArgumentError("clouds must contain at least k + 1 points")
     for name, cloud in (("source", source), ("target", target)):
         check_range(name, cloud.points)
-    tgt_desc, describe, (cumulative, current, start_corr) = _setup(source, target, cfg)
-    residuals: list[float] = []
-    corr = None
-    for _ in range(cfg.max_iters):
-        src_desc = describe(current, cumulative.rotation)
-        if start_corr is None:
-            corr = match_descriptors(src_desc, tgt_desc, cfg.trim_fraction)
-        else:
-            corr, start_corr = start_corr, None
-        if cfg.mutual:
-            corr = _mutual_filter(src_desc, tgt_desc, corr)
-        residuals.append(_pair_residual(current, target, corr))
-        delta = kabsch(current, target, corr)
-        cumulative = compose(delta, cumulative)
-        current = apply(delta, current)
-        if rotation_angle_rad(delta.rotation) < cfg.convergence_tol:
-            break
+    try:
+        tgt_desc, describe, (cumulative, current, start_corr) = _setup(source, target, cfg)
+        residuals: list[float] = []
+        corr = None
+        for _ in range(cfg.max_iters):
+            src_desc = describe(current, cumulative.rotation)
+            if start_corr is None:
+                corr = match_descriptors(src_desc, tgt_desc, cfg.trim_fraction)
+            else:
+                corr, start_corr = start_corr, None
+            if cfg.mutual:
+                corr = _mutual_filter(src_desc, tgt_desc, corr)
+            residuals.append(_pair_residual(current, target, corr))
+            delta = kabsch(current, target, corr)
+            cumulative = compose(delta, cumulative)
+            current = apply(delta, current)
+            if rotation_angle_rad(delta.rotation) < cfg.convergence_tol:
+                break
+    except np.linalg.LinAlgError as exc:
+        raise LinearAlgebraError(f"registration failed: {exc}") from exc
     assert corr is not None
     return RegistrationResult(cumulative, len(residuals), tuple(residuals), corr)
 

@@ -13,7 +13,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InvalidArgumentError, SingularCovarianceError
-from .geometry import PointCloud, check_range
+from .geometry import PointCloud, check_range, hold
 
 DEFAULT_REGULARIZER = 1e-5
 
@@ -22,20 +22,14 @@ _SINGULAR_REL_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class CovarianceModel:
-    """Regularized 3x3 covariance and its inverse, both finite."""
+    """Regularized 3x3 covariance and its inverse."""
 
     covariance: NDArray[np.float64]
     inverse: NDArray[np.float64]
 
     def __post_init__(self):
-        for name in ("covariance", "inverse"):
-            m = np.asarray(getattr(self, name), dtype=np.float64)
-            if m.shape != (3, 3):
-                raise InvalidArgumentError(f"{name} must be 3x3")
-            if not np.all(np.isfinite(m)):
-                raise InvalidArgumentError(f"{name} must be finite")
-            m.setflags(write=False)
-            object.__setattr__(self, name, m)
+        hold(self, "covariance", (3, 3))
+        hold(self, "inverse", (3, 3))
 
     def whitener(self) -> NDArray[np.float64]:
         """Matrix W with ||W @ d|| equal to the Mahalanobis length of d."""

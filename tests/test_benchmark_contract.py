@@ -8,12 +8,15 @@ unnoticed until a metric read zero.
 
 import importlib
 import sys
+from contextlib import ExitStack
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from mahaknn import harness
+from mahaknn import harness, neighborhood, registration
 from mahaknn.corruption import NoiseSpec
+from mahaknn.errors import LinearAlgebraError
 from mahaknn.registration import RegistrationConfig
 from mahaknn.shapes import SHAPES
 
@@ -55,3 +58,51 @@ def test_every_traced_name_resolves(benchmark_modules):
     assert set(bench.SIZES) <= set(bench.TRACED)
     for wl in benchmark_modules["workloads"].WORKLOADS.values():
         assert set(wl.hotspot) <= set(bench.TRACED)
+
+
+def test_a_linalg_error_is_one_failure_for_report_and_benchmark(benchmark_modules, monkeypatch, tmp_path):
+    bench = benchmark_modules["bench"]
+
+    def diverging(*args):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(registration, "kabsch", diverging)
+    scenario = harness.Scenario(
+        name="eig",
+        input="shape:two-planes:128:0",
+        trials=2,
+        pipelines=(("eig", RegistrationConfig(descriptor="eigen", k=10, max_iters=2)),),
+    )
+    regs = bench.Registrations()
+    with ExitStack() as stack:
+        regs.install(stack)
+        outcome = bench.run_pass(scenario, regs, tmp_path)  # checks the report against the calls
+    assert outcome["abort"] is None
+    assert [type(c["error"]) for c in outcome["calls"]] == [LinearAlgebraError] * 2
+    assert all(isinstance(c["error"].__cause__, np.linalg.LinAlgError) for c in outcome["calls"])
+
+
+def test_a_traced_pass_records_every_size_and_outcome(benchmark_modules):
+    bench, tracer = benchmark_modules["bench"], benchmark_modules["tracer"]
+    scenario = harness.Scenario(
+        name="traced",
+        input="shape:two-planes:128:0",
+        noise=NoiseSpec.parse("zero_intersection"),
+        trials=1,
+        pipelines=(
+            ("geodesic-eigen", RegistrationConfig(
+                metric="geodesic", descriptor="eigen", k=10, k_base=6, max_iters=2)),
+            ("point-icp", RegistrationConfig(max_iters=2)),
+        ),
+    )
+    cloud = harness.load_input_cloud(scenario.input)
+    trace = tracer.Tracer("corruption.corrupt", bench.SIZES, bench.OUTCOMES)
+    with trace.installed(bench.TRACED):
+        harness.run_scenario(scenario)
+        neighborhood.floyd_warshall(neighborhood.geodesic_adjacency(cloud, 6))
+    assert trace.missing == []
+    sized = [s for s in trace.spans if s.name in bench.SIZES]
+    assert {s.name for s in sized} == set(bench.SIZES)
+    assert all(s.sizes for s in sized), [s.name for s in sized if not s.sizes]
+    registers = [s for s in trace.spans if s.name == "registration.register"]
+    assert len(registers) == 2 and all(s.outcome for s in registers)

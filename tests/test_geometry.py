@@ -18,7 +18,7 @@ from mahaknn.geometry import (
     sample_rigid,
 )
 from mahaknn.neighborhood import NeighborGraph
-from mahaknn.statistics import identity_model
+from mahaknn.statistics import CovarianceModel, identity_model
 
 
 def random_cloud(n, seed=0, scale=1.0):
@@ -280,3 +280,79 @@ def test_array_value_types_compare_by_identity(make):
     assert x != copy
     assert x in [x] and copy not in [x]
     assert {x, copy} == {copy, x} and len({x, copy}) == 2
+
+
+# One array field of each value type: a builder taking that field's array,
+# the field's name, and a valid array for it.
+HELD_FIELDS = {
+    "cloud": (PointCloud, "points", lambda: np.arange(12.0).reshape(4, 3)),
+    "rotation": (lambda a: RigidMotion(a, np.zeros(3)), "rotation", lambda: np.eye(3)),
+    "translation": (lambda a: RigidMotion(np.eye(3), a), "translation", lambda: np.zeros(3)),
+    "make-rigid": (lambda a: make_rigid((10, 20, 30), a), "translation", lambda: np.zeros(3)),
+    "source-indices": (lambda a: CorrespondenceSet(a, [0, 1, 2]), "source_indices", lambda: np.arange(3)),
+    "target-indices": (lambda a: CorrespondenceSet([0, 1, 2], a), "target_indices", lambda: np.arange(3)),
+    "graph": (NeighborGraph, "neighbors", lambda: np.array([[1, 2], [0, 2], [0, 1]])),
+    "descriptors": (DescriptorSet, "vectors", lambda: np.arange(8.0).reshape(4, 2)),
+    "covariance": (lambda a: CovarianceModel(a, np.eye(3)), "covariance", lambda: 2.0 * np.eye(3)),
+    "inverse": (lambda a: CovarianceModel(np.eye(3), a), "inverse", lambda: 0.5 * np.eye(3)),
+}
+
+
+@pytest.mark.parametrize("name", HELD_FIELDS)
+def test_writes_to_the_base_of_a_view_do_not_reach_the_value(name):
+    build, field, make = HELD_FIELDS[name]
+    original = make()
+    base = np.stack([original, original])
+    value = build(base[0])
+    base += 1
+    np.testing.assert_array_equal(getattr(value, field), original)
+
+
+@pytest.mark.parametrize("name", HELD_FIELDS)
+def test_a_plain_array_is_frozen_or_copied(name):
+    build, field, make = HELD_FIELDS[name]
+    given, original = make(), make()
+    held = getattr(build(given), field)
+    assert not held.flags.writeable
+    if given.flags.writeable:
+        assert not np.shares_memory(given, held)
+        given += 1
+    else:
+        with pytest.raises(ValueError):
+            given += 1
+    np.testing.assert_array_equal(held, original)
+
+
+@pytest.mark.parametrize("field,make", [
+    ("translation", lambda: RigidMotion(np.eye(3), np.zeros(4))),
+    ("translation", lambda: RigidMotion(np.eye(3), np.zeros((3, 1)))),
+    ("translation", lambda: make_rigid((0, 0, 0), (1, 2))),
+    ("source_indices", lambda: CorrespondenceSet(np.zeros((2, 2)), np.zeros(4))),
+    ("target_indices", lambda: CorrespondenceSet(np.zeros(4), np.zeros((2, 2)))),
+    ("source_indices", lambda: CorrespondenceSet([0.9, 1, 2], [0, 1, 2])),
+    ("source_indices", lambda: CorrespondenceSet(np.array([True, False]), [0, 1])),
+    ("neighbors", lambda: NeighborGraph([[1, 2], [0, 2], [0, 0.9]])),
+    ("points", lambda: PointCloud([["a", "b", "c"]])),
+    ("rotation", lambda: RigidMotion([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], np.zeros(3))),
+    ("target_indices", lambda: CorrespondenceSet([0], ["zero"])),
+    ("neighbors", lambda: NeighborGraph([["x"]])),
+    ("vectors", lambda: DescriptorSet([["x", "y"]])),
+    ("inverse", lambda: CovarianceModel(np.eye(3), np.full((3, 3), "x"))),
+    ("points", lambda: PointCloud([(0.0, 0.0, np.inf)])),
+    ("vectors", lambda: DescriptorSet([[0.0, np.nan]])),
+    ("target_indices", lambda: CorrespondenceSet([0], [np.nan])),
+], ids=[
+    "translation-4", "translation-3x1", "make-rigid-2", "source-2d", "target-2d",
+    "source-0.9", "source-mask", "graph-0.9", "cloud-text", "rotation-text", "target-text", "graph-text",
+    "descriptors-text", "inverse-text", "cloud-inf", "descriptors-nan", "target-nan",
+])
+def test_malformed_array_is_rejected_by_name(field, make):
+    with pytest.raises(InvalidArgumentError, match=f"^{field} must "):
+        make()
+
+
+def test_integral_float_indices_are_accepted():
+    corr = CorrespondenceSet(np.array([0.0, 2.0]), [1, -0.0])
+    assert corr.source_indices.dtype == corr.target_indices.dtype == np.intp
+    np.testing.assert_array_equal(corr.source_indices, [0, 2])
+    np.testing.assert_array_equal(NeighborGraph(np.zeros((3, 2))).neighbors, np.zeros((3, 2)))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import mahaknn
-from mahaknn import harness
+from mahaknn import harness, registration
 from mahaknn.corruption import NoiseSpec
 from mahaknn.errors import InvalidArgumentError
 from mahaknn.harness import (
@@ -80,16 +80,20 @@ class TestRunScenario:
         assert a.config_hash() != b.config_hash()
 
     def test_linalg_error_fails_one_registration(self, monkeypatch):
-        real_register = harness.register
+        real_register, real_kabsch = harness.register, registration.kabsch
         calls = []
 
-        def flaky(source, target, cfg):
+        def counting(source, target, cfg):
             calls.append(cfg)
-            if len(calls) == 2:
-                raise np.linalg.LinAlgError("SVD did not converge")
             return real_register(source, target, cfg)
 
-        monkeypatch.setattr(harness, "register", flaky)
+        def flaky(*args):
+            if len(calls) == 2:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real_kabsch(*args)
+
+        monkeypatch.setattr(harness, "register", counting)
+        monkeypatch.setattr(registration, "kabsch", flaky)
         report = run_scenario(small_scenario())
         cell = report.cells["icp"]
         assert len(calls) == 3  # the scenario ran on past the failure

@@ -344,6 +344,23 @@ class TestRegister:
             with pytest.raises(InvalidArgumentError):
                 RegistrationConfig(**bad)
 
+    # A string is truthy, and a float k or max_iters would fail only inside register.
+    @pytest.mark.parametrize("field,value", [
+        ("mutual", "no"), ("mutual", 1), ("k", 20.5), ("max_iters", 2.5), ("k_base", np.float64(6)),
+        ("k", True), ("trim_fraction", False), ("convergence_tol", "1e-4"), ("metric", None),
+    ])
+    def test_config_field_of_another_type_is_rejected(self, field, value):
+        with pytest.raises(InvalidArgumentError, match=f"^{field} must be "):
+            RegistrationConfig(**{field: value})
+
+    def test_config_takes_numpy_scalars(self):
+        cfg = RegistrationConfig(
+            metric=np.str_("euclidean"), k=np.int64(6), max_iters=np.int32(2),
+            convergence_tol=np.float32(0), trim_fraction=np.float64(0.1), k_base=np.int64(3),
+            mutual=np.bool_(True),
+        )
+        assert cfg.k == 6 and cfg.mutual
+
     @staticmethod
     def _bernoulli_trial(trial):
         """Harness trial `trial` of sphere-cap n=512 under bernoulli:keep_prob=0.7."""
