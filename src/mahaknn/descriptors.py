@@ -14,7 +14,7 @@ from numpy.typing import NDArray
 
 from .errors import InvalidArgumentError
 from .geometry import PointCloud, hold
-from .neighborhood import NeighborGraph, nearest
+from .neighborhood import NeighborGraph, nearest, row_blocks
 
 # Output channels of the single edge-conv layer.
 EDGECONV_WIDTH = 64
@@ -48,6 +48,12 @@ def edgeconv_features(cloud: PointCloud, graph: NeighborGraph, seed: int = 0) ->
     relu(P_i + max_j Q_j): two (n, 3) @ (3, width) products and a running max
     over the k neighbor columns, with no (n, k, width) edge tensor. This
     equals the direct evaluation up to rounding, not bitwise.
+
+    P and Q are whole-cloud products, and P + b is the output buffer. The
+    running max runs one `neighborhood.row_blocks` block of points at a time,
+    over a contiguous copy of the block's neighbor columns, and is added into
+    the output in place. Working memory is the output plus Q, two (n, width)
+    arrays, plus O(scratch budget).
     """
     if len(graph) != len(cloud):
         raise InvalidArgumentError("graph and cloud sizes differ")
@@ -58,10 +64,15 @@ def edgeconv_features(cloud: PointCloud, graph: NeighborGraph, seed: int = 0) ->
     b = rng.normal(0.0, 1.0 / np.sqrt(6), size=EDGECONV_WIDTH)
     w_center, w_offset = w[:, :3], w[:, 3:]
     q = pts @ w_offset.T
-    max_q = q[graph.neighbors[:, 0]]
-    for column in graph.neighbors.T[1:]:
-        np.maximum(max_q, q[column], out=max_q)
-    return DescriptorSet(np.maximum(pts @ (w_center - w_offset).T + b + max_q, 0.0))
+    out = pts @ (w_center - w_offset).T
+    out += b
+    for rows in row_blocks(len(cloud), EDGECONV_WIDTH):
+        columns = graph.neighbors[rows].T.copy()
+        max_q = q[columns[0]]
+        for column in columns[1:]:
+            np.maximum(max_q, q[column], out=max_q)
+        out[rows] += max_q
+    return DescriptorSet(np.maximum(out, 0.0, out=out))
 
 
 def _orient_normals(normals: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -78,27 +89,30 @@ def eigen_features(cloud: PointCloud, graph: NeighborGraph) -> DescriptorSet:
     scattering, normal), with the normal oriented to the positive z-hemisphere.
 
     Rows whose neighborhood has no spread (largest eigenvalue 0) are all zero.
+    Each `neighborhood.row_blocks` block of points is gathered, centred and
+    solved on its own and written straight into the (n, 6) output, so the
+    working memory is the output plus O(scratch budget).
     """
     if len(graph) != len(cloud):
         raise InvalidArgumentError("graph and cloud sizes differ")
     if graph.k < 3:
         raise InvalidArgumentError("eigen features need k >= 3")
     pts = cloud.points
-    n = len(cloud)
-    nbr = np.concatenate([np.arange(n)[:, None], graph.neighbors], axis=1)
-    local = pts[nbr]  # (n, k+1, 3)
-    centered = local - local.mean(axis=1, keepdims=True)
-    cov = np.einsum("nki,nkj->nij", centered, centered) / local.shape[1]
-    vals, vecs = np.linalg.eigh(cov)  # ascending eigenvalues
-    l3, l2, l1 = vals[:, 0], vals[:, 1], vals[:, 2]
-    l3 = np.clip(l3, 0.0, None)
-    l2 = np.clip(l2, 0.0, None)
+    n, k = len(cloud), graph.k
     out = np.zeros((n, 6))
-    ok = l1 > 0
-    out[ok, 0] = (l1[ok] - l2[ok]) / l1[ok]
-    out[ok, 1] = (l2[ok] - l3[ok]) / l1[ok]
-    out[ok, 2] = l3[ok] / l1[ok]
-    out[ok, 3:] = _orient_normals(vecs[ok, :, 0])  # eigenvector of the smallest eigenvalue
+    for rows in row_blocks(n, 3 * (k + 1)):
+        local = pts[np.column_stack([np.arange(rows.start, rows.stop), graph.neighbors[rows]])]
+        centered = local - local.mean(axis=1, keepdims=True)
+        cov = np.einsum("nki,nkj->nij", centered, centered) / (k + 1)
+        vals, vecs = np.linalg.eigh(cov)  # ascending eigenvalues
+        l3, l2, l1 = np.clip(vals[:, 0], 0.0, None), np.clip(vals[:, 1], 0.0, None), vals[:, 2]
+        block = out[rows]
+        ok = l1 > 0
+        np.divide(l1 - l2, l1, out=block[:, 0], where=ok)
+        np.divide(l2 - l3, l1, out=block[:, 1], where=ok)
+        np.divide(l3, l1, out=block[:, 2], where=ok)
+        # The eigenvector of the smallest eigenvalue.
+        np.copyto(block[:, 3:], _orient_normals(vecs[:, :, 0]), where=ok[:, None])
     return DescriptorSet(out)
 
 

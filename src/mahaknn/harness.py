@@ -39,6 +39,14 @@ SUCCESS_THRESHOLD_DEG = 5.0
 _STATS = ("rmse_r_deg", "rmse_t", "geodesic_r_deg", "chamfer", "hausdorff")
 
 
+def _python_value(value):
+    """A numpy scalar as its Python value, for `json`; a Python int or float
+    never reaches here, so its text is json's own."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 @dataclass(frozen=True)
 class Scenario:
     name: str
@@ -69,7 +77,7 @@ class Scenario:
             "base_seed": self.base_seed,
             "pipelines": [[n, vars(c).copy()] for n, c in self.pipelines],
         }
-        blob = json.dumps(payload, sort_keys=True).encode()
+        blob = json.dumps(payload, sort_keys=True, default=_python_value).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
 

@@ -18,7 +18,7 @@ each axis, the gap to the nearest coordinate of any point two or more cells
 away, computed as the distances are, so that monotone rounding keeps every
 point outside the block strictly farther. Every other row, and every row of
 a cloud with no grid, falls back to the brute force: one block of rows at a
-time against all points, so memory stays O(block) instead of O(n^2). Both
+time against all points, so memory stays O(budget) instead of O(n^2). Both
 paths take their distances from one kernel, `_squared_distances`, which sums
 squared coordinate differences as (dx^2 + dz^2) + dy^2, the bytes of the
 einsum of the difference tensor, without building that tensor, so duplicate
@@ -30,20 +30,30 @@ chunk or block.
 ranks each block with one matrix product of lifted coordinates, the queries
 as [q, 1] times the points as [-2 p; p^2], which leaves p^2 - 2 q.p in one
 (rows, m) buffer; q^2 is added to each row's picked value after the argmin.
-Rows per block are fixed by `_BLOCK_ENTRIES` (n per row in `knn`'s brute
-force, max(m, d+1) in `nearest`), because the rounding of `nearest`'s matrix
-product depends on its row count. A one-row block runs as two copies of its
-row: a one-row product goes through gemv, which rounds apart from gemm. So a
-query's result does not depend on which other queries share its call, as far
-as the BLAS rounds a row of a product alike at every row count. With
-OpenBLAS 0.3.31 on AVX-512 that held in every 3-d and 6-d case tested, while
-some 64-d products rounded a row by the product's size and the row's place
-in it, so there only the ranking of random points is independent of the
-other queries. Its tie rule covers computed values only:
-p^2 - 2 q.p can round bitwise-identical target rows apart, so a higher-index
-copy can win by an ulp (64-d points, 500 rows each stored three times, 2500
-random queries: 7 matched a higher copy with one BLAS thread, 5 with two);
-the match is the lowest index among equal computed values.
+Rows per block are fixed by `_BLOCK_ENTRIES` (max(m, d+1) entries per row),
+because the rounding of `nearest`'s matrix product depends on its row count.
+A one-row block runs as two copies of its row: a one-row product goes
+through gemv, which rounds apart from gemm. So a query's result does not
+depend on which other queries share its call, as far as the BLAS rounds a
+row of a product alike at every row count. With OpenBLAS 0.3.31 on AVX-512
+that held in every 3-d and 6-d case tested, while some 64-d products
+rounded a row by the product's size and the row's place in it, so there
+only the ranking of random points is independent of the other queries. Its
+tie rule covers computed values only: p^2 - 2 q.p can round
+bitwise-identical target rows apart, so a higher-index copy can win by an
+ulp (64-d points, 500 rows each stored three times, 2500 random queries: 7
+matched a higher copy with one BLAS thread, 5 with two); the match is the
+lowest index among equal computed values.
+
+Every other per-point kernel keeps its scratch within one budget,
+`_SCRATCH_ENTRIES`: `knn`'s cell-grid chunks, and, cut into rows by the
+same `row_blocks`, `knn`'s brute force (n entries per row), the edge
+lengths of `_base_edges`, and `descriptors.eigen_features` and
+`descriptors.edgeconv_features`. So their working memory is their output
+plus O(budget), whatever n is. None of them runs a BLAS product on a block,
+and each row's values are computed as they would be in one whole-cloud
+pass, so that budget moves no value; only `nearest`'s budget is fixed for
+its bytes.
 
 The geodesic variant runs one Dijkstra search per point over the adjacency
 lists of a symmetrized Euclidean k-NN graph and stops once k points are
@@ -102,18 +112,24 @@ class NeighborGraph:
         return len(self.neighbors)
 
 
-# Entries in one row-block buffer (512 KiB of float64). Rows per block follow
-# from it, and gemm rounding in `nearest` depends on the row count, so a
+# Entries in one row-block buffer of `nearest` (512 KiB of float64). Rows per
+# block follow from it, and gemm rounding depends on the row count, so a
 # different value can move distances by an ulp: it is fixed, not tuned.
 _BLOCK_ENTRIES = 1 << 16
-# Entries in one chunk buffer of the cell grid in `knn` (128 KiB of float64).
-# No matrix product runs on it, so its size moves no value.
-_GRID_ENTRIES = 1 << 14
+# Entries in one scratch buffer of every other blocked kernel (128 KiB of
+# float64): `knn`'s grid chunks and brute-force blocks, `_base_edges` and the
+# eigen and edge-conv descriptors. No matrix product runs on their blocks,
+# so its size moves no value.
+_SCRATCH_ENTRIES = 1 << 14
 
 
-def _row_blocks(n_rows: int, entries_per_row: int) -> list[slice]:
-    """Consecutive row slices whose block buffers stay within _BLOCK_ENTRIES."""
-    step = max(1, _BLOCK_ENTRIES // max(entries_per_row, 1))
+def row_blocks(n_rows: int, entries_per_row: int, budget: int | None = None) -> list[slice]:
+    """Consecutive row slices of at most `budget` entries each, and at least one row.
+
+    The budget is `_SCRATCH_ENTRIES` unless given; only `nearest` gives its own.
+    """
+    budget = _SCRATCH_ENTRIES if budget is None else budget
+    step = max(1, budget // max(entries_per_row, 1))
     return [slice(start, min(start + step, n_rows)) for start in range(0, n_rows, step)]
 
 
@@ -170,7 +186,7 @@ def nearest(
     lifted_p[dim] = np.sum(points**2, axis=1)
     index = np.empty(len(queries), dtype=np.intp)
     dist = np.empty(len(queries))
-    blocks = _row_blocks(len(queries), max(m, dim + 1))
+    blocks = row_blocks(len(queries), max(m, dim + 1), _BLOCK_ENTRIES)
     block_rows = max(blocks[0].stop, 2) if blocks else 0
     lifted_q = np.empty((block_rows, dim + 1))
     lifted_q[:, dim] = 1.0
@@ -221,7 +237,7 @@ def _brute_force_rows(
 ) -> None:
     """Rank every point for each row in `rows`, one (block rows, n) buffer at a time."""
     n = axes.shape[1]
-    blocks = _row_blocks(len(rows), n)
+    blocks = row_blocks(len(rows), n)
     if not blocks:
         return
     d2_buf = np.empty((blocks[0].stop, n))
@@ -371,17 +387,17 @@ def _grid_rows(axes: NDArray[np.float64], k: int, out: NDArray[np.intp]) -> NDAr
     # indices are all in range.
     point = np.append(order, n)
     sx, sy, sz = np.append(axes, np.full((3, 1), np.inf), axis=1)
-    cand_buf = np.empty(_GRID_ENTRIES, dtype=np.intp)
-    d2_buf, y_buf, sq_buf = np.empty((3, _GRID_ENTRIES))
+    cand_buf = np.empty(_SCRATCH_ENTRIES, dtype=np.intp)
+    d2_buf, y_buf, sq_buf = np.empty((3, _SCRATCH_ENTRIES))
     rejected = [np.empty(0, dtype=np.intp)]
     start = 0
     while start < n:
         # The longest run of rows whose padded candidate table fits a buffer.
-        span = row_width[start : start + max(1, _GRID_ENTRIES // row_width[start])]
-        fits = np.arange(1, len(span) + 1) * np.maximum.accumulate(span) <= _GRID_ENTRIES
+        span = row_width[start : start + max(1, _SCRATCH_ENTRIES // row_width[start])]
+        fits = np.arange(1, len(span) + 1) * np.maximum.accumulate(span) <= _SCRATCH_ENTRIES
         stop = start + max(1, np.count_nonzero(fits))
         cols = int(row_width[start:stop].max())
-        if not k < cols <= _GRID_ENTRIES:
+        if not k < cols <= _SCRATCH_ENTRIES:
             rejected.append(order[start:stop])
             start = stop
             continue
@@ -477,12 +493,18 @@ def floyd_warshall(adjacency: NDArray[np.float64]) -> NDArray[np.float64]:
 def _base_edges(
     cloud: PointCloud, k_base: int
 ) -> tuple[NDArray[np.intp], NDArray[np.intp], NDArray[np.float64]]:
-    """Directed edges (row -> column) of the cloud's Euclidean k_base-NN graph, with lengths."""
+    """Directed edges (row -> column) of the cloud's Euclidean k_base-NN graph, with lengths.
+
+    The lengths are taken one `row_blocks` block of edges at a time.
+    """
     base = build_graph(cloud, METRIC_EUCLIDEAN, k_base)
     pts = cloud.points
     rows = np.repeat(np.arange(len(cloud)), k_base)
     cols = base.neighbors.reshape(-1)
-    return rows, cols, np.linalg.norm(pts[rows] - pts[cols], axis=1)
+    lengths = np.empty(len(rows))
+    for edges in row_blocks(len(rows), 3):
+        lengths[edges] = np.linalg.norm(pts[rows[edges]] - pts[cols[edges]], axis=1)
+    return rows, cols, lengths
 
 
 def geodesic_adjacency(cloud: PointCloud, k_base: int) -> NDArray[np.float64]:

@@ -1,4 +1,5 @@
-"""The names and texts that benchmark/ takes from the package.
+"""The names and texts that benchmark/ takes from the package, and the bytes
+of each workload's seed-0 report.
 
 The benchmark's files are imported read-only, with benchmark/ on the path
 and no bytecode written. The tracer skips a traced name that no longer
@@ -6,6 +7,7 @@ resolves without a word, so a rename in the package would otherwise go
 unnoticed until a metric read zero.
 """
 
+import hashlib
 import importlib
 import sys
 from contextlib import ExitStack
@@ -106,3 +108,34 @@ def test_a_traced_pass_records_every_size_and_outcome(benchmark_modules):
     assert all(s.sizes for s in sized), [s.name for s in sized if not s.sizes]
     registers = [s for s in trace.spans if s.name == "registration.register"]
     assert len(registers) == 2 and all(s.outcome for s in registers)
+
+
+# sha256 of each workload's seed-0 report.json, as `bench.run` writes it.
+SEED_0_DIGESTS = {
+    "point-icp": "ec5b125c8344337ce6df61523300ddb7aa72a4575270d3b0c131bbc3308a35cb",
+    "whitened-descriptor": "5ebc34e211638c24537c67917cb97e0d3a93228903d65d73e3c1dfb8e946a5bb",
+    "geodesic-manifold": "2652d987836b6e28c71b496c17dd8c610e27d8dc9fab479474a00bca1de405d3",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(SEED_0_DIGESTS))
+def test_seed_0_report_bytes_are_pinned(benchmark_modules, monkeypatch, tmp_path, workload):
+    # As `bench.run` builds its untraced scenario: the input's path, relative
+    # to the working directory, enters the report's config_hash.
+    bench = benchmark_modules["bench"]
+    wl = benchmark_modules["workloads"].WORKLOADS[workload]
+    monkeypatch.chdir(tmp_path)
+    input_path = Path(bench.OUT_DIR) / workload / "seed-0" / "input.xyz"
+    input_path.parent.mkdir(parents=True)
+    bench.write_input(wl, 0, input_path)
+    scenario = harness.Scenario(
+        name=workload,
+        input=str(input_path),
+        noise=NoiseSpec.parse(wl.noise),
+        trials=wl.trials,
+        pipelines=tuple((name, RegistrationConfig(**kw)) for name, kw in wl.pipelines),
+        base_seed=0,
+    )
+    harness.write_report(harness.run_scenario(scenario), tmp_path / "report")
+    digest = hashlib.sha256((tmp_path / "report" / "report.json").read_bytes()).hexdigest()
+    assert digest == SEED_0_DIGESTS[workload]

@@ -1,10 +1,11 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from mahaknn import descriptors
+from mahaknn import descriptors, neighborhood
 from mahaknn.descriptors import (
     DescriptorSet,
     edgeconv_features,
@@ -24,6 +25,7 @@ from mahaknn.neighborhood import (
     nearest,
 )
 from mahaknn.shapes import plane, sphere, sphere_cap, two_planes
+from test_neighborhood import SCRATCH_BUDGETS, budget_clouds
 
 
 def random_cloud(n, seed=0):
@@ -40,6 +42,36 @@ def unfactored_edgeconv(cloud, graph, seed=0):
     offset = cloud.points[graph.neighbors] - center
     edges = np.concatenate([np.broadcast_to(center, offset.shape), offset], axis=2)
     return np.maximum(edges @ w.T + b, 0.0).max(axis=1)
+
+
+def unblocked_edgeconv(cloud, graph, seed=0):
+    """Oracle: the factored evaluation of `edgeconv_features` over the whole
+    cloud at once, with the running max over strided neighbour columns."""
+    rng = np.random.default_rng(seed)
+    w = rng.normal(0.0, 1.0 / np.sqrt(6), size=(64, 6))
+    b = rng.normal(0.0, 1.0 / np.sqrt(6), size=64)
+    q = cloud.points @ w[:, 3:].T
+    max_q = q[graph.neighbors[:, 0]]
+    for column in graph.neighbors.T[1:]:
+        np.maximum(max_q, q[column], out=max_q)
+    return np.maximum(cloud.points @ (w[:, :3] - w[:, 3:]).T + b + max_q, 0.0)
+
+
+def unblocked_eigen_features(cloud, graph):
+    """Oracle: `eigen_features` over the whole cloud at once."""
+    pts, n = cloud.points, len(cloud)
+    local = pts[np.concatenate([np.arange(n)[:, None], graph.neighbors], axis=1)]
+    centered = local - local.mean(axis=1, keepdims=True)
+    cov = np.einsum("nki,nkj->nij", centered, centered) / local.shape[1]
+    vals, vecs = np.linalg.eigh(cov)
+    l3, l2, l1 = np.clip(vals[:, 0], 0.0, None), np.clip(vals[:, 1], 0.0, None), vals[:, 2]
+    out = np.zeros((n, 6))
+    ok = l1 > 0
+    out[ok, 0] = (l1[ok] - l2[ok]) / l1[ok]
+    out[ok, 1] = (l2[ok] - l3[ok]) / l1[ok]
+    out[ok, 2] = l3[ok] / l1[ok]
+    out[ok, 3:] = descriptors._orient_normals(vecs[ok, :, 0])
+    return out
 
 
 SURFACES = {
@@ -112,7 +144,14 @@ class TestEdgeConv:
 
     def test_memory_is_bounded(self):
         # The (n, k, width) edge tensor alone would take 4096 * 20 * 64 * 8 B = 40 MiB.
-        cloud = PointCloud(np.random.default_rng(6).normal(size=(4096, 3)))
+        # Two (n, width) arrays, the output and Q, plus the finiteness mask
+        # DescriptorSet takes of the output (n width B), plus per block of
+        # rows at most four _SCRATCH_ENTRIES-sized arrays: the running max,
+        # one gathered column and the block's neighbour columns. 32 KiB more
+        # covers the weights and small arrays. A whole-cloud running max, a
+        # third (n, width) array, does not fit.
+        n, width = 4096, descriptors.EDGECONV_WIDTH
+        cloud = PointCloud(np.random.default_rng(6).normal(size=(n, 3)))
         graph = knn(cloud, 20)
         tracemalloc.start()
         try:
@@ -120,7 +159,7 @@ class TestEdgeConv:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < 2 * 8 * n * width + n * width + 4 * 8 * neighborhood._SCRATCH_ENTRIES + 2**15
 
 
 class TestEigenFeatures:
@@ -168,6 +207,52 @@ class TestEigenFeatures:
         cloud = random_cloud(10)
         with pytest.raises(InvalidArgumentError):
             eigen_features(cloud, knn(cloud, 2))
+
+    def test_memory_is_bounded(self):
+        # The output (48 n B) and the finiteness mask DescriptorSet takes of
+        # it (6 n B), plus per block of rows at most four _SCRATCH_ENTRIES-
+        # sized arrays: the gathered neighbourhoods, their centred copy, and
+        # the block's neighbour indices and eigen solution. 32 KiB more covers
+        # small arrays. One whole-cloud gather, n (k + 1) 3 floats (3.9 MiB),
+        # does not fit.
+        n, k = 8192, 20
+        cloud = sphere_cap(n, seed=0)
+        graph = knn(cloud, k)
+        tracemalloc.start()
+        try:
+            eigen_features(cloud, graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 54 * n + 4 * 8 * neighborhood._SCRATCH_ENTRIES + 2**15
+
+
+class TestScratchBudget:
+    """Both descriptors under `_SCRATCH_ENTRIES` against their unblocked oracles, bit for bit."""
+
+    # 40 rows: 16 per block leave 8 in the last.
+    N, K, K_BASE = 40, 10, 5
+
+    @pytest.mark.parametrize("budget", sorted(SCRATCH_BUDGETS))
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("kind", sorted(budget_clouds(N)))
+    def test_descriptors_match_unblocked_oracles(self, budget, metric, kind):
+        cloud = PointCloud(budget_clouds(self.N)[kind])
+        graph = build_graph(cloud, metric, self.K, self.K_BASE)
+        # A point's neighbourhood takes 3 (k + 1) entries, its edge-conv row 64.
+        with mock.patch.object(neighborhood, "_SCRATCH_ENTRIES", SCRATCH_BUDGETS[budget](3 * (self.K + 1))):
+            eigen = eigen_features(cloud, graph).vectors
+        with mock.patch.object(neighborhood, "_SCRATCH_ENTRIES", SCRATCH_BUDGETS[budget](64)):
+            edgeconv = edgeconv_features(cloud, graph, seed=2).vectors
+        assert eigen.tobytes() == unblocked_eigen_features(cloud, graph).tobytes()
+        assert edgeconv.tobytes() == unblocked_edgeconv(cloud, graph, seed=2).tobytes()
+
+    def test_duplicated_rows_mix_spreadless_and_spread_rows(self):
+        # So the oracle test above takes both sides of eigen features' spread mask.
+        cloud = PointCloud(budget_clouds(self.N)["duplicated-rows"])
+        feats = eigen_features(cloud, knn(cloud, self.K)).vectors
+        spreadless = np.all(feats == 0, axis=1)
+        assert 0 < np.count_nonzero(spreadless) < self.N
 
 
 class TestPoseEigenFeatures:

@@ -79,6 +79,23 @@ class TestRunScenario:
         b = small_scenario(base_seed=43)
         assert a.config_hash() != b.config_hash()
 
+    def test_numpy_scalar_config_hashes_as_its_python_value(self, tmp_path):
+        # json cannot encode a numpy integer, which RegistrationConfig takes:
+        # such a scenario ran every trial and then raised TypeError.
+        def scenario(k):
+            return small_scenario(
+                input="shape:two-planes:64",
+                trials=2,
+                pipelines=(("icp", RegistrationConfig(k=k, max_iters=2)),),
+            )
+
+        plain, numpy_valued = scenario(10), scenario(np.int64(10))
+        assert numpy_valued.config_hash() == plain.config_hash()
+        write_report(run_scenario(numpy_valued), tmp_path / "numpy")
+        write_report(run_scenario(plain), tmp_path / "plain")
+        for name in ("report.json", "report.csv"):
+            assert (tmp_path / "numpy" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
     def test_linalg_error_fails_one_registration(self, monkeypatch):
         real_register, real_kabsch = harness.register, registration.kabsch
         calls = []

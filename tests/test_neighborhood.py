@@ -86,7 +86,9 @@ def blocked_products(queries, points):
     one-row block is multiplied as two copies of its row, as the engine does.
     """
     lifted_q, lifted_p = lift(queries, points)
-    blocks = neighborhood._row_blocks(len(queries), max(len(points), points.shape[1] + 1))
+    blocks = neighborhood.row_blocks(
+        len(queries), max(len(points), points.shape[1] + 1), neighborhood._BLOCK_ENTRIES
+    )
     products = [np.empty((0, len(points)))]
     for rows in blocks:
         block = lifted_q[rows]
@@ -120,6 +122,35 @@ def tie_heavy_clouds(n, seed=0):
     return {"grid": grid, "duplicated": duplicated, "random": rng.normal(size=(n, 3))}
 
 
+def budget_clouds(n, seed=0):
+    """`tie_heavy_clouds`, and duplicated rows: three integer points, whose
+    mean is exact, stored twelve times each among distinct ones, so at
+    k <= 11 a copy's neighbourhood has no spread while its neighbours' have."""
+    clouds = tie_heavy_clouds(n, seed)
+    rng = np.random.default_rng(seed)
+    copies = np.repeat(rng.integers(-4, 5, size=(3, 3)).astype(float), 12, axis=0)
+    rows = np.vstack([copies, rng.normal(size=(n - 36, 3))])
+    clouds["duplicated-rows"] = rows[rng.permutation(n)]
+    return clouds
+
+
+# Scratch budgets by the entries one row of a kernel takes: one row per
+# block, 16 rows per block (40 rows leave a partial last block of 8), and
+# the default, whatever it gives.
+SCRATCH_BUDGETS = {
+    "one-row": lambda width: 1,
+    "partial": lambda width: 16 * width,
+    "default": lambda width: neighborhood._SCRATCH_ENTRIES,
+}
+
+
+def unblocked_base_edges(coords, k_base):
+    """Oracle: the base graph's edges and every edge length in one pass."""
+    rows = np.repeat(np.arange(len(coords)), k_base)
+    cols = dense_knn(coords, k_base).reshape(-1)
+    return rows, cols, np.linalg.norm(coords[rows] - coords[cols], axis=1)
+
+
 class TestEngine:
     """The blocked engine against full stable-sort / dense-argmin oracles."""
 
@@ -130,8 +161,8 @@ class TestEngine:
     @pytest.mark.parametrize("n,rows", SIZES)
     @pytest.mark.parametrize("kind", ["grid", "duplicated", "random"])
     def test_knn_matches_dense_oracle(self, monkeypatch, n, rows, kind):
-        # knn counts its (rows, n) distance buffer against the budget.
-        monkeypatch.setattr(neighborhood, "_BLOCK_ENTRIES", n * rows)
+        # knn counts its (rows, n) distance buffer against the scratch budget.
+        monkeypatch.setattr(neighborhood, "_SCRATCH_ENTRIES", n * rows)
         coords = tie_heavy_clouds(n)[kind]
         for k in sorted({1, min(4, n - 1), n - 1}):
             got = knn(PointCloud(coords), k).neighbors
@@ -146,7 +177,7 @@ class TestEngine:
     @pytest.mark.parametrize("n,rows", SIZES)
     def test_first_k_matches_stable_sort(self, monkeypatch, n, rows):
         m = 30
-        monkeypatch.setattr(neighborhood, "_BLOCK_ENTRIES", m * rows)
+        monkeypatch.setattr(neighborhood, "_SCRATCH_ENTRIES", m * rows)
         rng = np.random.default_rng(n)
         values = rng.integers(0, 6, size=(n, m)).astype(float)
         values[rng.random((n, m)) < 0.1] = np.inf
@@ -154,7 +185,7 @@ class TestEngine:
         for k in (1, 5, m - 1, m):
             want = np.argsort(values, axis=1, kind="stable")[:, :k]
             got = np.vstack(
-                [neighborhood._first_k(values[b], k) for b in neighborhood._row_blocks(n, m)]
+                [neighborhood._first_k(values[b], k) for b in neighborhood.row_blocks(n, m)]
             )
             np.testing.assert_array_equal(got, want)
 
@@ -552,7 +583,7 @@ class TestKnnPrefix:
         cloud = PointCloud(tied_cloud(np.random.default_rng(seed), n, scale))
         k = data.draw(st.integers(2, 16))
         model = estimate_covariance(cloud) if metric == "mahalanobis" else None
-        with mock.patch.object(neighborhood, "_GRID_ENTRIES", self.ENTRIES):
+        with mock.patch.object(neighborhood, "_SCRATCH_ENTRIES", self.ENTRIES):
             wide = knn(cloud, k, metric, model).neighbors
             for j in range(1, k):
                 narrow = knn(cloud, j, metric, model).neighbors
@@ -563,7 +594,7 @@ class TestKnnPrefix:
         coords = tied_cloud(np.random.default_rng(0), 300, 4.0)
         if metric == "mahalanobis":
             coords = coords @ estimate_covariance(PointCloud(coords)).whitener().T
-        with mock.patch.object(neighborhood, "_GRID_ENTRIES", self.ENTRIES):
+        with mock.patch.object(neighborhood, "_SCRATCH_ENTRIES", self.ENTRIES):
             for k in (1, 16):
                 assert 0 < len(grid_fallback(coords, k)) < len(coords)
 
@@ -578,11 +609,11 @@ class TestGridKnn:
         k = data.draw(st.sampled_from(sorted({1, min(6, n - 1), n - 1})))
         # A small chunk budget splits clouds into several chunks of rows, and
         # leaves some blocks too wide for one chunk.
-        entries = data.draw(st.sampled_from([64, 1024, neighborhood._GRID_ENTRIES]))
+        entries = data.draw(st.sampled_from([64, 1024, neighborhood._SCRATCH_ENTRIES]))
         # The drawn scales reach past the coordinate range knn accepts.
         extent = np.max(np.ptp(coords, axis=0))
         in_range = np.max(np.abs(coords)) <= MAX_ABS_COORDINATE and not 0 < extent < MIN_EXTENT
-        with mock.patch.object(neighborhood, "_GRID_ENTRIES", entries):
+        with mock.patch.object(neighborhood, "_SCRATCH_ENTRIES", entries):
             if not in_range:
                 with pytest.raises(InvalidArgumentError, match="the limit"):
                     knn(PointCloud(coords), k)
@@ -738,9 +769,9 @@ class TestGridKnn:
         # n 8-byte entries (coordinates, cell indices, keys, orders, faces,
         # run bounds). The chunk loop holds the grid's tables (at most 12 such
         # arrays, the nine run starts, stops and lengths of about n / 8 cells
-        # included), its four reused _GRID_ENTRIES buffers (the candidates and
-        # their x, y and z) and at most four temporaries of one chunk's size
-        # (the chunk's table of padded runs among them). The brute force of
+        # included), its four reused _SCRATCH_ENTRIES buffers (the candidates
+        # and their x, y and z) and at most four temporaries of one chunk's
+        # size (the chunk's table of padded runs among them). The brute force of
         # the rows the grid cannot prove (5 on the sphere, 96 on the torus)
         # holds two reused (rows, n) buffers, _first_k's (rows, n) partition
         # and its (rows, n) comparison. 32 KiB more covers small index arrays.
@@ -754,9 +785,9 @@ class TestGridKnn:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        rows = neighborhood._BLOCK_ENTRIES // n
+        rows = neighborhood._SCRATCH_ENTRIES // n
         setup = 16 * 8 * n
-        chunks = 12 * 8 * n + 8 * 8 * neighborhood._GRID_ENTRIES
+        chunks = 12 * 8 * n + 8 * 8 * neighborhood._SCRATCH_ENTRIES
         brute = 3 * 8 * rows * n + rows * n
         assert peak < 8 * n * k + 24 * n + max(setup, chunks, brute) + 2**15
 
@@ -964,6 +995,55 @@ class TestShortestFirstK:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+
+class TestScratchBudget:
+    """`knn` and `_base_edges` under `_SCRATCH_ENTRIES` against unblocked oracles, bit for bit."""
+
+    # 40 rows, and 40 * 5 = 200 base edges: 16 per block leave 8 in the last.
+    N, K, K_BASE = 40, 10, 5
+
+    @pytest.mark.parametrize("budget", sorted(SCRATCH_BUDGETS))
+    @pytest.mark.parametrize("kind", sorted(budget_clouds(N)))
+    def test_graphs_and_base_edges_match_unblocked_oracles(self, budget, kind):
+        coords = budget_clouds(self.N)[kind]
+        whitened = coords @ estimate_covariance(PointCloud(coords)).whitener().T
+        rows, cols, lengths = unblocked_base_edges(coords, self.K_BASE)
+        want = {
+            "euclidean": dense_knn(coords, self.K),
+            "mahalanobis": dense_knn(whitened, self.K),
+            "geodesic": stable_first_k_of_paths(self.N, rows, cols, lengths, self.K),
+        }
+        for metric in METRICS:
+            # knn's brute force takes n entries per row.
+            with mock.patch.object(neighborhood, "_SCRATCH_ENTRIES", SCRATCH_BUDGETS[budget](self.N)):
+                got = build_graph(PointCloud(coords), metric, self.K, self.K_BASE).neighbors
+            np.testing.assert_array_equal(got, want[metric], err_msg=metric)
+        cloud = PointCloud(coords)
+        build_graph(cloud, "euclidean", self.K_BASE)
+        # An edge's length takes 3 entries.
+        with mock.patch.object(neighborhood, "_SCRATCH_ENTRIES", SCRATCH_BUDGETS[budget](3)):
+            got = neighborhood._base_edges(cloud, self.K_BASE)
+        for got_array, want_array in zip(got, (rows, cols, lengths)):
+            assert got_array.tobytes() == want_array.tobytes()
+
+    def test_base_edges_memory_is_bounded(self):
+        # Its outputs, the edge rows and lengths (16 n k_base B; the columns
+        # are a view of the kept graph), and per block of edges at most four
+        # temporaries of _SCRATCH_ENTRIES floats: the two gathered endpoints
+        # and their difference, then its squares. 32 KiB more covers small
+        # arrays. The lengths in one pass (four (n k_base, 3) temporaries,
+        # 15 MiB) do not fit.
+        n, k_base = 8192, 20
+        cloud = sphere_cap(n, seed=0)
+        build_graph(cloud, "euclidean", k_base)
+        tracemalloc.start()
+        try:
+            neighborhood._base_edges(cloud, k_base)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n * k_base + 4 * 8 * neighborhood._SCRATCH_ENTRIES + 2**15
 
 
 class TestBuildGraph:
