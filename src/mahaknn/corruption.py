@@ -11,12 +11,12 @@ the spec leaves untouched is returned as the input object itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .geometry import PointCloud
+from .geometry import PointCloud, hold_fields, text_parsers
 
 GAUSSIAN = "gaussian"
 BERNOULLI = "bernoulli"
@@ -50,6 +50,7 @@ class NoiseSpec:
     applied_to: str = "both"
 
     def __post_init__(self):
+        hold_fields(self)
         if self.variant not in _VARIANT_PARAMS:
             raise InvalidArgumentError(f"unknown noise variant {self.variant!r}")
         if self.applied_to not in _TARGETS:
@@ -80,7 +81,7 @@ class NoiseSpec:
         variant = variant.strip()
         if variant not in _VARIANT_PARAMS:
             raise InvalidArgumentError(f"unknown noise variant {variant!r}")
-        kwargs = {}
+        kwargs, parsers = {}, text_parsers(cls)
         for item in rest.split(","):
             if not item:
                 continue
@@ -92,18 +93,10 @@ class NoiseSpec:
             if key not in _VARIANT_PARAMS[variant]:
                 raise InvalidArgumentError(f"noise variant {variant!r} has no parameter {key!r}")
             try:
-                kwargs[key] = _PARAM_PARSERS[key](value)
+                kwargs[key] = parsers[key](value)
             except ValueError:
                 raise InvalidArgumentError(f"bad noise parameter {key}={value!r}") from None
         return cls(variant=variant, **kwargs)
-
-
-# Text parser of every NoiseSpec parameter (annotations are strings here).
-_PARAM_PARSERS = {
-    f.name: {"float": float, "int": int, "str": str}[f.type]
-    for f in fields(NoiseSpec)
-    if f.name != "variant"
-}
 
 
 def _perturb(pts, spec: NoiseSpec, rng: np.random.Generator, side: str):

@@ -1,5 +1,5 @@
-"""Rigid-motion algebra, the closed-form SVD alignment solver and the
-coordinate range within which clouds are ranked and solved.
+"""Rigid-motion algebra, the closed-form SVD alignment solver, the coordinate
+range of ranked clouds and how value types hold fields (`hold`, `hold_fields`).
 
 All rotations are 3x3 proper orthogonal matrices; Euler angles use the
 intrinsic Z*Y*X convention throughout (Rz @ Ry @ Rx), fixed so that
@@ -8,7 +8,8 @@ transform sampling and rotation-error reporting are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from numpy.typing import NDArray
@@ -43,13 +44,48 @@ def hold(value, field: str, shape: tuple, dtype=np.float64, copy: bool = False) 
         raise InvalidArgumentError(f"{field} must hold numbers, got dtype {arr.dtype}")
     if arr.ndim != len(shape) or any(s not in (None, d) for s, d in zip(shape, arr.shape)):
         raise InvalidArgumentError(f"{field} must have shape {shape}, got {arr.shape}")
-    if arr.dtype.kind == "f" and not np.all(np.isfinite(arr)):
+    if arr.dtype.kind == "f" and arr.size and not -np.inf < arr.min() <= arr.max() < np.inf:
         raise InvalidArgumentError(f"{field} must be finite")
     if arr.dtype.kind == "f" and np.dtype(dtype).kind == "i" and np.any(arr % 1):
         raise InvalidArgumentError(f"{field} must hold integers")
     held = arr.astype(dtype, copy=copy or arr.base is not None)
     held.setflags(write=False)
     object.__setattr__(value, field, held)
+
+
+def _parse_bool(text: str) -> bool:
+    if text.lower() not in ("1", "true", "yes", "0", "false", "no"):
+        raise InvalidArgumentError(f"boolean must be 1/true/yes or 0/false/no, got {text!r}")
+    return text.lower() in ("1", "true", "yes")
+
+
+# Config-field annotation (a string) -> admitted types, stored Python type, text parser.
+FIELD_TYPES = {
+    "str": (str, str, str),
+    "int": (numbers.Integral, int, int),
+    "float": (numbers.Real, float, float),
+    "bool": ((bool, np.bool_), bool, _parse_bool),
+}
+
+
+def scalar(field: str, annotation: str, v):
+    """`v` as its annotation's Python type, else InvalidArgumentError; a bool is never a number."""
+    admits, stored, _ = FIELD_TYPES[annotation]
+    if not isinstance(v, admits) or (isinstance(v, bool) and annotation != "bool"):
+        raise InvalidArgumentError(f"{field} must be {annotation}, got {v!r}")
+    return stored(v)
+
+
+def hold_fields(value) -> None:
+    """The one rule for config types: each field `FIELD_TYPES` annotates holds its `scalar`."""
+    for f in fields(value):
+        if f.type in FIELD_TYPES:
+            object.__setattr__(value, f.name, scalar(f.name, f.type, getattr(value, f.name)))
+
+
+def text_parsers(cls) -> dict:
+    """The text parser of each field of config type `cls` that `FIELD_TYPES` annotates."""
+    return {f.name: FIELD_TYPES[f.type][2] for f in fields(cls) if f.type in FIELD_TYPES}
 
 
 @dataclass(frozen=True, eq=False)

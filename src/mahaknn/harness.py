@@ -20,7 +20,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .cloudio import load_cloud
 from .corruption import NoiseSpec, corrupt
 from .errors import InvalidArgumentError, MahaknnError
 from .evaluation import pose_error, set_distance
-from .geometry import PointCloud, apply, sample_rigid
+from .geometry import PointCloud, apply, hold_fields, sample_rigid, scalar, text_parsers
 from .registration import RegistrationConfig, register
 from .shapes import generate
 
@@ -37,14 +37,6 @@ SCHEMA_VERSION = 1
 SUCCESS_THRESHOLD_DEG = 5.0
 
 _STATS = ("rmse_r_deg", "rmse_t", "geodesic_r_deg", "chamfer", "hausdorff")
-
-
-def _python_value(value):
-    """A numpy scalar as its Python value, for `json`; a Python int or float
-    never reaches here, so its text is json's own."""
-    if isinstance(value, np.generic):
-        return value.item()
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 @dataclass(frozen=True)
@@ -59,6 +51,12 @@ class Scenario:
     base_seed: int = 0
 
     def __post_init__(self):
+        hold_fields(self)
+        for name in ("rot_range_deg", "trans_range"):
+            pair = getattr(self, name)
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise InvalidArgumentError(f"{name} must be two real numbers, got {pair!r}")
+            object.__setattr__(self, name, tuple(scalar(name, "float", v) for v in pair))
         if self.trials < 1:
             raise InvalidArgumentError("trials must be >= 1")
         if not self.pipelines:
@@ -68,16 +66,11 @@ class Scenario:
 
     def config_hash(self) -> str:
         payload = {
-            "name": self.name,
-            "input": self.input,
+            **vars(self),
             "noise": self.noise.serialize(),
-            "rot_range_deg": list(self.rot_range_deg),
-            "trans_range": list(self.trans_range),
-            "trials": self.trials,
-            "base_seed": self.base_seed,
-            "pipelines": [[n, vars(c).copy()] for n, c in self.pipelines],
+            "pipelines": [[n, vars(c)] for n, c in self.pipelines],
         }
-        blob = json.dumps(payload, sort_keys=True, default=_python_value).encode()
+        blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -202,26 +195,13 @@ def non_negative_int(text: str) -> int:
     return value
 
 
-def _parse_bool(text: str) -> bool:
-    word = text.lower()
-    if word in ("1", "true", "yes"):
-        return True
-    if word in ("0", "false", "no"):
-        return False
-    raise InvalidArgumentError(f"boolean must be 1/true/yes or 0/false/no, got {text!r}")
-
-
-# Field annotations are strings (postponed evaluation in registration.py).
-_PARSERS = {"str": str, "int": int, "float": float, "bool": _parse_bool}
 # Text parser of every RegistrationConfig field, shared by INI files and the CLI.
-PIPELINE_FIELDS = {f.name: _PARSERS[f.type] for f in fields(RegistrationConfig)}
+PIPELINE_FIELDS = text_parsers(RegistrationConfig)
 
 
-# Text parser of every [scenario] key.
+# Text parser of every [scenario] key; base_seed parses as a seed.
 _SCENARIO_KEYS = {
-    "name": str,
-    "input": str,
-    "trials": int,
+    **text_parsers(Scenario),
     "base_seed": non_negative_int,
     "rot_range": _parse_interval,
     "trans_range": _parse_interval,

@@ -35,8 +35,7 @@ before any work, and raises a later numpy `LinAlgError` as `LinearAlgebraError`.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,6 +48,7 @@ from .geometry import (
     apply,
     check_range,
     compose,
+    hold_fields,
     identity_motion,
     kabsch,
     rotation_angle_rad,
@@ -58,9 +58,6 @@ from .neighborhood import METRIC_EUCLIDEAN, METRICS, build_graph, graph_key, nea
 DESCRIPTOR_EDGECONV = "edgeconv"
 DESCRIPTOR_EIGEN = "eigen"
 DESCRIPTOR_NONE = "none"  # point-ICP on raw coordinates
-
-# What each field's annotation (a string here) admits. bool, an int, counts only as "bool".
-_TYPES = {"str": str, "int": numbers.Integral, "float": numbers.Real, "bool": (bool, np.bool_)}
 
 
 @dataclass(frozen=True)
@@ -78,10 +75,7 @@ class RegistrationConfig:
     mutual: bool = False
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if not isinstance(v, _TYPES[f.type]) or (isinstance(v, bool) and f.type != "bool"):
-                raise InvalidArgumentError(f"{f.name} must be {f.type}, got {v!r}")
+        hold_fields(self)
         if self.metric not in METRICS:
             raise InvalidArgumentError(f"unknown metric {self.metric!r}")
         if self.descriptor not in (DESCRIPTOR_EDGECONV, DESCRIPTOR_EIGEN, DESCRIPTOR_NONE):
@@ -116,12 +110,9 @@ def match_descriptors(
     is dropped.
     """
     src = source_desc.vectors
-    tgt = target_desc.vectors
-    if src.shape[1] != tgt.shape[1]:
-        raise InvalidArgumentError("descriptor dimensions differ")
     if not 0 <= trim_fraction < 1:
         raise InvalidArgumentError("trim_fraction must be in [0, 1)")
-    nearest_tgt, dist = nearest(src, tgt)
+    nearest_tgt, dist = nearest(src, target_desc.vectors)
     n_drop = int(np.floor(trim_fraction * len(src)))
     keep = np.sort(np.argsort(dist, kind="stable")[: len(src) - n_drop])
     if len(keep) == 0:

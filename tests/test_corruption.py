@@ -32,9 +32,13 @@ class TestNoiseSpec:
             NoiseSpec("sampling", ratio=0.25),
             NoiseSpec("zero_intersection"),
             NoiseSpec("subsample", count=128, applied_to="target"),
+            # Numpy scalars are stored as their Python values, whose text parses back.
+            NoiseSpec("gaussian", sigma=np.float32(0.1), clip=np.float64(0.5), applied_to=np.str_("source")),
+            NoiseSpec(np.str_("subsample"), count=np.int64(128)),
         ]
         for spec in cases:
             assert NoiseSpec.parse(spec.serialize()) == spec
+            assert {type(v) for v in vars(spec).values()} <= {str, int, float}
 
     def test_parse_rejects_garbage(self):
         for bad in ("speckle", "gaussian:sigma", "gaussian:volume=2", "gaussian:sigma=abc",

@@ -144,12 +144,12 @@ class TestEdgeConv:
 
     def test_memory_is_bounded(self):
         # The (n, k, width) edge tensor alone would take 4096 * 20 * 64 * 8 B = 40 MiB.
-        # Two (n, width) arrays, the output and Q, plus the finiteness mask
-        # DescriptorSet takes of the output (n width B), plus per block of
-        # rows at most four _SCRATCH_ENTRIES-sized arrays: the running max,
-        # one gathered column and the block's neighbour columns. 32 KiB more
+        # Two (n, width) arrays, the output and Q, plus per block of rows at
+        # most four _SCRATCH_ENTRIES-sized arrays: the running max, one
+        # gathered column and the block's neighbour columns. 32 KiB more
         # covers the weights and small arrays. A whole-cloud running max, a
-        # third (n, width) array, does not fit.
+        # third (n, width) array, does not fit, nor does a finiteness mask of
+        # the output (n width B).
         n, width = 4096, descriptors.EDGECONV_WIDTH
         cloud = PointCloud(np.random.default_rng(6).normal(size=(n, 3)))
         graph = knn(cloud, 20)
@@ -159,7 +159,7 @@ class TestEdgeConv:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 8 * n * width + n * width + 4 * 8 * neighborhood._SCRATCH_ENTRIES + 2**15
+        assert peak < 2 * 8 * n * width + 4 * 8 * neighborhood._SCRATCH_ENTRIES + 2**15
 
 
 class TestEigenFeatures:
@@ -209,12 +209,11 @@ class TestEigenFeatures:
             eigen_features(cloud, knn(cloud, 2))
 
     def test_memory_is_bounded(self):
-        # The output (48 n B) and the finiteness mask DescriptorSet takes of
-        # it (6 n B), plus per block of rows at most four _SCRATCH_ENTRIES-
-        # sized arrays: the gathered neighbourhoods, their centred copy, and
-        # the block's neighbour indices and eigen solution. 32 KiB more covers
-        # small arrays. One whole-cloud gather, n (k + 1) 3 floats (3.9 MiB),
-        # does not fit.
+        # The output (48 n B), plus per block of rows at most four
+        # _SCRATCH_ENTRIES-sized arrays: the gathered neighbourhoods, their
+        # centred copy, and the block's neighbour indices and eigen solution.
+        # 32 KiB more covers small arrays. One whole-cloud gather, n (k + 1) 3
+        # floats (3.9 MiB), does not fit.
         n, k = 8192, 20
         cloud = sphere_cap(n, seed=0)
         graph = knn(cloud, k)
@@ -224,7 +223,7 @@ class TestEigenFeatures:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 54 * n + 4 * 8 * neighborhood._SCRATCH_ENTRIES + 2**15
+        assert peak < 48 * n + 4 * 8 * neighborhood._SCRATCH_ENTRIES + 2**15
 
 
 class TestScratchBudget:

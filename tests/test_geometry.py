@@ -356,3 +356,13 @@ def test_integral_float_indices_are_accepted():
     assert corr.source_indices.dtype == corr.target_indices.dtype == np.intp
     np.testing.assert_array_equal(corr.source_indices, [0, 2])
     np.testing.assert_array_equal(NeighborGraph(np.zeros((3, 2))).neighbors, np.zeros((3, 2)))
+
+
+def test_finiteness_is_checked_at_the_extremes_of_the_float_range():
+    # min and max are tested apart, not summed: 1.7e308 + 1.7e308 overflows.
+    np.testing.assert_array_equal(DescriptorSet([[1.7e308, -1.7e308]]).vectors, [[1.7e308, -1.7e308]])
+    np.testing.assert_array_equal(DescriptorSet([[1.7e308, 1.7e308]]).vectors, [[1.7e308, 1.7e308]])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidArgumentError, match="^vectors must be finite"):
+            DescriptorSet([[1.0, bad]])
+    assert DescriptorSet(np.empty((0, 6))).vectors.shape == (0, 6)

@@ -79,17 +79,22 @@ class TestRunScenario:
         b = small_scenario(base_seed=43)
         assert a.config_hash() != b.config_hash()
 
-    def test_numpy_scalar_config_hashes_as_its_python_value(self, tmp_path):
-        # json cannot encode a numpy integer, which RegistrationConfig takes:
+    @pytest.mark.parametrize("field", ["k", "trials", "base_seed", "rot_range_deg"])
+    def test_numpy_scalar_config_hashes_as_its_python_value(self, tmp_path, field):
+        # json cannot encode a numpy scalar, which every config type takes:
         # such a scenario ran every trial and then raised TypeError.
-        def scenario(k):
+        def scenario(k=10, trials=2, base_seed=42, rot_range_deg=(0.0, 10.0)):
             return small_scenario(
                 input="shape:two-planes:64",
-                trials=2,
+                trials=trials,
+                base_seed=base_seed,
+                rot_range_deg=rot_range_deg,
                 pipelines=(("icp", RegistrationConfig(k=k, max_iters=2)),),
             )
 
-        plain, numpy_valued = scenario(10), scenario(np.int64(10))
+        numpy_values = {"k": np.int64(10), "trials": np.int64(2), "base_seed": np.uint16(42),
+                        "rot_range_deg": (np.float32(0), np.float64(10))}
+        plain, numpy_valued = scenario(), scenario(**{field: numpy_values[field]})
         assert numpy_valued.config_hash() == plain.config_hash()
         write_report(run_scenario(numpy_valued), tmp_path / "numpy")
         write_report(run_scenario(plain), tmp_path / "plain")

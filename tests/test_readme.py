@@ -1,5 +1,5 @@
-"""The README's lists of pipeline keys, shape names, noise parameters and
-subcommands match the code, and its table of unread config fields is the
+"""The README's lists of pipeline keys, [scenario] keys, shape names, noise
+parameters and subcommands match the code, and its table of unread config fields is the
 one the registration tests check."""
 
 import re
@@ -7,7 +7,7 @@ from pathlib import Path
 
 from mahaknn.cli import _COMMANDS
 from mahaknn.corruption import _VARIANT_PARAMS
-from mahaknn.harness import PIPELINE_FIELDS
+from mahaknn.harness import _SCENARIO_KEYS, PIPELINE_FIELDS
 from mahaknn.shapes import SHAPES
 
 from test_registration import UNREAD_FIELDS
@@ -22,6 +22,15 @@ def test_pipeline_keys_match_registration_config():
     keys = re.findall(r"`(\w+)`", match.group(2))
     assert keys == list(PIPELINE_FIELDS)
     assert NUMBER_WORDS[match.group(1)] == len(PIPELINE_FIELDS)
+
+
+def test_scenario_keys_match_scenario_parsers():
+    # The README says [scenario] "accepts only the keys shown above".
+    match = re.search(r"```ini\n\[scenario\]\n(.*?)\n\n", README, re.S)
+    assert match, "README no longer shows a [scenario] section"
+    keys = [line.partition("=")[0].strip() for line in match.group(1).splitlines() if not line.startswith("#")]
+    assert keys == list(_SCENARIO_KEYS)
+    assert re.search(r"`\[scenario\]`\s+accepts only the keys shown above", README)
 
 
 def test_gen_shapes_match_shape_table():

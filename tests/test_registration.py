@@ -38,6 +38,14 @@ from mahaknn.shapes import sphere_cap
 from mahaknn.statistics import estimate_covariance
 
 
+def scenario_of(**overrides):
+    """A valid Scenario with `overrides` set."""
+    return harness.Scenario(**{
+        "name": "s", "input": "shape:plane:30", "pipelines": (("p", RegistrationConfig()),),
+        **overrides,
+    })
+
+
 def feats(pts):
     return DescriptorSet(np.asarray(pts, dtype=float))
 
@@ -344,14 +352,32 @@ class TestRegister:
             with pytest.raises(InvalidArgumentError):
                 RegistrationConfig(**bad)
 
-    # A string is truthy, and a float k or max_iters would fail only inside register.
-    @pytest.mark.parametrize("field,value", [
-        ("mutual", "no"), ("mutual", 1), ("k", 20.5), ("max_iters", 2.5), ("k_base", np.float64(6)),
-        ("k", True), ("trim_fraction", False), ("convergence_tol", "1e-4"), ("metric", None),
-    ])
-    def test_config_field_of_another_type_is_rejected(self, field, value):
+    # Every config type holds its fields by one rule. A string is truthy, a
+    # float k or trials would fail only when used, and a bool count would
+    # serialize to a text NoiseSpec.parse rejects.
+    @pytest.mark.parametrize("make,field,value", [
+        # a bool for an int or float field
+        (RegistrationConfig, "k", True), (RegistrationConfig, "trim_fraction", False),
+        (NoiseSpec, "count", True), (NoiseSpec, "sigma", True),
+        (scenario_of, "trials", True), (scenario_of, "base_seed", np.bool_(False)),
+        (scenario_of, "rot_range_deg", (True, 1.0)),
+        # a float for an int field
+        (RegistrationConfig, "k", 20.5), (RegistrationConfig, "max_iters", 2.5),
+        (RegistrationConfig, "k_base", np.float64(6)), (NoiseSpec, "count", 2.5),
+        (scenario_of, "trials", 2.0), (scenario_of, "base_seed", np.float64(1)),
+        # a str for a number field
+        (RegistrationConfig, "convergence_tol", "1e-4"), (NoiseSpec, "sigma", "0.1"),
+        (scenario_of, "trials", "2"), (scenario_of, "trans_range", ("0", "1")),
+        # None for a str field
+        (RegistrationConfig, "metric", None), (NoiseSpec, "variant", None),
+        (NoiseSpec, "applied_to", None), (scenario_of, "name", None), (scenario_of, "input", None),
+        # anything but a bool for a bool field, and anything but two numbers for an interval
+        (RegistrationConfig, "mutual", "no"), (RegistrationConfig, "mutual", 1),
+        (scenario_of, "rot_range_deg", (0.0,)), (scenario_of, "trans_range", None),
+    ], ids=lambda v: getattr(v, "__name__", None))
+    def test_config_field_of_another_type_is_rejected(self, make, field, value):
         with pytest.raises(InvalidArgumentError, match=f"^{field} must be "):
-            RegistrationConfig(**{field: value})
+            make(**{field: value})
 
     def test_config_takes_numpy_scalars(self):
         cfg = RegistrationConfig(
@@ -359,7 +385,19 @@ class TestRegister:
             convergence_tol=np.float32(0), trim_fraction=np.float64(0.1), k_base=np.int64(3),
             mutual=np.bool_(True),
         )
-        assert cfg.k == 6 and cfg.mutual
+        assert cfg == RegistrationConfig(
+            metric="euclidean", k=6, max_iters=2, convergence_tol=0.0, trim_fraction=0.1,
+            k_base=3, mutual=True,
+        )
+        assert [type(getattr(cfg, f.name)) for f in dataclasses.fields(cfg)] == [
+            str, str, int, int, float, float, int, bool,
+        ]
+        scenario = scenario_of(trials=np.int64(2), base_seed=np.uint8(3),
+                               rot_range_deg=(np.float32(1), np.int64(10)),
+                               trans_range=[np.float64(-0.5), 0.5])
+        assert (type(scenario.trials), type(scenario.base_seed)) == (int, int)
+        assert scenario.rot_range_deg == (1.0, 10.0) and scenario.trans_range == (-0.5, 0.5)
+        assert all(type(v) is float for v in scenario.rot_range_deg + scenario.trans_range)
 
     @staticmethod
     def _bernoulli_trial(trial):
