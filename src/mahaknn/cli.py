@@ -8,7 +8,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -16,7 +15,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .cloudio import load_cloud, save_cloud
+from .cloudio import coordinate_rows, load_cloud, save_cloud, write_csv
 from .corruption import PAIR_VARIANTS, NoiseSpec, corrupt
 from .descriptors import edgeconv_features, kmeans
 from .errors import (
@@ -151,21 +150,11 @@ def _cmd_knn_compare(args) -> int:
     cloud = load_cloud(args.input)
     euc = build_graph(cloud, METRIC_EUCLIDEAN, args.k)
     mah = build_graph(cloud, METRIC_MAHALANOBIS, args.k)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([
-            "point_index", "x", "y", "z", "overlap_fraction",
-            "euclidean_neighbors", "mahalanobis_neighbors",
-        ])
-        for i, p in enumerate(cloud.points):
-            e_set = set(euc.neighbors[i].tolist())
-            m_set = set(mah.neighbors[i].tolist())
-            overlap = len(e_set & m_set) / args.k
-            writer.writerow([
-                i, f"{p[0]:.17g}", f"{p[1]:.17g}", f"{p[2]:.17g}", repr(overlap),
-                " ".join(map(str, euc.neighbors[i])),
-                " ".join(map(str, mah.neighbors[i])),
-            ])
+    per_point = zip(coordinate_rows(cloud.points), euc.neighbors.tolist(), mah.neighbors.tolist())
+    rows = ([i, *xyz, repr(len(set(e) & set(m)) / args.k), " ".join(map(str, e)), " ".join(map(str, m))]
+            for i, (xyz, e, m) in enumerate(per_point))
+    write_csv(args.out, ["point_index", "x", "y", "z", "overlap_fraction",
+                         "euclidean_neighbors", "mahalanobis_neighbors"], rows)
     return EXIT_OK
 
 
@@ -174,11 +163,9 @@ def _cmd_cluster(args) -> int:
     graph = build_graph(cloud, args.metric, args.k)
     features = edgeconv_features(cloud, graph, seed=args.seed)
     labels = kmeans(features, args.K, args.seed)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["point_index", "x", "y", "z", "label"])
-        for i, (p, lab) in enumerate(zip(cloud.points, labels)):
-            writer.writerow([i, f"{p[0]:.17g}", f"{p[1]:.17g}", f"{p[2]:.17g}", int(lab)])
+    per_point = zip(coordinate_rows(cloud.points), labels.tolist())
+    rows = ([i, *xyz, lab] for i, (xyz, lab) in enumerate(per_point))
+    write_csv(args.out, ["point_index", "x", "y", "z", "label"], rows)
     return EXIT_OK
 
 

@@ -1,31 +1,22 @@
-"""Point-cloud file I/O: xyz, ascii PLY, and OFF.
-
-Coordinates are serialized with 17 significant digits so text round-trips
-reproduce doubles bitwise. Only vertex coordinates are read: faces and every
-other non-vertex element are skipped unparsed.
+"""Written text formats: `FORMATS`, the one table of cloud formats (xyz, ascii
+PLY, OFF) by extension; `coordinate_rows`, the one coordinate text rule, whose
+17 significant digits round-trip doubles bitwise in cloud files and CSVs
+alike; and `write_csv`, the one CSV writer. Only vertex coordinates are read:
+faces and every other non-vertex element are skipped unparsed.
 """
 
 from __future__ import annotations
 
+import csv
 import os
+from itertools import repeat
 
 import numpy as np
 
 from .errors import CloudParseError, InvalidArgumentError
 from .geometry import PointCloud
 
-FORMAT_XYZ = "xyz"
-FORMAT_PLY = "ply-ascii"
-FORMAT_OFF = "off"
-
-_EXTENSIONS = {".xyz": FORMAT_XYZ, ".ply": FORMAT_PLY, ".off": FORMAT_OFF}
-
-
-def detect_format(path) -> str:
-    ext = os.path.splitext(str(path))[1].lower()
-    if ext not in _EXTENSIONS:
-        raise InvalidArgumentError(f"unrecognized point-cloud extension {ext!r}")
-    return _EXTENSIONS[ext]
+_BLOCK_ROWS = 1024  # rows that coordinate_rows converts at a time, well under 1 MiB
 
 
 def _lines(path, comments):
@@ -71,10 +62,6 @@ def _rows(path, lines, count, width, columns):
         row = int(np.argmin(finite))
         raise CloudParseError(path, linenos[row], f"non-finite number in {rows[row]!r}")
     return points[:, columns]
-
-
-def _load_xyz(path, lines) -> np.ndarray:
-    return _rows(path, lines, None, 3, [0, 1, 2])
 
 
 def _load_ply(path, lines) -> np.ndarray:
@@ -131,32 +118,50 @@ def _load_off(path, lines) -> np.ndarray:
     return _rows(path, lines, n_vertices, 3, [0, 1, 2])
 
 
-_LOADERS = {FORMAT_XYZ: _load_xyz, FORMAT_PLY: _load_ply, FORMAT_OFF: _load_off}
+# Extension -> (reader of the file's `_lines`, whether '#' starts a comment line,
+# as it does except in PLY, which marks comments with a keyword, header text).
+FORMATS = {
+    ".xyz": (lambda path, lines: _rows(path, lines, None, 3, [0, 1, 2]), True, ""),
+    ".ply": (_load_ply, False, "ply\nformat ascii 1.0\nelement vertex {n}\n"
+             "property double x\nproperty double y\nproperty double z\nend_header\n"),
+    ".off": (_load_off, True, "OFF\n{n} 0 0\n"),
+}
+
+
+def _format(path) -> tuple:
+    ext = os.path.splitext(str(path))[1].lower()
+    if ext not in FORMATS:
+        raise InvalidArgumentError(f"unrecognized point-cloud extension {ext!r}")
+    return FORMATS[ext]
 
 
 def load_cloud(path) -> PointCloud:
-    fmt = detect_format(path)
-    # PLY marks its comments with a keyword; a '#' line in its body is a bad row.
-    lines = _lines(path, comments=fmt != FORMAT_PLY)
+    load, comments, _ = _format(path)
+    lines = _lines(path, comments)
     try:
-        return PointCloud(_LOADERS[fmt](path, lines))
+        return PointCloud(load(path, lines))
     finally:
         lines.close()
 
 
+def coordinate_rows(points):
+    """Yield each row of `points` as a tuple of its coordinates' text, with 17
+    significant digits, converting one block of rows at a time."""
+    for start in range(0, len(points), _BLOCK_ROWS):
+        texts = map(format, points[start:start + _BLOCK_ROWS].ravel().tolist(), repeat(".17g"))
+        yield from zip(*[texts] * points.shape[1])  # one iterator, so each row takes the next texts
+
+
 def save_cloud(cloud: PointCloud, path) -> None:
-    fmt = detect_format(path)
-    pts = cloud.points
+    header = _format(path)[2]
     with open(path, "w", encoding="utf-8") as fh:
-        if fmt == FORMAT_PLY:
-            fh.write(
-                "ply\nformat ascii 1.0\n"
-                f"element vertex {len(pts)}\n"
-                "property double x\nproperty double y\nproperty double z\n"
-                "end_header\n"
-            )
-        elif fmt == FORMAT_OFF:
-            fh.write("OFF\n")
-            fh.write(f"{len(pts)} 0 0\n")
-        for p in pts:
-            fh.write(f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}\n")
+        fh.write(header.format(n=len(cloud)))
+        fh.writelines("%s %s %s\n" % row for row in coordinate_rows(cloud.points))
+
+
+def write_csv(path, header, rows) -> None:
+    """Write `header` and then each row of the iterable `rows` as a CSV file."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -1,5 +1,6 @@
 """Rigid-motion algebra, the closed-form SVD alignment solver, the coordinate
-range of ranked clouds and how value types hold fields (`hold`, `hold_fields`).
+range of ranked clouds and how value types hold fields (`hold`, `hold_fields`,
+`interval`).
 
 All rotations are 3x3 proper orthogonal matrices; Euler angles use the
 intrinsic Z*Y*X convention throughout (Rz @ Ry @ Rx), fixed so that
@@ -27,6 +28,8 @@ _RANK_TOL = 1e-12
 # be ranked or solved.
 MAX_ABS_COORDINATE = 1e150
 MIN_EXTENT = 1e-150
+# Largest finite float64: a longdouble beyond it would be held as inf.
+_FLOAT_MAX = np.finfo(np.float64).max
 
 
 def hold(value, field: str, shape: tuple, dtype=np.float64, copy: bool = False) -> None:
@@ -44,7 +47,7 @@ def hold(value, field: str, shape: tuple, dtype=np.float64, copy: bool = False) 
         raise InvalidArgumentError(f"{field} must hold numbers, got dtype {arr.dtype}")
     if arr.ndim != len(shape) or any(s not in (None, d) for s, d in zip(shape, arr.shape)):
         raise InvalidArgumentError(f"{field} must have shape {shape}, got {arr.shape}")
-    if arr.dtype.kind == "f" and arr.size and not -np.inf < arr.min() <= arr.max() < np.inf:
+    if arr.dtype.kind == "f" and arr.size and not -_FLOAT_MAX <= arr.min() <= arr.max() <= _FLOAT_MAX:
         raise InvalidArgumentError(f"{field} must be finite")
     if arr.dtype.kind == "f" and np.dtype(dtype).kind == "i" and np.any(arr % 1):
         raise InvalidArgumentError(f"{field} must hold integers")
@@ -73,7 +76,20 @@ def scalar(field: str, annotation: str, v):
     admits, stored, _ = FIELD_TYPES[annotation]
     if not isinstance(v, admits) or (isinstance(v, bool) and annotation != "bool"):
         raise InvalidArgumentError(f"{field} must be {annotation}, got {v!r}")
-    return stored(v)
+    try:
+        return stored(v)
+    except OverflowError:  # an int beyond the float range
+        raise InvalidArgumentError(f"{field} must be {annotation} within the float range") from None
+
+
+def interval(field: str, pair) -> tuple:
+    """`pair` as finite `(lo, hi)` floats with lo <= hi: the one rule for a sampling interval."""
+    if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+        raise InvalidArgumentError(f"{field} must be two real numbers, got {pair!r}")
+    lo, hi = (scalar(field, "float", v) for v in pair)
+    if not -np.inf < lo <= hi < np.inf:
+        raise InvalidArgumentError(f"{field} must be finite with lo <= hi, got {pair!r}")
+    return lo, hi
 
 
 def hold_fields(value) -> None:
@@ -212,12 +228,8 @@ def sample_rigid(
     trans_range=(-0.5, 0.5),
 ) -> RigidMotion:
     """Draw each Euler angle and translation component i.i.d. uniform."""
-    rlo, rhi = float(rot_range_deg[0]), float(rot_range_deg[1])
-    tlo, thi = float(trans_range[0]), float(trans_range[1])
-    if not all(np.isfinite([rlo, rhi, tlo, thi])) or rlo > rhi or tlo > thi:
-        raise InvalidArgumentError("sampling intervals must be finite with lo <= hi")
-    euler = rng.uniform(rlo, rhi, size=3)
-    trans = rng.uniform(tlo, thi, size=3)
+    euler = rng.uniform(*interval("rot_range_deg", rot_range_deg), size=3)
+    trans = rng.uniform(*interval("trans_range", trans_range), size=3)
     return make_rigid(euler, trans)
 
 

@@ -14,7 +14,6 @@ base_seed; wall times go to the separate timings.csv sidecar.
 from __future__ import annotations
 
 import configparser
-import csv
 import hashlib
 import json
 import math
@@ -25,11 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .cloudio import load_cloud
+from .cloudio import load_cloud, write_csv
 from .corruption import NoiseSpec, corrupt
 from .errors import InvalidArgumentError, MahaknnError
 from .evaluation import pose_error, set_distance
-from .geometry import PointCloud, apply, hold_fields, sample_rigid, scalar, text_parsers
+from .geometry import PointCloud, apply, hold_fields, interval, sample_rigid, text_parsers
 from .registration import RegistrationConfig, register
 from .shapes import generate
 
@@ -53,14 +52,17 @@ class Scenario:
     def __post_init__(self):
         hold_fields(self)
         for name in ("rot_range_deg", "trans_range"):
-            pair = getattr(self, name)
-            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
-                raise InvalidArgumentError(f"{name} must be two real numbers, got {pair!r}")
-            object.__setattr__(self, name, tuple(scalar(name, "float", v) for v in pair))
+            object.__setattr__(self, name, interval(name, getattr(self, name)))
+        if not isinstance(self.noise, NoiseSpec):
+            raise InvalidArgumentError(f"noise must be a NoiseSpec, got {self.noise!r}")
         if self.trials < 1:
             raise InvalidArgumentError("trials must be >= 1")
-        if not self.pipelines:
-            raise InvalidArgumentError("scenario needs at least one pipeline")
+        pairs = self.pipelines
+        if not (isinstance(pairs, tuple) and pairs
+                and all(isinstance(p, tuple) and len(p) == 2 for p in pairs)
+                and all(isinstance(n, str) and isinstance(c, RegistrationConfig) for n, c in pairs)):
+            raise InvalidArgumentError(
+                f"pipelines must be a non-empty tuple of (str, RegistrationConfig) pairs, got {pairs!r}")
         if self.base_seed < 0:
             raise InvalidArgumentError("base_seed must be >= 0")
 
@@ -167,24 +169,17 @@ def write_report(report: BenchmarkReport, out_dir) -> None:
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
-    with open(os.path.join(out_dir, "report.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scenario", "pipeline", "statistic", "value"])
-        for name in sorted(report.cells):
-            for stat in sorted(report.cells[name]):
-                writer.writerow([report.scenario, name, stat, repr(report.cells[name][stat])])
-    with open(os.path.join(out_dir, "timings.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scenario", "pipeline", "mean_wall_seconds"])
-        for name in sorted(report.timings):
-            writer.writerow([report.scenario, name, repr(report.timings[name])])
+    write_csv(os.path.join(out_dir, "report.csv"), ["scenario", "pipeline", "statistic", "value"], (
+        [report.scenario, name, stat, repr(report.cells[name][stat])]
+        for name in sorted(report.cells) for stat in sorted(report.cells[name])
+    ))
+    write_csv(os.path.join(out_dir, "timings.csv"), ["scenario", "pipeline", "mean_wall_seconds"], (
+        [report.scenario, name, repr(report.timings[name])] for name in sorted(report.timings)
+    ))
 
 
 def _parse_interval(text: str) -> tuple:
-    parts = text.replace(",", " ").split()
-    if len(parts) != 2:
-        raise InvalidArgumentError(f"interval needs two numbers, got {text!r}")
-    return (float(parts[0]), float(parts[1]))
+    return interval("interval", tuple(map(float, text.replace(",", " ").split())))
 
 
 def non_negative_int(text: str) -> int:

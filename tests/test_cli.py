@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import struct
+import tracemalloc
 import warnings
 from dataclasses import fields
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from mahaknn import cli
 from mahaknn.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
-from mahaknn.cloudio import load_cloud, save_cloud
+from mahaknn.cloudio import FORMATS, load_cloud, save_cloud
 from mahaknn.errors import CloudParseError, InvalidArgumentError
 from mahaknn.geometry import PointCloud
 from mahaknn.neighborhood import METRICS
@@ -33,6 +34,10 @@ MALFORMED_CLOUDS = [
      + struct.pack("<3d", 0.5, -1.5, 2.0), 2),
     ("latin1.xyz", b"0 0 0\n# caf\xe9\n1 1 1\n", 2),
     ("nameless-element.ply", _PLY_HEADER.replace(b"ascii 1.0\n", b"ascii 1.0\nelement\n") % 1 + b"0 0 0\n", 3),
+    ("no-z.ply", _PLY_HEADER.replace(b"property double z", b"property double w") % 1 + b"0 0 0\n", 7),
+    ("short-faces.ply", _PLY_HEADER.replace(b"ascii 1.0\n", b"ascii 1.0\nelement face 2\nproperty list uchar int vertex_indices\n")
+     % 1 + b"3 0 0 0\n", 10),
+    ("no-vertex.ply", b"ply\nformat ascii 1.0\nelement face 0\nend_header\n", 4),
 ]
 # Every token a cloud header or row is built from, and a few that break them.
 _CLOUD_FRAGMENTS = [
@@ -65,6 +70,38 @@ class TestCloudIO:
         path = tmp_path / "cloud.off"
         save_cloud(PointCloud(pts), path)
         np.testing.assert_array_equal(load_cloud(path).points, pts)
+
+    def test_saved_text_is_pinned(self, tmp_path):
+        # 17 significant digits, signed zero and subnormals kept, after each format's header.
+        cloud = PointCloud([[-0.0, 5e-324, 1e150], [-1e150, 0.1, 1 / 3]])
+        rows = ("-0 4.9406564584124654e-324 9.9999999999999998e+149\n"
+                "-9.9999999999999998e+149 0.10000000000000001 0.33333333333333331\n")
+        headers = {".xyz": "", ".ply": (_PLY_HEADER % 2).decode(), ".off": "OFF\n2 0 0\n"}
+        assert list(headers) == list(FORMATS)
+        for ext, header in headers.items():
+            save_cloud(cloud, tmp_path / f"c{ext.upper()}")
+            assert (tmp_path / f"c{ext.upper()}").read_bytes() == (header + rows).encode()
+            np.testing.assert_array_equal(load_cloud(tmp_path / f"c{ext.upper()}").points, cloud.points)
+
+    def test_saving_a_large_cloud_uses_bounded_memory(self, tmp_path):
+        # Rows are formatted one block at a time, never the whole cloud at once.
+        cloud = PointCloud(np.random.default_rng(3).normal(size=(100_000, 3)))
+        tracemalloc.start()
+        try:
+            save_cloud(cloud, tmp_path / "big.xyz")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert (tmp_path / "big.xyz").read_text().count("\n") == 100_000
+
+    @pytest.mark.parametrize("name", ["cloud.pcd", "cloud", "cloud.xyz.gz"])
+    def test_unknown_extension_is_rejected(self, tmp_path, name):
+        with pytest.raises(InvalidArgumentError, match="unrecognized point-cloud extension"):
+            save_cloud(PointCloud(np.zeros((1, 3))), tmp_path / name)
+        (tmp_path / name).write_text("0 0 0\n")
+        with pytest.raises(InvalidArgumentError, match="unrecognized point-cloud extension"):
+            load_cloud(tmp_path / name)
 
     def test_off_counts_on_magic_line(self, tmp_path):
         path = tmp_path / "quirk.off"
@@ -296,6 +333,7 @@ class TestCli:
          ("scenario", "trials", "abc"), ("scenario", "base_seed", "1.5"),
          ("scenario", "base_seed", "-1"),
          ("scenario", "rot_range", "0 abc"), ("scenario", "trans_range", "-0.5"),
+         ("scenario", "rot_range", "45 0"), ("scenario", "trans_range", "nan 1"),
          ("noise", "spec", "gaussian:clip=wide")],
     )
     def test_bad_scenario_number_is_usage_error(self, tmp_path, capsys, section, key, value):

@@ -60,6 +60,10 @@ class TestNoiseSpec:
             NoiseSpec("subsample", count=0)
         with pytest.raises(InvalidArgumentError):
             NoiseSpec("gaussian", applied_to="everything")
+        with pytest.raises(InvalidArgumentError, match="unknown noise variant"):
+            NoiseSpec("speckle")
+        with pytest.raises(InvalidArgumentError, match="ratio"):
+            NoiseSpec("sampling", ratio=0.0)
 
 
 class TestGaussian:

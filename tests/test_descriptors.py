@@ -208,6 +208,10 @@ class TestEigenFeatures:
         with pytest.raises(InvalidArgumentError):
             eigen_features(cloud, knn(cloud, 2))
 
+    def test_size_mismatch_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="graph and cloud sizes differ"):
+            eigen_features(random_cloud(10), knn(random_cloud(12, seed=1), 3))
+
     def test_memory_is_bounded(self):
         # The output (48 n B), plus per block of rows at most four
         # _SCRATCH_ENTRIES-sized arrays: the gathered neighbourhoods, their
@@ -339,6 +343,12 @@ class TestKMeans:
         kmeans(feats, 4, seed=1)
         assert len(history) >= 2
         assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
+
+    def test_emptied_cluster_is_reseeded(self):
+        # Farthest-point seeding puts two of the three centres on the triple
+        # point; ties send it to the lower centre, which empties the other.
+        labels = kmeans(self._features([[0, 0], [0, 0], [0, 0], [1, 0]]), 3, seed=0)
+        assert labels[0] == labels[1] == labels[2] != labels[3]
 
     def test_invalid_k(self):
         feats = self._features(np.random.default_rng(4).normal(size=(5, 2)))

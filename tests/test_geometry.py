@@ -59,6 +59,14 @@ class TestMakeRigid:
         m = make_rigid((10, 20, 30), (0, 0, 0))
         np.testing.assert_allclose(euler_zyx_deg(m.rotation), (10, 20, 30), atol=1e-10)
 
+    @pytest.mark.parametrize("angles", [(30, 90, 20), (-40, -90, 10)])
+    def test_euler_at_gimbal_lock_rebuilds_the_rotation(self, angles):
+        # At beta = +-90 only alpha -+ gamma is defined; gamma is reported as 0.
+        rotation = make_rigid(angles, (0, 0, 0)).rotation
+        alpha, beta, gamma = euler_zyx_deg(rotation)
+        assert (beta, gamma) == (angles[1], 0.0)
+        np.testing.assert_allclose(make_rigid((alpha, beta, gamma), (0, 0, 0)).rotation, rotation, atol=1e-15)
+
 
 class TestSampleRigid:
     def test_zero_width_intervals_give_identity(self):
@@ -252,6 +260,14 @@ class TestValidation:
         with pytest.raises(InvalidArgumentError):
             PointCloud([(0, 0, np.nan)])
 
+    def test_cloud_rejects_zero_rows(self):
+        with pytest.raises(InvalidArgumentError, match="at least one point"):
+            PointCloud(np.empty((0, 3)))
+
+    def test_motion_rejects_non_orthogonal_rotation(self):
+        with pytest.raises(InvalidArgumentError, match="not orthogonal"):
+            RigidMotion(np.diag([1.0, 2.0, 0.5]), np.zeros(3))
+
     def test_motion_rejects_improper_rotation(self):
         with pytest.raises(InvalidArgumentError):
             RigidMotion(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
@@ -365,4 +381,8 @@ def test_finiteness_is_checked_at_the_extremes_of_the_float_range():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(InvalidArgumentError, match="^vectors must be finite"):
             DescriptorSet([[1.0, bad]])
+    # A finite longdouble beyond float64 would be held as inf, after a RuntimeWarning.
+    for bad in (np.longdouble("1e400"), -np.longdouble("1e400")):
+        with pytest.raises(InvalidArgumentError, match="^vectors must be finite"):
+            DescriptorSet(np.array([[bad]]))
     assert DescriptorSet(np.empty((0, 6))).vectors.shape == (0, 6)

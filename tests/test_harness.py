@@ -53,7 +53,7 @@ class TestLoadInputCloud:
             load_input_cloud("/nonexistent/cloud.xyz")
 
     def test_bad_shape_spec(self):
-        for spec in ("shape:sphere", "shape:sphere:abc", "shape:sphere:50:x"):
+        for spec in ("shape:sphere", "shape:sphere:abc", "shape:sphere:50:x", "shape:blob:50"):
             with pytest.raises(InvalidArgumentError):
                 load_input_cloud(spec)
 
@@ -125,6 +125,16 @@ class TestRunScenario:
     def test_requires_pipeline(self):
         with pytest.raises(InvalidArgumentError):
             small_scenario(pipelines=())
+
+    # Each is checked when the Scenario is built, before its input is read.
+    @pytest.mark.parametrize("field,value", [
+        ("rot_range_deg", (45.0, 0.0)), ("rot_range_deg", (np.nan, 1.0)),
+        ("trans_range", (0.0, np.inf)), ("trans_range", (-np.inf, 0.0)),
+        ("trials", 0), ("base_seed", -1), ("pipelines", ()),
+    ])
+    def test_scenario_value_outside_its_range_is_rejected(self, field, value):
+        with pytest.raises(InvalidArgumentError, match=f"^{field} must be "):
+            small_scenario(input="/nonexistent/cloud.xyz", **{field: value})
 
 
 class TestWriteReport:
@@ -277,6 +287,12 @@ class TestLoadScenario:
         path = tmp_path / "bad.ini"
         path.write_text("[scenario]\ninput = shape:sphere:50\n[pipeline:p]\nk = 10\nk = 12\n")
         with pytest.raises(InvalidArgumentError):
+            load_scenario(path)
+
+    def test_missing_scenario_section(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text("[pipeline:p]\nk = 10\n")
+        with pytest.raises(InvalidArgumentError, match=r"needs a \[scenario\] section"):
             load_scenario(path)
 
     def test_missing_input(self, tmp_path):

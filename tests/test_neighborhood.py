@@ -486,6 +486,11 @@ class TestKnn:
         with pytest.raises(InvalidArgumentError):
             knn(cloud, 0)
 
+    def test_mahalanobis_needs_a_model(self):
+        cloud = PointCloud(np.random.default_rng(1).normal(size=(5, 3)))
+        with pytest.raises(InvalidArgumentError, match="requires a covariance model"):
+            knn(cloud, 2, "mahalanobis")
+
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(2)
         cloud = PointCloud(rng.normal(size=(40, 3)))
@@ -812,6 +817,11 @@ class TestFloydWarshall:
     def test_nonzero_diagonal_rejected(self):
         with pytest.raises(InvalidArgumentError):
             floyd_warshall(np.array([[1.0, 2.0], [2.0, 0.0]]))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(InvalidArgumentError, match="must be square"):
+            floyd_warshall(np.zeros(shape))
 
     def test_matches_dijkstra_on_random_knn_graphs(self):
         # Weights are snapped to a dyadic grid so path sums are exact in

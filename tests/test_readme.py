@@ -1,11 +1,12 @@
-"""The README's lists of pipeline keys, [scenario] keys, shape names, noise
-parameters and subcommands match the code, and its table of unread config fields is the
+"""The README's lists of pipeline keys, [scenario] keys, shape names, cloud
+formats, noise parameters and subcommands match the code, and its table of unread config fields is the
 one the registration tests check."""
 
 import re
 from pathlib import Path
 
 from mahaknn.cli import _COMMANDS
+from mahaknn.cloudio import FORMATS
 from mahaknn.corruption import _VARIANT_PARAMS
 from mahaknn.harness import _SCENARIO_KEYS, PIPELINE_FIELDS
 from mahaknn.shapes import SHAPES
@@ -38,6 +39,12 @@ def test_gen_shapes_match_shape_table():
     assert match, "README no longer lists the gen shapes"
     names = [name.strip() for name in match.group(1).replace("#", "").split(",")]
     assert names == list(SHAPES)
+
+
+def test_cloud_formats_match_format_table():
+    match = re.search(r"Supported cloud formats by extension: (.*?)\. Only", README, re.S)
+    assert match, "README no longer lists the cloud formats"
+    assert re.findall(r"`(\.\w+)`", match.group(1)) == list(FORMATS)
 
 
 def test_noise_parameters_match_variant_params():

@@ -16,7 +16,7 @@ from mahaknn.descriptors import (
     eigen_features,
     pose_eigen_features,
 )
-from mahaknn.errors import InvalidArgumentError, MahaknnError, SingularCovarianceError
+from mahaknn.errors import InvalidArgumentError, MahaknnError, NoCorrespondenceError, SingularCovarianceError
 from mahaknn.geometry import (
     CorrespondenceSet,
     PointCloud,
@@ -107,6 +107,15 @@ class TestMatchDescriptors:
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidArgumentError):
             match_descriptors(feats(np.zeros((5, 3))), feats(np.zeros((5, 4))), 0.0)
+
+    def test_trim_fraction_of_one_is_rejected(self):
+        v = np.zeros((5, 3))
+        with pytest.raises(InvalidArgumentError, match="trim_fraction"):
+            match_descriptors(feats(v), feats(v), 1.0)
+
+    def test_no_source_rows_leave_no_correspondence(self):
+        with pytest.raises(NoCorrespondenceError):
+            match_descriptors(feats(np.zeros((0, 3))), feats(np.zeros((5, 3))), 0.0)
 
 
 class TestMatchingParity:
@@ -374,6 +383,13 @@ class TestRegister:
         # anything but a bool for a bool field, and anything but two numbers for an interval
         (RegistrationConfig, "mutual", "no"), (RegistrationConfig, "mutual", 1),
         (scenario_of, "rot_range_deg", (0.0,)), (scenario_of, "trans_range", None),
+        # an int beyond the float range for a float field
+        pytest.param(RegistrationConfig, "convergence_tol", 10**400, id="RegistrationConfig-convergence_tol-10**400"),
+        pytest.param(scenario_of, "trans_range", (0, 10**400), id="scenario_of-trans_range-(0, 10**400)"),
+        # a text noise spec, and pipelines that are not (str, RegistrationConfig) pairs
+        (scenario_of, "noise", "gaussian"), (scenario_of, "pipelines", (("p", {"k": 10}),)),
+        (scenario_of, "pipelines", [("p", RegistrationConfig())]),
+        (scenario_of, "pipelines", ((3, RegistrationConfig()),)),
     ], ids=lambda v: getattr(v, "__name__", None))
     def test_config_field_of_another_type_is_rejected(self, make, field, value):
         with pytest.raises(InvalidArgumentError, match=f"^{field} must be "):

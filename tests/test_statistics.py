@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mahaknn.errors import InvalidArgumentError, SingularCovarianceError
-from mahaknn.geometry import PointCloud
+from mahaknn.geometry import PointCloud, apply, make_rigid
 from mahaknn.shapes import sphere_cap
 from mahaknn.statistics import (
     CovarianceModel,
@@ -46,6 +46,14 @@ class TestEstimateCovariance:
         model = estimate_covariance(cloud, regularizer=1e-3)
         vals = np.linalg.eigvalsh(model.covariance)
         assert np.all(vals >= 1e-3 - 1e-12)
+
+    def test_eigenvalue_floor_under_cancellation(self):
+        # A tilted flat cloud spanning +-1e4: its normal's variance is the bias,
+        # which the cancellation in the products can leave just below it.
+        pts = np.random.default_rng(0).uniform(-1e4, 1e4, size=(200, 3)) * [1, 1, 0]
+        cloud = apply(make_rigid((10, 20, 30), (0, 0, 0)), PointCloud(pts))
+        vals = np.linalg.eigvalsh(estimate_covariance(cloud).inverse)
+        assert 0 < vals.min() and vals.max() <= (1 + 1e-3) / DEFAULT_REGULARIZER
 
     def test_singular_without_regularizer(self):
         cloud = PointCloud([(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)])
