@@ -14,7 +14,7 @@ from numpy.typing import NDArray
 
 from .errors import InvalidArgumentError
 from .geometry import PointCloud, hold
-from .neighborhood import NeighborGraph, nearest, row_blocks
+from .neighborhood import NeighborGraph, lift, nearest, row_blocks
 
 # Output channels of the single edge-conv layer.
 EDGECONV_WIDTH = 64
@@ -31,9 +31,6 @@ class DescriptorSet:
 
     def __post_init__(self):
         hold(self, "vectors", (None, None))
-
-    def __len__(self) -> int:
-        return len(self.vectors)
 
 
 def edgeconv_features(cloud: PointCloud, graph: NeighborGraph, seed: int = 0) -> DescriptorSet:
@@ -145,12 +142,12 @@ def kmeans(features: DescriptorSet, n_clusters: int, seed: int) -> NDArray[np.in
     rng = np.random.default_rng(seed)
     centers = np.empty((n_clusters, x.shape[1]))
     centers[0] = x[rng.integers(n)]
-    min_d2 = nearest(x, centers[:1])[1]
+    min_d2 = nearest(x, lift(centers[:1]))[1]
     for c in range(1, n_clusters):
         centers[c] = x[int(np.argmax(min_d2))]
-        np.minimum(min_d2, nearest(x, centers[c : c + 1])[1], out=min_d2)
+        np.minimum(min_d2, nearest(x, lift(centers[c : c + 1]))[1], out=min_d2)
     for _ in range(_KMEANS_MAX_ITERS):
-        labels, d2 = nearest(x, centers)
+        labels, d2 = nearest(x, lift(centers))
         new_centers = centers.copy()
         for c in range(n_clusters):
             mask = labels == c
@@ -163,4 +160,4 @@ def kmeans(features: DescriptorSet, n_clusters: int, seed: int) -> NDArray[np.in
         centers = new_centers
         if shift < _KMEANS_TOL:
             break
-    return nearest(x, centers)[0]
+    return nearest(x, lift(centers))[0]

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import PointCloud, RigidMotion, euler_zyx_deg, rotation_angle_rad
-from .neighborhood import nearest
+from .neighborhood import lift, nearest
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ def pose_error(predicted: RigidMotion, truth: RigidMotion) -> PoseError:
 
 def _min_sq_dist(x, y):
     """Per-row min squared distance from x to y, clipped at zero."""
-    return np.clip(nearest(x, y)[1], 0.0, None)
+    return np.clip(nearest(x, lift(y))[1], 0.0, None)
 
 
 def set_distance(x: PointCloud, y: PointCloud) -> SetDistance:

@@ -28,22 +28,22 @@ chunk or block.
 
 `nearest` (k = 1) serves correspondence search, set distance and k-means. It
 ranks each block with one matrix product of lifted coordinates, the queries
-as [q, 1] times the points as [-2 p; p^2], which leaves p^2 - 2 q.p in one
-(rows, m) buffer; q^2 is added to each row's picked value after the argmin.
-Rows per block are fixed by `_BLOCK_ENTRIES` (max(m, d+1) entries per row),
-because the rounding of `nearest`'s matrix product depends on its row count.
-A one-row block runs as two copies of its row: a one-row product goes
-through gemv, which rounds apart from gemm. So a query's result does not
-depend on which other queries share its call, as far as the BLAS rounds a
-row of a product alike at every row count. With OpenBLAS 0.3.31 on AVX-512
-that held in every 3-d and 6-d case tested, while some 64-d products
-rounded a row by the product's size and the row's place in it, so there
-only the ranking of random points is independent of the other queries. Its
-tie rule covers computed values only: p^2 - 2 q.p can round
-bitwise-identical target rows apart, so a higher-index copy can win by an
-ulp (64-d points, 500 rows each stored three times, 2500 random queries: 7
-matched a higher copy with one BLAS thread, 5 with two); the match is the
-lowest index among equal computed values.
+as [q, 1] times the points as [-2 p; p^2], lifted once per point set by
+`lift`, which leaves p^2 - 2 q.p in one (rows, m) buffer; q^2 is added to
+each row's picked value after the argmin. Rows per block are fixed by
+`_BLOCK_ENTRIES` (max(m, d+1) entries per row), because the rounding of
+`nearest`'s matrix product depends on its row count. A one-row block runs as
+two copies of its row: a one-row product goes through gemv, which rounds
+apart from gemm. So a query's result does not depend on which other queries
+share its call, as far as the BLAS rounds a row of a product alike at every
+row count. With OpenBLAS 0.3.31 on AVX-512 that held in every 3-d and 6-d
+case tested, while some 64-d products rounded a row by the product's size
+and the row's place in it, so there only the ranking of random points is
+independent of the other queries. Its tie rule covers computed values only:
+p^2 - 2 q.p can round bitwise-identical target rows apart, so a higher-index
+copy can win by an ulp (64-d points, 500 rows each stored three times, 2500
+random queries: 7 matched a higher copy with one BLAS thread, 5 with two);
+the match is the lowest index among equal computed values.
 
 Every other per-point kernel keeps its scratch within one budget,
 `_SCRATCH_ENTRIES`: `knn`'s cell-grid chunks, and, cut into rows by the
@@ -153,37 +153,40 @@ def _first_k(values: NDArray[np.float64], k: int) -> NDArray[np.intp]:
     return first
 
 
-def nearest(
-    queries: NDArray[np.float64], points: NDArray[np.float64]
-) -> tuple[NDArray[np.intp], NDArray[np.float64]]:
-    """Each query's nearest point and squared distance.
+def lift(points: NDArray[np.float64]) -> NDArray[np.float64]:
+    """The points as `nearest` ranks them: read-only (m, d+1) rows `[-2 p, p^2]`,
+    the transpose of the C-ordered (d+1, m) right operand of its product."""
+    if points.ndim != 2:
+        raise InvalidArgumentError("points must be a 2-d array")
+    lifted = np.empty((points.shape[1] + 1, len(points)))
+    np.multiply(points.T, -2.0, out=lifted[:-1])
+    lifted[-1] = np.sum(points**2, axis=1)
+    lifted.flags.writeable = False
+    return lifted.T
 
-    One matrix product of lifted coordinates per block of query rows ranks
-    the points: the block's queries as `[q, 1]`, copied into one reused
-    (rows, d+1) buffer, times the points as `[-2 p; p^2]` (d+1, m), built
-    once per call, leave `p^2 - 2 q.p` in one reused (rows, m) buffer.
-    `q^2` is the same along a row, so it is added to each row's picked value
-    after the argmin; it is summed before the buffers are allocated. Rows per
-    block are `_BLOCK_ENTRIES // max(m, d+1)`, at least one, and a one-row
-    block is multiplied as two copies of its row. Ties in the computed value
-    go to the lower index; bitwise-duplicate points can still round apart,
-    so a higher copy can win (see the module docstring for both). An empty
-    point set and mismatched dimensions raise InvalidArgumentError; zero
-    queries give two empty arrays.
+
+def nearest(
+    queries: NDArray[np.float64], lifted: NDArray[np.float64]
+) -> tuple[NDArray[np.intp], NDArray[np.float64]]:
+    """Each query's nearest point and squared distance, the points lifted by `lift`.
+
+    Each block of query rows is copied as `[q, 1]` into one reused (rows,
+    d+1) buffer and multiplied by the lifted points into one reused (rows, m)
+    buffer; `q^2`, summed first, is added to each row's picked value after
+    the argmin. Rows per block, the one-row rule and the tie rule are the
+    module docstring's. An empty point set and mismatched dimensions raise
+    InvalidArgumentError; zero queries give two empty arrays.
     """
-    if queries.ndim != 2 or points.ndim != 2:
+    if queries.ndim != 2 or lifted.ndim != 2:
         raise InvalidArgumentError("queries and points must be 2-d arrays")
-    if len(points) == 0:
+    if len(lifted) == 0:
         raise InvalidArgumentError("points must hold at least one point")
-    if queries.shape[1] != points.shape[1]:
+    m, dim = len(lifted), lifted.shape[1] - 1
+    if queries.shape[1] != dim:
         raise InvalidArgumentError(
-            f"queries have dimension {queries.shape[1]} but points have {points.shape[1]}"
+            f"queries have dimension {queries.shape[1]} but points have {dim}"
         )
-    m, dim = points.shape
     q2 = np.sum(queries**2, axis=1)
-    lifted_p = np.empty((dim + 1, m))
-    np.multiply(points.T, -2.0, out=lifted_p[:dim])
-    lifted_p[dim] = np.sum(points**2, axis=1)
     index = np.empty(len(queries), dtype=np.intp)
     dist = np.empty(len(queries))
     blocks = row_blocks(len(queries), max(m, dim + 1), _BLOCK_ENTRIES)
@@ -197,7 +200,7 @@ def nearest(
         product_rows = max(size, 2)  # one row is broadcast into both
         lifted_q[:product_rows, :dim] = queries[rows]
         block = buf[:product_rows]
-        np.matmul(lifted_q[:product_rows], lifted_p, out=block)
+        np.matmul(lifted_q[:product_rows], lifted.T, out=block)
         picked = index[rows]
         block[:size].argmin(axis=1, out=picked)
         dist[rows] = block[row_ids[:size], picked]

@@ -14,10 +14,11 @@ objects, as the harness does within a trial, share them, and `corrupt`
 returns a side it leaves untouched as the input object, whose kept values
 then serve every trial. Each iteration only turns the source's eigen normals
 by the cumulative rotation and orients them again, since the eigenvalue
-ratios are rotation-invariant. Edge-conv features of the moved source are
-recomputed on each iteration, in the factored form relu(P_i + max_j Q_j):
-two products of the (n, 3) points with a (3, 64) weight block and a running
-max over the k neighbor columns.
+ratios are rotation-invariant, and recomputes the moved source's edge-conv
+features. Matching ranks plain feature arrays against the target's features
+as `neighborhood.lift` lifts them, once per registration; point-ICP's lifted
+target points are kept on the target, so its start pose and every pipeline
+of a trial share them.
 
 Point-ICP's graphs serve only its start pose: a one-shot match of their
 rotation-invariant eigen components (k >= 3), kept when it leaves a smaller
@@ -26,7 +27,7 @@ reuses the match that scored the chosen start. The start is the one value
 kept for a pair rather than a cloud (`_start_pose`), so the pipelines of a
 trial that differ only in `mutual`, `max_iters` or `convergence_tol`
 compute it once. The mutual filter's backward pass ranks only the distinct
-targets that a pair points at.
+targets that a pair points at, against the moving source lifted per call.
 
 `register` rejects a source or target outside `geometry.check_range`'s range
 before any work, and raises a later numpy `LinAlgError` as `LinearAlgebraError`.
@@ -38,6 +39,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import NDArray
 
 from .descriptors import DescriptorSet, edgeconv_features, eigen_features, pose_eigen_features
 from .errors import InvalidArgumentError, LinearAlgebraError, MahaknnError, NoCorrespondenceError
@@ -53,7 +55,7 @@ from .geometry import (
     kabsch,
     rotation_angle_rad,
 )
-from .neighborhood import METRIC_EUCLIDEAN, METRICS, build_graph, graph_key, nearest
+from .neighborhood import METRIC_EUCLIDEAN, METRICS, build_graph, graph_key, lift, nearest
 
 DESCRIPTOR_EDGECONV = "edgeconv"
 DESCRIPTOR_EIGEN = "eigen"
@@ -99,22 +101,23 @@ class RegistrationResult:
 
 
 def match_descriptors(
-    source_desc: DescriptorSet,
-    target_desc: DescriptorSet,
+    source_desc: NDArray[np.float64],
+    target_desc: NDArray[np.float64],
     trim_fraction: float,
 ) -> CorrespondenceSet:
     """Nearest-target assignment in feature space with hard trimming.
 
-    Each source point pairs with its closest target descriptor (ties to the
-    lower index); the trim_fraction of pairs with the largest feature distance
-    is dropped.
+    Each source row pairs with its nearest target row, the target lifted by
+    `lift`. Ties go where `nearest` sends them: to the lower index among
+    equal computed distances, while bitwise-duplicate target rows can round
+    apart, so a higher copy can win. The trim_fraction of pairs with the
+    largest feature distance is dropped.
     """
-    src = source_desc.vectors
     if not 0 <= trim_fraction < 1:
         raise InvalidArgumentError("trim_fraction must be in [0, 1)")
-    nearest_tgt, dist = nearest(src, target_desc.vectors)
-    n_drop = int(np.floor(trim_fraction * len(src)))
-    keep = np.sort(np.argsort(dist, kind="stable")[: len(src) - n_drop])
+    nearest_tgt, dist = nearest(source_desc, target_desc)
+    n_drop = int(np.floor(trim_fraction * len(source_desc)))
+    keep = np.sort(np.argsort(dist, kind="stable")[: len(source_desc) - n_drop])
     if len(keep) == 0:
         raise NoCorrespondenceError("trimming removed every correspondence")
     return CorrespondenceSet(keep, nearest_tgt[keep])
@@ -130,8 +133,9 @@ def _pair_residual(moved: PointCloud, target: PointCloud, corr: CorrespondenceSe
 def _coarse_alignment(
     source: PointCloud,
     target: PointCloud,
-    source_eigen: DescriptorSet,
-    target_eigen: DescriptorSet,
+    lifted_target: NDArray[np.float64],
+    source_eigen: NDArray[np.float64],
+    target_eigen: NDArray[np.float64],
     trim_fraction: float,
 ) -> tuple[RigidMotion, PointCloud, CorrespondenceSet]:
     """Point-ICP start pose: a one-shot alignment from the rotation-invariant
@@ -140,19 +144,15 @@ def _coarse_alignment(
 
     Returns identity otherwise, and when the match is too degenerate to solve.
     Also returns the source placed at the start pose and the nearest-point
-    match that scored it, which the first iteration reuses.
+    match that scored it, which the first iteration reuses. `lifted_target`
+    is the target's points lifted by `lift`.
     """
-    target_points = DescriptorSet(target.points)
-    identity_corr = match_descriptors(DescriptorSet(source.points), target_points, trim_fraction)
+    identity_corr = match_descriptors(source.points, lifted_target, trim_fraction)
     try:
-        corr = match_descriptors(
-            DescriptorSet(source_eigen.vectors[:, :3]),
-            DescriptorSet(target_eigen.vectors[:, :3]),
-            trim_fraction,
-        )
+        corr = match_descriptors(source_eigen[:, :3], lift(target_eigen[:, :3]), trim_fraction)
         coarse = kabsch(source, target, corr)
         moved = apply(coarse, source)
-        coarse_corr = match_descriptors(DescriptorSet(moved.points), target_points, trim_fraction)
+        coarse_corr = match_descriptors(moved.points, lifted_target, trim_fraction)
         if _pair_residual(moved, target, coarse_corr) < _pair_residual(
             source, target, identity_corr
         ):
@@ -170,7 +170,7 @@ def _eigen(cloud: PointCloud, cfg: RegistrationConfig) -> DescriptorSet:
     )
 
 
-def _start_pose(source: PointCloud, target: PointCloud, cfg: RegistrationConfig):
+def _start_pose(source: PointCloud, target: PointCloud, lifted_target, cfg: RegistrationConfig):
     """Point-ICP's start from `_coarse_alignment`, computed once per pair.
 
     The one value not kept by `PointCloud.kept`, since it belongs to a pair:
@@ -185,32 +185,32 @@ def _start_pose(source: PointCloud, target: PointCloud, cfg: RegistrationConfig)
     key = ("start", graph_key(cfg.metric, cfg.k, cfg.k_base), cfg.trim_fraction)
     kept = target._kept.get(key)
     if kept is None or kept[0] is not source:
-        start = _coarse_alignment(
-            source, target, _eigen(source, cfg), _eigen(target, cfg), cfg.trim_fraction
-        )
+        eigen = (_eigen(source, cfg).vectors, _eigen(target, cfg).vectors)
+        start = _coarse_alignment(source, target, lifted_target, *eigen, cfg.trim_fraction)
         kept = target._kept[key] = (source, start)
     return kept[1]
 
 
 def _setup(source: PointCloud, target: PointCloud, cfg: RegistrationConfig):
-    """The target features, a function giving the source features at a pose
-    (moved cloud, cumulative rotation) and the start (motion, source placed
-    there, the match that scored it or None), picked once per pipeline. The
-    loop holds only these; graphs, eigen features and start poses stay kept
-    on the clouds."""
+    """The target features and the same lifted by `lift`, a function giving
+    the source features at a pose (moved cloud, cumulative rotation) and the
+    start (motion, source placed there, its scoring match or None), picked
+    once per pipeline. Graphs, eigen features, point-ICP's lifted target and
+    start poses stay kept on the clouds."""
     start = (identity_motion(), source, None)
     if cfg.descriptor == DESCRIPTOR_EDGECONV:
         src_graph = build_graph(source, cfg.metric, cfg.k, k_base=cfg.k_base)
-        tgt_graph = build_graph(target, cfg.metric, cfg.k, k_base=cfg.k_base)
-        tgt_desc = edgeconv_features(target, tgt_graph)
-        return tgt_desc, lambda moved, rotation: edgeconv_features(moved, src_graph), start
-    if cfg.descriptor == DESCRIPTOR_EIGEN:
-        tgt_desc = _eigen(target, cfg)
-        src_eigen = _eigen(source, cfg)
-        return tgt_desc, lambda moved, rotation: pose_eigen_features(src_eigen, rotation), start
-    if cfg.k >= 3:
-        start = _start_pose(source, target, cfg)
-    return DescriptorSet(target.points), lambda moved, rotation: DescriptorSet(moved.points), start
+        tgt = edgeconv_features(target, build_graph(target, cfg.metric, cfg.k, k_base=cfg.k_base))
+        describe = lambda moved, rotation: edgeconv_features(moved, src_graph).vectors
+    elif cfg.descriptor == DESCRIPTOR_EIGEN:
+        tgt, src_eigen = _eigen(target, cfg), _eigen(source, cfg)
+        describe = lambda moved, rotation: pose_eigen_features(src_eigen, rotation).vectors
+    else:
+        lifted = target.kept("lifted", lambda: lift(target.points))
+        if cfg.k >= 3:
+            start = _start_pose(source, target, lifted, cfg)
+        return target.points, lifted, lambda moved, rotation: moved.points, start
+    return tgt.vectors, lift(tgt.vectors), describe, start
 
 
 def register(
@@ -222,17 +222,17 @@ def register(
     for name, cloud in (("source", source), ("target", target)):
         check_range(name, cloud.points)
     try:
-        tgt_desc, describe, (cumulative, current, start_corr) = _setup(source, target, cfg)
+        tgt, lifted_tgt, describe, (cumulative, current, start_corr) = _setup(source, target, cfg)
         residuals: list[float] = []
         corr = None
         for _ in range(cfg.max_iters):
-            src_desc = describe(current, cumulative.rotation)
+            src = describe(current, cumulative.rotation)
             if start_corr is None:
-                corr = match_descriptors(src_desc, tgt_desc, cfg.trim_fraction)
+                corr = match_descriptors(src, lifted_tgt, cfg.trim_fraction)
             else:
                 corr, start_corr = start_corr, None
             if cfg.mutual:
-                corr = _mutual_filter(src_desc, tgt_desc, corr)
+                corr = _mutual_filter(src, tgt, corr)
             residuals.append(_pair_residual(current, target, corr))
             delta = kabsch(current, target, corr)
             cumulative = compose(delta, cumulative)
@@ -246,17 +246,17 @@ def register(
 
 
 def _mutual_filter(
-    src_desc: DescriptorSet, tgt_desc: DescriptorSet, corr: CorrespondenceSet
+    src: NDArray[np.float64], tgt: NDArray[np.float64], corr: CorrespondenceSet
 ) -> CorrespondenceSet:
     """Keep only pairs where the target's nearest source is the pairing source.
 
-    Only the distinct paired targets are ranked. `nearest` ranks a query the
-    same whichever other queries share its call (see the `neighborhood`
-    module docstring for where this is bitwise), so this equals ranking
-    every target.
+    Only the distinct paired targets are ranked, against the source lifted
+    on each call, since it moves. `nearest` ranks a query the same whichever
+    other queries share its call (see the `neighborhood` module docstring
+    for where this is bitwise), so this equals ranking every target.
     """
     paired, where = np.unique(corr.target_indices, return_inverse=True)
-    back, _ = nearest(tgt_desc.vectors[paired], src_desc.vectors)
+    back, _ = nearest(tgt[paired], lift(src))
     keep = back[where] == corr.source_indices
     if not keep.any():
         raise NoCorrespondenceError("mutual filtering removed every correspondence")

@@ -110,32 +110,46 @@ def test_a_traced_pass_records_every_size_and_outcome(benchmark_modules):
     assert len(registers) == 2 and all(s.outcome for s in registers)
 
 
-# sha256 of each workload's seed-0 report.json, as `bench.run` writes it.
-SEED_0_DIGESTS = {
-    "point-icp": "ec5b125c8344337ce6df61523300ddb7aa72a4575270d3b0c131bbc3308a35cb",
-    "whitened-descriptor": "5ebc34e211638c24537c67917cb97e0d3a93228903d65d73e3c1dfb8e946a5bb",
-    "geodesic-manifold": "2652d987836b6e28c71b496c17dd8c610e27d8dc9fab479474a00bca1de405d3",
+# sha256 of each workload's report.json at seeds 0, 1 and 2, as `bench.run`
+# writes it.
+REPORT_DIGESTS = {
+    "point-icp": (
+        "ec5b125c8344337ce6df61523300ddb7aa72a4575270d3b0c131bbc3308a35cb",
+        "cea0ba8925a7a4611bd8bdc9e5b5b40c8b183039286db97ecea3f08c1147b6ff",
+        "196ff92671fe2f1087e19f66840a42bbe4f11695441bf072590a92aeb180a3a5",
+    ),
+    "whitened-descriptor": (
+        "5ebc34e211638c24537c67917cb97e0d3a93228903d65d73e3c1dfb8e946a5bb",
+        "3c4fb5d89228bfce6f61b297045be09e32e3bb8aa1bd3fcfc2c4e5c5b98db990",
+        "343c7bfffbc45bfdb6bdcddfc372abbfbebe04f1c2ac1968d5a23cced5d57031",
+    ),
+    "geodesic-manifold": (
+        "2652d987836b6e28c71b496c17dd8c610e27d8dc9fab479474a00bca1de405d3",
+        "6c743dd1f23d8a13ca664bbd4ca25553f116b13c6786293af8e4ec5d34e75ed2",
+        "ce48c2cb721fcccce1a972e7ce10b449e9a8a5e08c2827f45d2875dbead120a4",
+    ),
 }
 
 
-@pytest.mark.parametrize("workload", sorted(SEED_0_DIGESTS))
-def test_seed_0_report_bytes_are_pinned(benchmark_modules, monkeypatch, tmp_path, workload):
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("workload", sorted(REPORT_DIGESTS))
+def test_report_bytes_are_pinned(benchmark_modules, monkeypatch, tmp_path, workload, seed):
     # As `bench.run` builds its untraced scenario: the input's path, relative
     # to the working directory, enters the report's config_hash.
     bench = benchmark_modules["bench"]
     wl = benchmark_modules["workloads"].WORKLOADS[workload]
     monkeypatch.chdir(tmp_path)
-    input_path = Path(bench.OUT_DIR) / workload / "seed-0" / "input.xyz"
+    input_path = Path(bench.OUT_DIR) / workload / f"seed-{seed}" / "input.xyz"
     input_path.parent.mkdir(parents=True)
-    bench.write_input(wl, 0, input_path)
+    bench.write_input(wl, seed, input_path)
     scenario = harness.Scenario(
         name=workload,
         input=str(input_path),
         noise=NoiseSpec.parse(wl.noise),
         trials=wl.trials,
         pipelines=tuple((name, RegistrationConfig(**kw)) for name, kw in wl.pipelines),
-        base_seed=0,
+        base_seed=seed,
     )
     harness.write_report(harness.run_scenario(scenario), tmp_path / "report")
     digest = hashlib.sha256((tmp_path / "report" / "report.json").read_bytes()).hexdigest()
-    assert digest == SEED_0_DIGESTS[workload]
+    assert digest == REPORT_DIGESTS[workload][seed]

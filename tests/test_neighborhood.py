@@ -195,7 +195,7 @@ class TestEngine:
         points = tie_heavy_clouds(23, seed=2)[kind]
         monkeypatch.setattr(neighborhood, "_BLOCK_ENTRIES", len(points) * rows)
         queries = tie_heavy_clouds(n, seed=3)[kind]
-        got_index, got_dist = nearest(queries, points)
+        got_index, got_dist = nearest(queries, neighborhood.lift(points))
         want_index, want_dist = dense_nearest(queries, points)
         np.testing.assert_array_equal(got_index, want_index)
         assert got_dist.tobytes() == want_dist.tobytes()
@@ -204,7 +204,7 @@ class TestEngine:
         rng = np.random.default_rng(4)
         for dim in (3, 64):
             queries, points = rng.normal(size=(700, dim)), rng.normal(size=(1100, dim))
-            got_index, got_dist = nearest(queries, points)
+            got_index, got_dist = nearest(queries, neighborhood.lift(points))
             np.testing.assert_array_equal(got_index, dense_nearest(queries, points)[0])
             # One 700-row product rounds a few distances apart from the
             # engine's 59-row blocks (3 of 700 at d = 3), so the bytes are
@@ -222,7 +222,7 @@ class TestEngine:
         base = rng.normal(size=(500, 64))
         points = np.vstack([base, base, base])
         queries = rng.normal(size=(2500, 64))
-        index, dist = nearest(queries, points)
+        index, dist = nearest(queries, neighborhood.lift(points))
         products = blocked_products(queries, points)
         row_min = products.min(axis=1)
         assert dist.tobytes() == (row_min + np.sum(queries**2, axis=1)).tobytes()
@@ -239,7 +239,7 @@ class TestEngine:
         rng = np.random.default_rng(7)
         points = rng.normal(size=(23, 5)) * 10.0 ** rng.integers(-3, 4, size=(23, 1))
         queries = rng.normal(size=(n, 5))
-        got_index, got_dist = nearest(queries, points)
+        got_index, got_dist = nearest(queries, neighborhood.lift(points))
         want_index, want_dist = blocked_nearest(queries, points)
         assert got_index.dtype == np.intp and got_dist.dtype == np.float64
         assert got_index.shape == got_dist.shape == (n,)
@@ -248,15 +248,15 @@ class TestEngine:
 
     def test_nearest_rejects_empty_points(self):
         with pytest.raises(InvalidArgumentError, match="points must hold at least one point"):
-            nearest(np.zeros((4, 3)), np.zeros((0, 3)))
+            nearest(np.zeros((4, 3)), neighborhood.lift(np.zeros((0, 3))))
         with pytest.raises(InvalidArgumentError, match="points must hold at least one point"):
-            nearest(np.zeros((0, 3)), np.zeros((0, 3)))
+            nearest(np.zeros((0, 3)), neighborhood.lift(np.zeros((0, 3))))
 
     def test_nearest_rejects_mismatched_dimensions(self):
         with pytest.raises(InvalidArgumentError, match="queries have dimension 3 but points have 6"):
-            nearest(np.zeros((4, 3)), np.zeros((5, 6)))
+            nearest(np.zeros((4, 3)), neighborhood.lift(np.zeros((5, 6))))
         with pytest.raises(InvalidArgumentError, match="must be 2-d arrays"):
-            nearest(np.zeros(3), np.zeros((5, 3)))
+            nearest(np.zeros(3), neighborhood.lift(np.zeros((5, 3))))
 
     # The point-icp shape, whose full 3072 x 2150 matrix alone would take 50 MiB,
     # and k-means seeding's one center at d = 64, where d + 1 sets the rows.
@@ -274,7 +274,7 @@ class TestEngine:
         queries, points = rng.normal(size=(n, dim)), rng.normal(size=(m, dim))
         tracemalloc.start()
         try:
-            nearest(queries, points)
+            nearest(queries, neighborhood.lift(points))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -330,7 +330,7 @@ class TestNearestAccuracy:
         base = integer_cloud(rng, 6, dim)
         points = integer_cloud(rng, m, dim, copies_of=base)
         queries = integer_cloud(rng, 37, dim, copies_of=points)
-        index, dist = nearest(queries, points)
+        index, dist = nearest(queries, neighborhood.lift(points))
         true = difference_form(queries, points)
         np.testing.assert_array_equal(index, np.argmin(true, axis=1))
         assert dist.tobytes() == true[np.arange(len(queries)), index].tobytes()
@@ -339,7 +339,7 @@ class TestNearestAccuracy:
     @given(offset_clouds())
     def test_picks_a_true_minimum_within_rounding(self, clouds):
         queries, points = clouds
-        index, dist = nearest(queries, points)
+        index, dist = nearest(queries, neighborhood.lift(points))
         true = difference_form(queries, points)
         picked = true[np.arange(len(queries)), index]
         tol = 64 * np.finfo(float).eps * (
@@ -376,8 +376,8 @@ class TestNearestRowSubsets:
     def test_subset_of_rows_equals_rows_of_the_full_call(self, block_entries, clouds):
         queries, points, subset = clouds
         with mock.patch.object(neighborhood, "_BLOCK_ENTRIES", block_entries):
-            index, dist = nearest(queries, points)
-            sub_index, sub_dist = nearest(queries[subset], points)
+            index, dist = nearest(queries, neighborhood.lift(points))
+            sub_index, sub_dist = nearest(queries[subset], neighborhood.lift(points))
         np.testing.assert_array_equal(sub_index, index[subset])
         if queries.shape[1] < 64:
             assert sub_dist.tobytes() == dist[subset].tobytes()
@@ -690,6 +690,31 @@ class TestGridKnn:
         with mock.patch.object(neighborhood, "_cell_edge", lambda unit: 1e-8):
             assert neighborhood._grid(coords) is None
             assert_knn_is_brute_force(coords, 10)
+
+    def test_cell_key_guard_keeps_the_extrapolated_edge(self, monkeypatch):
+        # Keys can overflow int64 only above about 1.6 million points, so the
+        # guard is stubbed. `_cell_edge` then returns the edge extrapolated
+        # from the occupied cells at 1/8 and 1/16 without its recount, and
+        # `knn` ranks every row by brute force. Two planes 0.2 apart are finer
+        # than a coarse cell, so here the recount grows the edge.
+        coords = two_planes(600, seed=3, gap=0.2).points
+        n, k = len(coords), 10
+        lo = coords.min(axis=0)
+        unit = (coords - lo) / float(np.max(coords.max(axis=0) - lo))
+        fine = np.minimum((unit * 16.0).astype(np.intp), 15)
+        n_fine, n_coarse = (len(np.unique(cells, axis=0)) for cells in (fine, fine // 2))
+        exponent = min(max(np.log2(n_fine / n_coarse), 1.0), 3.0)
+        extrapolated = (neighborhood._CELL_OCCUPANCY * n_coarse / n) ** (1.0 / exponent) / 8.0
+        recounted = neighborhood._cell_edge(unit)
+        want = knn(PointCloud(coords), k).neighbors
+        assert len(grid_fallback(coords, k)) < n // 4
+        monkeypatch.setattr(neighborhood, "_cell_keys", lambda cell, dims: None)
+        assert neighborhood._cell_edge(unit) == pytest.approx(extrapolated, rel=1e-12)
+        assert recounted > 1.05 * extrapolated
+        np.testing.assert_array_equal(grid_fallback(coords, k), np.arange(n))
+        got = knn(PointCloud(coords), k).neighbors
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got, dense_knn(coords, k))
 
     def test_absent_neighbour_cell_is_not_gathered(self):
         # Occupied cells of a lattice with holes. Each cell's nine runs of

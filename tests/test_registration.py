@@ -11,7 +11,6 @@ import pytest
 from mahaknn import harness, neighborhood, registration
 from mahaknn.corruption import NoiseSpec, corrupt
 from mahaknn.descriptors import (
-    DescriptorSet,
     edgeconv_features,
     eigen_features,
     pose_eigen_features,
@@ -47,7 +46,11 @@ def scenario_of(**overrides):
 
 
 def feats(pts):
-    return DescriptorSet(np.asarray(pts, dtype=float))
+    return np.asarray(pts, dtype=float)
+
+
+def lifted(pts):
+    return neighborhood.lift(feats(pts))
 
 
 def dense_match(src, tgt, trim_fraction):
@@ -81,13 +84,13 @@ def descriptor_pair(kind, n_src, n_tgt, seed=0):
 class TestMatchDescriptors:
     def test_identical_sets_match_identity(self):
         v = np.random.default_rng(0).normal(size=(20, 4))
-        corr = match_descriptors(feats(v), feats(v), 0.0)
+        corr = match_descriptors(feats(v), lifted(v), 0.0)
         np.testing.assert_array_equal(corr.source_indices, np.arange(20))
         np.testing.assert_array_equal(corr.target_indices, np.arange(20))
 
     def test_nearest_assignment_small_case(self):
         src = feats([[0.0], [10.0], [20.0]])
-        tgt = feats([[19.0], [1.0], [11.0]])
+        tgt = lifted([[19.0], [1.0], [11.0]])
         corr = match_descriptors(src, tgt, 0.0)
         np.testing.assert_array_equal(corr.target_indices, [1, 2, 0])
 
@@ -95,27 +98,27 @@ class TestMatchDescriptors:
         # 10 perfect pairs plus 2 sources far from every target.
         v = np.random.default_rng(1).normal(size=(10, 3))
         src = feats(np.vstack([v, [[100, 0, 0], [0, 100, 0.0]]]))
-        corr = match_descriptors(src, feats(v), 2.0 / 12.0)
+        corr = match_descriptors(src, lifted(v), 2.0 / 12.0)
         np.testing.assert_array_equal(corr.source_indices, np.arange(10))
         np.testing.assert_array_equal(corr.target_indices, np.arange(10))
 
     def test_trim_count_uses_floor(self):
         v = np.random.default_rng(2).normal(size=(10, 2))
-        assert len(match_descriptors(feats(v), feats(v), 0.19)) == 10 - 1
-        assert len(match_descriptors(feats(v), feats(v), 0.20)) == 10 - 2
+        assert len(match_descriptors(feats(v), lifted(v), 0.19)) == 10 - 1
+        assert len(match_descriptors(feats(v), lifted(v), 0.20)) == 10 - 2
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidArgumentError):
-            match_descriptors(feats(np.zeros((5, 3))), feats(np.zeros((5, 4))), 0.0)
+            match_descriptors(feats(np.zeros((5, 3))), lifted(np.zeros((5, 4))), 0.0)
 
     def test_trim_fraction_of_one_is_rejected(self):
         v = np.zeros((5, 3))
         with pytest.raises(InvalidArgumentError, match="trim_fraction"):
-            match_descriptors(feats(v), feats(v), 1.0)
+            match_descriptors(feats(v), lifted(v), 1.0)
 
     def test_no_source_rows_leave_no_correspondence(self):
         with pytest.raises(NoCorrespondenceError):
-            match_descriptors(feats(np.zeros((0, 3))), feats(np.zeros((5, 3))), 0.0)
+            match_descriptors(feats(np.zeros((0, 3))), lifted(np.zeros((5, 3))), 0.0)
 
 
 class TestMatchingParity:
@@ -126,7 +129,7 @@ class TestMatchingParity:
     def test_matches_dense_formula(self, kind, trim):
         # 1400 targets give 46-row blocks, so 1500 sources span 33 of them.
         src, tgt = descriptor_pair(kind, 1500, 1400)
-        corr = match_descriptors(feats(src), feats(tgt), trim)
+        corr = match_descriptors(feats(src), lifted(tgt), trim)
         keep, nearest = dense_match(src, tgt, trim)
         np.testing.assert_array_equal(corr.source_indices, keep)
         np.testing.assert_array_equal(corr.target_indices, nearest)
@@ -143,7 +146,7 @@ class TestMatchingParity:
     def test_block_boundaries(self, monkeypatch, n_src):
         monkeypatch.setattr(neighborhood, "_BLOCK_ENTRIES", 46 * 30)
         src, tgt = descriptor_pair("grid", n_src, 30, seed=n_src)
-        corr = match_descriptors(feats(src), feats(tgt), 0.2)
+        corr = match_descriptors(feats(src), lifted(tgt), 0.2)
         keep, nearest = dense_match(src, tgt, 0.2)
         np.testing.assert_array_equal(corr.source_indices, keep)
         np.testing.assert_array_equal(corr.target_indices, nearest)
@@ -201,8 +204,8 @@ class TestMatchingParity:
         rng = np.random.default_rng(7)
         src, tgt = descriptor_pair("random", 300, 280, seed=7)
         p_src, p_tgt = rng.permutation(300), rng.permutation(280)
-        corr = match_descriptors(feats(src), feats(tgt), 0.25)
-        permuted = match_descriptors(feats(src[p_src]), feats(tgt[p_tgt]), 0.25)
+        corr = match_descriptors(feats(src), lifted(tgt), 0.25)
+        permuted = match_descriptors(feats(src[p_src]), lifted(tgt[p_tgt]), 0.25)
         # Map the permuted result's indices back to the original positions.
         pairs = set(zip(p_src[permuted.source_indices], p_tgt[permuted.target_indices]))
         assert pairs == set(zip(corr.source_indices, corr.target_indices))
@@ -212,7 +215,7 @@ class TestMatchingParity:
         src, tgt = descriptor_pair("random", 4096, 4096, seed=8)
         tracemalloc.start()
         try:
-            match_descriptors(feats(src), feats(tgt), 0.3)
+            match_descriptors(feats(src), lifted(tgt), 0.3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -428,12 +431,14 @@ class TestRegister:
         """_coarse_alignment on the eigen features register computes from cfg's graphs."""
         tgt_eigen = eigen_features(tgt, build_graph(tgt, cfg.metric, cfg.k, k_base=cfg.k_base))
         src_eigen = eigen_features(src, build_graph(src, cfg.metric, cfg.k, k_base=cfg.k_base))
-        return registration._coarse_alignment(src, tgt, src_eigen, tgt_eigen, cfg.trim_fraction)
+        return registration._coarse_alignment(
+            src, tgt, lifted(tgt.points), src_eigen.vectors, tgt_eigen.vectors, cfg.trim_fraction
+        )
 
     @staticmethod
     def _nearest_match(moved, tgt, trim_fraction):
         """The match the first point-ICP iteration from this pose makes (before mutual filtering)."""
-        return match_descriptors(feats(moved.points), feats(tgt.points), trim_fraction)
+        return match_descriptors(feats(moved.points), lifted(tgt.points), trim_fraction)
 
     # Harness trials 0-3 of sphere-cap n=512 under bernoulli:keep_prob=0.7. Start
     # residuals, coarse vs identity: 14.16 vs 12.31, 16.45 vs 32.57, 1.21 vs 5.53,
@@ -849,6 +854,51 @@ class TestStartPoseReuse:
             assert [ref() for ref in refs] == [None, None]
         finally:
             gc.enable()
+
+
+class TestTargetLift:
+    """The fixed target is lifted for `nearest` once per registration, not per iteration."""
+
+    @staticmethod
+    def _count_lifts(monkeypatch):
+        sizes = []
+
+        def counting(points):
+            sizes.append(len(points))
+            return neighborhood.lift(points)
+
+        monkeypatch.setattr(registration, "lift", counting)
+        return sizes
+
+    @pytest.mark.parametrize("max_iters", [2, 30])
+    @pytest.mark.parametrize("descriptor,mutual,target_lifts", [
+        # Point-ICP lifts the target's points, kept on the target, and the
+        # eigen components its start pose matches, kept with the start, so a
+        # second pipeline on the same pair lifts nothing of the target.
+        ("none", False, (2, 0)),
+        ("none", True, (2, 0)),
+        ("eigen", False, (1, 1)),
+        ("edgeconv", False, (1, 1)),
+    ], ids=["none", "none-mutual", "eigen", "edgeconv"])
+    def test_target_is_lifted_once_per_registration(
+        self, monkeypatch, descriptor, mutual, target_lifts, max_iters
+    ):
+        # Clouds of different sizes, so the size of a lifted array names its side.
+        source = sphere_cap(120, seed=23)
+        target = PointCloud(apply(make_rigid((8, -5, 10), (0.1, 0.0, -0.1)), source).points[:100])
+        cfg = RegistrationConfig(
+            descriptor=descriptor, k=10, max_iters=max_iters, convergence_tol=0.0, mutual=mutual
+        )
+        sizes = self._count_lifts(monkeypatch)
+        for want in target_lifts:
+            sizes.clear()
+            res = register(source, target, cfg)
+            assert res.iterations == max_iters
+            assert sizes.count(len(target)) == want
+            # The mutual filter's backward pass ranks against the moving
+            # source, lifted on each call.
+            assert sizes.count(len(source)) == (max_iters if mutual else 0)
+            assert len(sizes) == want + (max_iters if mutual else 0)
 
 
 class TestCoordinateRange:
