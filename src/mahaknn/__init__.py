@@ -28,7 +28,6 @@ from .neighborhood import (  # noqa: F401
     knn_geodesic,
 )
 from .descriptors import (  # noqa: F401
-    DescriptorSet,
     edgeconv_features,
     eigen_features,
     kmeans,

@@ -2,18 +2,17 @@
 
 Edge-conv features use fixed, seeded random weights in place of trained
 parameters: the variable under study is the graph metric, not the weights.
-Eigen features are deterministic covariance-shape descriptors.
+Eigen features are deterministic covariance-shape descriptors. Features are
+read-only (n, d) arrays, finite on the clouds `geometry.check_range` admits.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InvalidArgumentError
-from .geometry import PointCloud, hold
+from .geometry import PointCloud, check_range
 from .neighborhood import NeighborGraph, lift, nearest, row_blocks
 
 # Output channels of the single edge-conv layer.
@@ -23,17 +22,9 @@ _KMEANS_MAX_ITERS = 100
 _KMEANS_TOL = 1e-6
 
 
-@dataclass(frozen=True, eq=False)
-class DescriptorSet:
-    """One fixed-width feature vector per cloud point."""
-
-    vectors: NDArray[np.float64]
-
-    def __post_init__(self):
-        hold(self, "vectors", (None, None))
-
-
-def edgeconv_features(cloud: PointCloud, graph: NeighborGraph, seed: int = 0) -> DescriptorSet:
+def edgeconv_features(
+    cloud: PointCloud, graph: NeighborGraph, seed: int = 0
+) -> NDArray[np.float64]:
     """One edge convolution of the points with seeded random weights.
 
     Each edge evaluates relu(W @ [x_i || (x_j - x_i)] + b) and a point's
@@ -48,12 +39,13 @@ def edgeconv_features(cloud: PointCloud, graph: NeighborGraph, seed: int = 0) ->
 
     P and Q are whole-cloud products, and P + b is the output buffer. The
     running max runs one `neighborhood.row_blocks` block of points at a time,
-    over a contiguous copy of the block's neighbor columns, and is added into
-    the output in place. Working memory is the output plus Q, two (n, width)
-    arrays, plus O(scratch budget).
+    over a contiguous copy of the block's neighbor columns, and the ReLU of
+    its sum with the block's output rows is written back into them. Working
+    memory is the output plus Q, two (n, width) arrays, plus O(scratch budget).
     """
     if len(graph) != len(cloud):
         raise InvalidArgumentError("graph and cloud sizes differ")
+    check_range("cloud", cloud.points)
     rng = np.random.default_rng(seed)
     pts = cloud.points
     # An edge [x_i || x_j - x_i] has fan-in 6.
@@ -68,8 +60,9 @@ def edgeconv_features(cloud: PointCloud, graph: NeighborGraph, seed: int = 0) ->
         max_q = q[columns[0]]
         for column in columns[1:]:
             np.maximum(max_q, q[column], out=max_q)
-        out[rows] += max_q
-    return DescriptorSet(np.maximum(out, 0.0, out=out))
+        np.maximum(out[rows] + max_q, 0.0, out=out[rows])
+    out.flags.writeable = False
+    return out
 
 
 def _orient_normals(normals: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -81,7 +74,7 @@ def _orient_normals(normals: NDArray[np.float64]) -> NDArray[np.float64]:
     return np.where(flip[:, None], -normals, normals) + 0.0
 
 
-def eigen_features(cloud: PointCloud, graph: NeighborGraph) -> DescriptorSet:
+def eigen_features(cloud: PointCloud, graph: NeighborGraph) -> NDArray[np.float64]:
     """Covariance-shape descriptor per point: (linearity, planarity,
     scattering, normal), with the normal oriented to the positive z-hemisphere.
 
@@ -94,6 +87,7 @@ def eigen_features(cloud: PointCloud, graph: NeighborGraph) -> DescriptorSet:
         raise InvalidArgumentError("graph and cloud sizes differ")
     if graph.k < 3:
         raise InvalidArgumentError("eigen features need k >= 3")
+    check_range("cloud", cloud.points)
     pts = cloud.points
     n, k = len(cloud), graph.k
     out = np.zeros((n, 6))
@@ -110,10 +104,13 @@ def eigen_features(cloud: PointCloud, graph: NeighborGraph) -> DescriptorSet:
         np.divide(l3, l1, out=block[:, 2], where=ok)
         # The eigenvector of the smallest eigenvalue.
         np.copyto(block[:, 3:], _orient_normals(vecs[:, :, 0]), where=ok[:, None])
-    return DescriptorSet(out)
+    out.flags.writeable = False
+    return out
 
 
-def pose_eigen_features(features: DescriptorSet, rotation: NDArray[np.float64]) -> DescriptorSet:
+def pose_eigen_features(
+    features: NDArray[np.float64], rotation: NDArray[np.float64]
+) -> NDArray[np.float64]:
     """Eigen features of a cloud turned by rotation, from that cloud's
     features before the turn.
 
@@ -123,19 +120,20 @@ def pose_eigen_features(features: DescriptorSet, rotation: NDArray[np.float64]) 
     except where rounding moves a normal across the z = 0 boundary of the
     orientation rule.
     """
-    out = features.vectors.copy()
+    out = np.array(features, dtype=np.float64)
     out[:, 3:] = _orient_normals(out[:, 3:] @ np.asarray(rotation, dtype=np.float64).T)
-    return DescriptorSet(out)
+    out.flags.writeable = False
+    return out
 
 
-def kmeans(features: DescriptorSet, n_clusters: int, seed: int) -> NDArray[np.intp]:
+def kmeans(features: NDArray[np.float64], n_clusters: int, seed: int) -> NDArray[np.intp]:
     """Lloyd iterations from farthest-point seeding; returns per-point labels.
 
     Every point-to-center distance (seeding, each assignment, the re-seed of
     an emptied cluster and the final labels) comes from `nearest`, so ties
     go where `nearest` sends them and memory stays bounded by its row blocks.
     """
-    x = features.vectors
+    x = np.asarray(features, dtype=np.float64)
     n = len(x)
     if not 1 <= n_clusters <= n:
         raise InvalidArgumentError(f"n_clusters must be in [1, {n}], got {n_clusters}")

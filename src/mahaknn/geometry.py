@@ -47,13 +47,24 @@ def hold(value, field: str, shape: tuple, dtype=np.float64, copy: bool = False) 
         raise InvalidArgumentError(f"{field} must hold numbers, got dtype {arr.dtype}")
     if arr.ndim != len(shape) or any(s not in (None, d) for s, d in zip(shape, arr.shape)):
         raise InvalidArgumentError(f"{field} must have shape {shape}, got {arr.shape}")
-    if arr.dtype.kind == "f" and arr.size and not -_FLOAT_MAX <= arr.min() <= arr.max() <= _FLOAT_MAX:
-        raise InvalidArgumentError(f"{field} must be finite")
+    if arr.dtype.kind == "f":
+        check_finite(field, arr)
     if arr.dtype.kind == "f" and np.dtype(dtype).kind == "i" and np.any(arr % 1):
         raise InvalidArgumentError(f"{field} must hold integers")
     held = arr.astype(dtype, copy=copy or arr.base is not None)
     held.setflags(write=False)
     object.__setattr__(value, field, held)
+
+
+def check_finite(name: str, arr: NDArray) -> None:
+    """Reject an array holding NaN or inf with InvalidArgumentError naming it.
+
+    The one finiteness rule, of `hold` and of `neighborhood.lift` and
+    `nearest`: min and max are tested apart, not summed, since 1.7e308 +
+    1.7e308 overflows, and a longdouble beyond float64 counts as inf.
+    """
+    if arr.size and not -_FLOAT_MAX <= arr.min() <= arr.max() <= _FLOAT_MAX:
+        raise InvalidArgumentError(f"{name} must be finite")
 
 
 def _parse_bool(text: str) -> bool:

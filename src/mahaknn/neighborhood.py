@@ -78,7 +78,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InvalidArgumentError
-from .geometry import PointCloud, check_range, hold
+from .geometry import PointCloud, check_finite, check_range, hold
 from .statistics import CovarianceModel, estimate_covariance
 
 METRIC_EUCLIDEAN = "euclidean"
@@ -97,12 +97,16 @@ MAX_ABS_WHITENED = 1e153
 
 @dataclass(frozen=True, eq=False)
 class NeighborGraph:
-    """Per-point ordered neighbor indices (nearest first), k entries each."""
+    """Per-point ordered neighbor indices (nearest first), k entries each,
+    into the graph's own points: a graph of n rows holds indices in [0, n)."""
 
     neighbors: NDArray[np.intp]
 
     def __post_init__(self):
         hold(self, "neighbors", (None, None), np.intp)
+        n = len(self.neighbors)
+        if self.neighbors.size and not 0 <= self.neighbors.min() <= self.neighbors.max() < n:
+            raise InvalidArgumentError(f"neighbors must lie in [0, {n}) for a graph of {n} rows")
 
     @property
     def k(self) -> int:
@@ -155,9 +159,11 @@ def _first_k(values: NDArray[np.float64], k: int) -> NDArray[np.intp]:
 
 def lift(points: NDArray[np.float64]) -> NDArray[np.float64]:
     """The points as `nearest` ranks them: read-only (m, d+1) rows `[-2 p, p^2]`,
-    the transpose of the C-ordered (d+1, m) right operand of its product."""
+    the transpose of the C-ordered (d+1, m) right operand of its product.
+    Non-finite points raise InvalidArgumentError."""
     if points.ndim != 2:
         raise InvalidArgumentError("points must be a 2-d array")
+    check_finite("points", points)
     lifted = np.empty((points.shape[1] + 1, len(points)))
     np.multiply(points.T, -2.0, out=lifted[:-1])
     lifted[-1] = np.sum(points**2, axis=1)
@@ -174,8 +180,9 @@ def nearest(
     d+1) buffer and multiplied by the lifted points into one reused (rows, m)
     buffer; `q^2`, summed first, is added to each row's picked value after
     the argmin. Rows per block, the one-row rule and the tie rule are the
-    module docstring's. An empty point set and mismatched dimensions raise
-    InvalidArgumentError; zero queries give two empty arrays.
+    module docstring's. An empty point set, mismatched dimensions and
+    non-finite queries raise InvalidArgumentError; zero queries give two
+    empty arrays.
     """
     if queries.ndim != 2 or lifted.ndim != 2:
         raise InvalidArgumentError("queries and points must be 2-d arrays")
@@ -186,6 +193,7 @@ def nearest(
         raise InvalidArgumentError(
             f"queries have dimension {queries.shape[1]} but points have {dim}"
         )
+    check_finite("queries", queries)
     q2 = np.sum(queries**2, axis=1)
     index = np.empty(len(queries), dtype=np.intp)
     dist = np.empty(len(queries))

@@ -7,7 +7,7 @@ cumulative motion maps the original source onto the target frame.
 
 What is computed from one cloud is kept on it by `PointCloud.kept`: the
 graphs that `neighborhood.build_graph` builds under the configured metric, k
-and k_base, and their eigen features. The target never moves, and every
+and k_base, and the features on them. The target never moves, and every
 metric's graph is invariant under rigid motion of the source, so each is
 built once per cloud, not per registration: pipelines handed the same cloud
 objects, as the harness does within a trial, share them, and `corrupt`
@@ -16,9 +16,9 @@ then serve every trial. Each iteration only turns the source's eigen normals
 by the cumulative rotation and orients them again, since the eigenvalue
 ratios are rotation-invariant, and recomputes the moved source's edge-conv
 features. Matching ranks plain feature arrays against the target's features
-as `neighborhood.lift` lifts them, once per registration; point-ICP's lifted
-target points are kept on the target, so its start pose and every pipeline
-of a trial share them.
+as `neighborhood.lift` lifts them. Every pipeline keeps its target features
+and their lift on the target under one key rule, (descriptor, graph key);
+point-ICP's features are the points, so its start pose shares their lift.
 
 Point-ICP's graphs serve only its start pose: a one-shot match of their
 rotation-invariant eigen components (k >= 3), kept when it leaves a smaller
@@ -30,7 +30,8 @@ compute it once. The mutual filter's backward pass ranks only the distinct
 targets that a pair points at, against the moving source lifted per call.
 
 `register` rejects a source or target outside `geometry.check_range`'s range
-before any work, and raises a later numpy `LinAlgError` as `LinearAlgebraError`.
+before any work, and `edgeconv_features` a moved source that a motion carries
+past it; a later numpy `LinAlgError` is raised as `LinearAlgebraError`.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .descriptors import DescriptorSet, edgeconv_features, eigen_features, pose_eigen_features
+from .descriptors import edgeconv_features, eigen_features, pose_eigen_features
 from .errors import InvalidArgumentError, LinearAlgebraError, MahaknnError, NoCorrespondenceError
 from .geometry import (
     CorrespondenceSet,
@@ -162,12 +163,14 @@ def _coarse_alignment(
     return identity_motion(), source, identity_corr
 
 
-def _eigen(cloud: PointCloud, cfg: RegistrationConfig) -> DescriptorSet:
-    """Eigen features of a cloud on cfg's graph, kept on the cloud under the graph's key."""
-    return cloud.kept(
-        ("eigen", graph_key(cfg.metric, cfg.k, cfg.k_base)),
-        lambda: eigen_features(cloud, build_graph(cloud, cfg.metric, cfg.k, k_base=cfg.k_base)),
-    )
+def _features(cloud: PointCloud, descriptor: str, cfg: RegistrationConfig) -> NDArray[np.float64]:
+    """A cloud's `descriptor` features on cfg's graph, kept on the cloud under
+    (descriptor, graph key). Point-ICP's features are the cloud's points."""
+    if descriptor == DESCRIPTOR_NONE:
+        return cloud.points
+    key = (descriptor, graph_key(cfg.metric, cfg.k, cfg.k_base))
+    kernel = eigen_features if descriptor == DESCRIPTOR_EIGEN else edgeconv_features
+    return cloud.kept(key, lambda: kernel(cloud, build_graph(cloud, cfg.metric, cfg.k, cfg.k_base)))
 
 
 def _start_pose(source: PointCloud, target: PointCloud, lifted_target, cfg: RegistrationConfig):
@@ -185,32 +188,31 @@ def _start_pose(source: PointCloud, target: PointCloud, lifted_target, cfg: Regi
     key = ("start", graph_key(cfg.metric, cfg.k, cfg.k_base), cfg.trim_fraction)
     kept = target._kept.get(key)
     if kept is None or kept[0] is not source:
-        eigen = (_eigen(source, cfg).vectors, _eigen(target, cfg).vectors)
+        eigen = (_features(source, DESCRIPTOR_EIGEN, cfg), _features(target, DESCRIPTOR_EIGEN, cfg))
         start = _coarse_alignment(source, target, lifted_target, *eigen, cfg.trim_fraction)
         kept = target._kept[key] = (source, start)
     return kept[1]
 
 
 def _setup(source: PointCloud, target: PointCloud, cfg: RegistrationConfig):
-    """The target features and the same lifted by `lift`, a function giving
-    the source features at a pose (moved cloud, cumulative rotation) and the
-    start (motion, source placed there, its scoring match or None), picked
-    once per pipeline. Graphs, eigen features, point-ICP's lifted target and
-    start poses stay kept on the clouds."""
-    start = (identity_motion(), source, None)
+    """The target features and the same lifted by `lift`, both kept on the
+    target, a function giving the source features at a pose (moved cloud,
+    cumulative rotation) and the start (motion, source placed there, its
+    scoring match or None), picked once per pipeline."""
+    tgt = _features(target, cfg.descriptor, cfg)
+    key = ("lifted", cfg.descriptor, graph_key(cfg.metric, cfg.k, cfg.k_base))
+    lifted = target.kept(key, lambda: lift(tgt))
     if cfg.descriptor == DESCRIPTOR_EDGECONV:
         src_graph = build_graph(source, cfg.metric, cfg.k, k_base=cfg.k_base)
-        tgt = edgeconv_features(target, build_graph(target, cfg.metric, cfg.k, k_base=cfg.k_base))
-        describe = lambda moved, rotation: edgeconv_features(moved, src_graph).vectors
+        describe = lambda moved, rotation: edgeconv_features(moved, src_graph)
     elif cfg.descriptor == DESCRIPTOR_EIGEN:
-        tgt, src_eigen = _eigen(target, cfg), _eigen(source, cfg)
-        describe = lambda moved, rotation: pose_eigen_features(src_eigen, rotation).vectors
+        src_eigen = _features(source, DESCRIPTOR_EIGEN, cfg)
+        describe = lambda moved, rotation: pose_eigen_features(src_eigen, rotation)
     else:
-        lifted = target.kept("lifted", lambda: lift(target.points))
+        describe = lambda moved, rotation: moved.points
         if cfg.k >= 3:
-            start = _start_pose(source, target, lifted, cfg)
-        return target.points, lifted, lambda moved, rotation: moved.points, start
-    return tgt.vectors, lift(tgt.vectors), describe, start
+            return tgt, lifted, describe, _start_pose(source, target, lifted, cfg)
+    return tgt, lifted, describe, (identity_motion(), source, None)
 
 
 def register(

@@ -1,5 +1,5 @@
 """The names and texts that benchmark/ takes from the package, and the bytes
-of each workload's seed-0 report.
+of each workload's report.json and report.csv at seeds 0, 1 and 2.
 
 The benchmark's files are imported read-only, with benchmark/ on the path
 and no bytecode written. The tracer skips a traced name that no longer
@@ -110,23 +110,32 @@ def test_a_traced_pass_records_every_size_and_outcome(benchmark_modules):
     assert len(registers) == 2 and all(s.outcome for s in registers)
 
 
-# sha256 of each workload's report.json at seeds 0, 1 and 2, as `bench.run`
-# writes it.
+# sha256 of each workload's report.json and report.csv at seeds 0, 1 and 2,
+# as `bench.run` writes them.
 REPORT_DIGESTS = {
     "point-icp": (
-        "ec5b125c8344337ce6df61523300ddb7aa72a4575270d3b0c131bbc3308a35cb",
-        "cea0ba8925a7a4611bd8bdc9e5b5b40c8b183039286db97ecea3f08c1147b6ff",
-        "196ff92671fe2f1087e19f66840a42bbe4f11695441bf072590a92aeb180a3a5",
+        ("ec5b125c8344337ce6df61523300ddb7aa72a4575270d3b0c131bbc3308a35cb",
+         "cff08756c04513daf43039b0c8f6c783716bc97a248ffb3e3db8a387e966e176"),
+        ("cea0ba8925a7a4611bd8bdc9e5b5b40c8b183039286db97ecea3f08c1147b6ff",
+         "7d5b37d4cb368116fdf32a365ae52d280024968f44d3c7bb0f34e10607171ddd"),
+        ("196ff92671fe2f1087e19f66840a42bbe4f11695441bf072590a92aeb180a3a5",
+         "c14d8ef0e25097d746aa680cacf3230f3c8d359914ad74d8af3c25ff84bb1dc3"),
     ),
     "whitened-descriptor": (
-        "5ebc34e211638c24537c67917cb97e0d3a93228903d65d73e3c1dfb8e946a5bb",
-        "3c4fb5d89228bfce6f61b297045be09e32e3bb8aa1bd3fcfc2c4e5c5b98db990",
-        "343c7bfffbc45bfdb6bdcddfc372abbfbebe04f1c2ac1968d5a23cced5d57031",
+        ("5ebc34e211638c24537c67917cb97e0d3a93228903d65d73e3c1dfb8e946a5bb",
+         "8c2cd92e9879321cf021fc6381adb8dc6abc0a794450637fc3480ced8b86ad85"),
+        ("3c4fb5d89228bfce6f61b297045be09e32e3bb8aa1bd3fcfc2c4e5c5b98db990",
+         "a00856715e3c4a620c0589ed162b21cb456c9ef5a02b2b5ae7989d1aa293ef07"),
+        ("343c7bfffbc45bfdb6bdcddfc372abbfbebe04f1c2ac1968d5a23cced5d57031",
+         "262a383f9dafd9cad70018620f32be46aa805904e801a150926daf234fc6dd40"),
     ),
     "geodesic-manifold": (
-        "2652d987836b6e28c71b496c17dd8c610e27d8dc9fab479474a00bca1de405d3",
-        "6c743dd1f23d8a13ca664bbd4ca25553f116b13c6786293af8e4ec5d34e75ed2",
-        "ce48c2cb721fcccce1a972e7ce10b449e9a8a5e08c2827f45d2875dbead120a4",
+        ("2652d987836b6e28c71b496c17dd8c610e27d8dc9fab479474a00bca1de405d3",
+         "85048da71ca1c475b07190ddc62ed78c3d1f2817fa2268de2606aa1c680cd1de"),
+        ("6c743dd1f23d8a13ca664bbd4ca25553f116b13c6786293af8e4ec5d34e75ed2",
+         "138c11607d74ace920c568321af7eb1b989ebe64435dc5218609146d81d75e36"),
+        ("ce48c2cb721fcccce1a972e7ce10b449e9a8a5e08c2827f45d2875dbead120a4",
+         "0787565b9b9dd580d8faf5c57cf3d183698b204915ad65e7a785994ace701345"),
     ),
 }
 
@@ -151,5 +160,8 @@ def test_report_bytes_are_pinned(benchmark_modules, monkeypatch, tmp_path, workl
         base_seed=seed,
     )
     harness.write_report(harness.run_scenario(scenario), tmp_path / "report")
-    digest = hashlib.sha256((tmp_path / "report" / "report.json").read_bytes()).hexdigest()
-    assert digest == REPORT_DIGESTS[workload][seed]
+    digests = tuple(
+        hashlib.sha256((tmp_path / "report" / name).read_bytes()).hexdigest()
+        for name in ("report.json", "report.csv")
+    )
+    assert digests == REPORT_DIGESTS[workload][seed]

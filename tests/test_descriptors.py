@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from unittest import mock
 
@@ -6,13 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from mahaknn import descriptors, neighborhood
-from mahaknn.descriptors import (
-    DescriptorSet,
-    edgeconv_features,
-    eigen_features,
-    kmeans,
-    pose_eigen_features,
-)
+from mahaknn.descriptors import edgeconv_features, eigen_features, kmeans, pose_eigen_features
 from mahaknn.errors import InvalidArgumentError
 from mahaknn.geometry import PointCloud, apply, make_rigid, sample_rigid
 from mahaknn.neighborhood import (
@@ -85,20 +80,20 @@ class TestEdgeConv:
         pts = np.tile([[0.3, -0.2, 0.7]], (6, 1))
         cloud = PointCloud(pts)
         graph = NeighborGraph(np.array([[(i + 1) % 6, (i + 2) % 6] for i in range(6)]))
-        feats = edgeconv_features(cloud, graph, seed=1).vectors
+        feats = edgeconv_features(cloud, graph, seed=1)
         assert np.all(feats == feats[0])
 
     def test_permutation_equivariance(self):
         cloud = random_cloud(30, seed=1)
         graph = knn(cloud, 4)
-        feats = edgeconv_features(cloud, graph, seed=2).vectors
+        feats = edgeconv_features(cloud, graph, seed=2)
         rng = np.random.default_rng(3)
         perm = rng.permutation(30)
         inv = np.empty(30, dtype=int)
         inv[perm] = np.arange(30)
         permuted = PointCloud(cloud.points[perm])
         pgraph = NeighborGraph(inv[graph.neighbors[perm]])
-        pfeats = edgeconv_features(permuted, pgraph, seed=2).vectors
+        pfeats = edgeconv_features(permuted, pgraph, seed=2)
         np.testing.assert_array_equal(pfeats, feats[perm])
 
     def test_single_neighbor_chain_closed_form(self):
@@ -108,7 +103,7 @@ class TestEdgeConv:
         cloud = PointCloud([(0, 0, 0), (1, 0, 0), (3, 0, 0), (6, 0, 0.0)])
         graph = NeighborGraph(np.array([[1], [0], [1], [2]]))
         seed = 5
-        out = edgeconv_features(cloud, graph, seed=seed).vectors
+        out = edgeconv_features(cloud, graph, seed=seed)
         rng = np.random.default_rng(seed)
         w = rng.normal(0.0, 1.0 / np.sqrt(6), size=(64, 6))
         b = rng.normal(0.0, 1.0 / np.sqrt(6), size=64)
@@ -120,8 +115,8 @@ class TestEdgeConv:
     def test_deterministic(self):
         cloud = random_cloud(20, seed=4)
         graph = knn(cloud, 3)
-        a = edgeconv_features(cloud, graph, seed=9).vectors
-        b = edgeconv_features(cloud, graph, seed=9).vectors
+        a = edgeconv_features(cloud, graph, seed=9)
+        b = edgeconv_features(cloud, graph, seed=9)
         np.testing.assert_array_equal(a, b)
 
     def test_size_mismatch_rejected(self):
@@ -137,7 +132,7 @@ class TestEdgeConv:
     def test_factored_max_matches_direct_edges(self, shape, metric, k):
         cloud = SURFACES[shape]()
         graph = build_graph(cloud, metric, k, k_base=8)
-        got = edgeconv_features(cloud, graph, seed=3).vectors
+        got = edgeconv_features(cloud, graph, seed=3)
         want = unfactored_edgeconv(cloud, graph, seed=3)
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
@@ -146,7 +141,8 @@ class TestEdgeConv:
         # The (n, k, width) edge tensor alone would take 4096 * 20 * 64 * 8 B = 40 MiB.
         # Two (n, width) arrays, the output and Q, plus per block of rows at
         # most four _SCRATCH_ENTRIES-sized arrays: the running max, one
-        # gathered column and the block's neighbour columns. 32 KiB more
+        # gathered column, the block's neighbour columns and its sum with the
+        # output rows before the ReLU. 32 KiB more
         # covers the weights and small arrays. A whole-cloud running max, a
         # third (n, width) array, does not fit, nor does a finiteness mask of
         # the output (n width B).
@@ -166,7 +162,7 @@ class TestEigenFeatures:
     def test_planar_neighborhood(self):
         cloud = plane(100, seed=0)
         graph = knn(cloud, 8)
-        feats = eigen_features(cloud, graph).vectors
+        feats = eigen_features(cloud, graph)
         np.testing.assert_allclose(feats[:, 2], 0.0, atol=1e-12)  # scattering
         np.testing.assert_allclose(np.abs(feats[:, 5]), 1.0, atol=1e-9)  # normal z
         assert np.all(feats[:, 5] > 0)  # oriented to +z
@@ -174,7 +170,7 @@ class TestEigenFeatures:
     def test_collinear_neighborhood(self):
         cloud = PointCloud([(float(i), 0, 0) for i in range(10)])
         graph = knn(cloud, 3)
-        feats = eigen_features(cloud, graph).vectors
+        feats = eigen_features(cloud, graph)
         np.testing.assert_allclose(feats[:, 0], 1.0, atol=1e-12)  # linearity
         np.testing.assert_allclose(feats[:, 1], 0.0, atol=1e-12)
         np.testing.assert_allclose(feats[:, 2], 0.0, atol=1e-12)
@@ -183,19 +179,19 @@ class TestEigenFeatures:
         rng = np.random.default_rng(1)
         ball = PointCloud(rng.normal(size=(500, 3)) * rng.uniform(0, 1, size=(500, 1)))
         flat = plane(500, seed=2)
-        sc_ball = eigen_features(ball, knn(ball, 20)).vectors[:, 2].mean()
-        sc_flat = eigen_features(flat, knn(flat, 20)).vectors[:, 2].mean()
+        sc_ball = eigen_features(ball, knn(ball, 20))[:, 2].mean()
+        sc_flat = eigen_features(flat, knn(flat, 20))[:, 2].mean()
         assert sc_ball > sc_flat
 
     def test_rotation_invariant_shape_and_covariant_normal(self):
         cloud = sphere(200, seed=3)
         graph = knn(cloud, 10)
-        base = eigen_features(cloud, graph).vectors
+        base = eigen_features(cloud, graph)
         motion = make_rigid((20, -35, 50), (0, 0, 0))
         rotated = apply(motion, cloud)
         rgraph = knn(rotated, 10)
         np.testing.assert_array_equal(graph.neighbors, rgraph.neighbors)
-        feats = eigen_features(rotated, rgraph).vectors
+        feats = eigen_features(rotated, rgraph)
         np.testing.assert_allclose(feats[:, :3], base[:, :3], atol=1e-9)
         # normals rotate, up to the hemisphere flip
         expect = base[:, 3:] @ motion.rotation.T
@@ -244,16 +240,16 @@ class TestScratchBudget:
         graph = build_graph(cloud, metric, self.K, self.K_BASE)
         # A point's neighbourhood takes 3 (k + 1) entries, its edge-conv row 64.
         with mock.patch.object(neighborhood, "_SCRATCH_ENTRIES", SCRATCH_BUDGETS[budget](3 * (self.K + 1))):
-            eigen = eigen_features(cloud, graph).vectors
+            eigen = eigen_features(cloud, graph)
         with mock.patch.object(neighborhood, "_SCRATCH_ENTRIES", SCRATCH_BUDGETS[budget](64)):
-            edgeconv = edgeconv_features(cloud, graph, seed=2).vectors
+            edgeconv = edgeconv_features(cloud, graph, seed=2)
         assert eigen.tobytes() == unblocked_eigen_features(cloud, graph).tobytes()
         assert edgeconv.tobytes() == unblocked_edgeconv(cloud, graph, seed=2).tobytes()
 
     def test_duplicated_rows_mix_spreadless_and_spread_rows(self):
         # So the oracle test above takes both sides of eigen features' spread mask.
         cloud = PointCloud(budget_clouds(self.N)["duplicated-rows"])
-        feats = eigen_features(cloud, knn(cloud, self.K)).vectors
+        feats = eigen_features(cloud, knn(cloud, self.K))
         spreadless = np.all(feats == 0, axis=1)
         assert 0 < np.count_nonzero(spreadless) < self.N
 
@@ -269,8 +265,8 @@ class TestPoseEigenFeatures:
         cloud = SURFACES[shape]()
         graph = build_graph(cloud, metric, 10, k_base=8)
         motion = sample_rigid(np.random.default_rng(seed), (-180.0, 180.0), (-2.0, 2.0))
-        posed = pose_eigen_features(eigen_features(cloud, graph), motion.rotation).vectors
-        direct = eigen_features(apply(motion, cloud), graph).vectors
+        posed = pose_eigen_features(eigen_features(cloud, graph), motion.rotation)
+        direct = eigen_features(apply(motion, cloud), graph)
         np.testing.assert_allclose(posed[:, :3], direct[:, :3], atol=1e-12, rtol=0)
         # Off the z = 0 boundary of the orientation rule, rounding cannot flip a normal.
         off = (np.abs(posed[:, 5]) > 1e-9) & (np.abs(direct[:, 5]) > 1e-9)
@@ -284,10 +280,10 @@ class TestPoseEigenFeatures:
         cloud = PointCloud(pts)
         graph = knn(cloud, 3)
         feats = eigen_features(cloud, graph)
-        assert np.all(feats.vectors[:4] == 0)
+        assert np.all(feats[:4] == 0)
         for seed in range(5):
             motion = sample_rigid(np.random.default_rng(seed), (-180.0, 180.0))
-            posed = pose_eigen_features(feats, motion.rotation).vectors
+            posed = pose_eigen_features(feats, motion.rotation)
             assert np.all(posed[:4] == 0)
             assert not np.any(np.signbit(posed[:4]))
             assert np.all(np.any(posed[4:, 3:] != 0, axis=1))
@@ -302,12 +298,43 @@ class TestPoseEigenFeatures:
     def test_identity_pose_is_bitwise(self, cloud):
         feats = eigen_features(cloud, knn(cloud, 8))
         posed = pose_eigen_features(feats, np.eye(3))
-        assert posed.vectors.tobytes() == feats.vectors.tobytes()
+        assert posed.tobytes() == feats.tobytes()
+
+
+class TestKernelContract:
+    """Both kernels return read-only arrays and take only clouds within `check_range`."""
+
+    KERNELS = {"eigen": eigen_features, "edgeconv": edgeconv_features}
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS) + ["pose"])
+    def test_output_is_read_only(self, kernel):
+        cloud = sphere_cap(60, seed=1)
+        graph = knn(cloud, 8)
+        if kernel == "pose":
+            rotation = make_rigid((10, 20, 30), (0, 0, 0)).rotation
+            feats = pose_eigen_features(eigen_features(cloud, graph), rotation)
+        else:
+            feats = self.KERNELS[kernel](cloud, graph)
+        assert feats.dtype == np.float64 and feats.shape[0] == len(cloud)
+        with pytest.raises(ValueError, match="read-only"):
+            feats[0, 0] = 1.0
+
+    @pytest.mark.parametrize("scale,limit", [
+        (1e151, re.escape("above the limit 1e+150")),
+        (1e-160, re.escape("below the limit 1e-150")),
+    ], ids=["above", "below"])
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_cloud_outside_the_range_is_rejected(self, kernel, scale, limit):
+        # The graph is built before scaling: knn itself rejects the scaled cloud.
+        cloud = sphere_cap(60, seed=1)
+        graph = knn(cloud, 8)
+        with pytest.raises(InvalidArgumentError, match=f"^cloud has .*{limit}"):
+            self.KERNELS[kernel](PointCloud(cloud.points * scale), graph)
 
 
 class TestKMeans:
     def _features(self, pts):
-        return DescriptorSet(np.asarray(pts, dtype=float))
+        return np.asarray(pts, dtype=float)
 
     def test_single_cluster(self):
         feats = self._features(np.random.default_rng(0).normal(size=(15, 4)))
@@ -355,6 +382,13 @@ class TestKMeans:
         with pytest.raises(InvalidArgumentError):
             kmeans(feats, 6, seed=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_features_are_rejected(self, bad):
+        feats = np.random.default_rng(4).normal(size=(5, 2))
+        feats[3, 1] = bad
+        with pytest.raises(InvalidArgumentError, match="must be finite"):
+            kmeans(feats, 2, seed=0)
+
     def test_deterministic(self):
         feats = self._features(np.random.default_rng(5).normal(size=(50, 6)))
         np.testing.assert_array_equal(kmeans(feats, 3, seed=7), kmeans(feats, 3, seed=7))
@@ -392,5 +426,5 @@ class TestPermutationEquivariance:
         np.testing.assert_array_equal(pgraph.neighbors, inv[graph.neighbors[perm]])
         for describe in (eigen_features, edgeconv_features):
             np.testing.assert_array_equal(
-                describe(permuted, pgraph).vectors, describe(cloud, graph).vectors[perm]
+                describe(permuted, pgraph), describe(cloud, graph)[perm]
             )

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from mahaknn.descriptors import DescriptorSet
 from mahaknn.errors import InvalidArgumentError, RankDeficiencyError
 from mahaknn.geometry import (
     CorrespondenceSet,
@@ -286,9 +285,8 @@ class TestValidation:
     identity_motion,
     lambda: CorrespondenceSet([0, 1], [1, 0]),
     lambda: NeighborGraph(np.zeros((3, 2))),
-    lambda: DescriptorSet(np.zeros((3, 4))),
     identity_model,
-], ids=["cloud", "motion", "correspondences", "graph", "descriptors", "covariance"])
+], ids=["cloud", "motion", "correspondences", "graph", "covariance"])
 def test_array_value_types_compare_by_identity(make):
     # Generated field-wise equality would compare arrays and raise.
     x, copy = make(), make()
@@ -308,7 +306,6 @@ HELD_FIELDS = {
     "source-indices": (lambda a: CorrespondenceSet(a, [0, 1, 2]), "source_indices", lambda: np.arange(3)),
     "target-indices": (lambda a: CorrespondenceSet([0, 1, 2], a), "target_indices", lambda: np.arange(3)),
     "graph": (NeighborGraph, "neighbors", lambda: np.array([[1, 2], [0, 2], [0, 1]])),
-    "descriptors": (DescriptorSet, "vectors", lambda: np.arange(8.0).reshape(4, 2)),
     "covariance": (lambda a: CovarianceModel(a, np.eye(3)), "covariance", lambda: 2.0 * np.eye(3)),
     "inverse": (lambda a: CovarianceModel(np.eye(3), a), "inverse", lambda: 0.5 * np.eye(3)),
 }
@@ -339,6 +336,10 @@ def test_a_plain_array_is_frozen_or_copied(name):
     np.testing.assert_array_equal(held, original)
 
 
+# A 6-row graph, each row naming two other rows.
+SIX_ROWS = [[1, 2], [0, 2], [0, 1], [4, 5], [3, 5], [3, 4]]
+
+
 @pytest.mark.parametrize("field,make", [
     ("translation", lambda: RigidMotion(np.eye(3), np.zeros(4))),
     ("translation", lambda: RigidMotion(np.eye(3), np.zeros((3, 1)))),
@@ -352,15 +353,20 @@ def test_a_plain_array_is_frozen_or_copied(name):
     ("rotation", lambda: RigidMotion([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], np.zeros(3))),
     ("target_indices", lambda: CorrespondenceSet([0], ["zero"])),
     ("neighbors", lambda: NeighborGraph([["x"]])),
-    ("vectors", lambda: DescriptorSet([["x", "y"]])),
+    ("translation", lambda: RigidMotion(np.eye(3), ["x", "y", "z"])),
     ("inverse", lambda: CovarianceModel(np.eye(3), np.full((3, 3), "x"))),
     ("points", lambda: PointCloud([(0.0, 0.0, np.inf)])),
-    ("vectors", lambda: DescriptorSet([[0.0, np.nan]])),
+    ("translation", lambda: RigidMotion(np.eye(3), [0.0, np.nan, 0.0])),
     ("target_indices", lambda: CorrespondenceSet([0], [np.nan])),
+    # A graph of n rows indexes its own n points, 0 to n - 1.
+    ("neighbors", lambda: NeighborGraph(SIX_ROWS[:5] + [[3, -1]])),
+    ("neighbors", lambda: NeighborGraph(SIX_ROWS[:5] + [[3, 6]])),
+    ("neighbors", lambda: NeighborGraph(SIX_ROWS[:5] + [[3, 99]])),
 ], ids=[
     "translation-4", "translation-3x1", "make-rigid-2", "source-2d", "target-2d",
     "source-0.9", "source-mask", "graph-0.9", "cloud-text", "rotation-text", "target-text", "graph-text",
-    "descriptors-text", "inverse-text", "cloud-inf", "descriptors-nan", "target-nan",
+    "translation-text", "inverse-text", "cloud-inf", "translation-nan", "target-nan",
+    "graph-minus-1", "graph-6", "graph-99",
 ])
 def test_malformed_array_is_rejected_by_name(field, make):
     with pytest.raises(InvalidArgumentError, match=f"^{field} must "):
@@ -376,13 +382,16 @@ def test_integral_float_indices_are_accepted():
 
 def test_finiteness_is_checked_at_the_extremes_of_the_float_range():
     # min and max are tested apart, not summed: 1.7e308 + 1.7e308 overflows.
-    np.testing.assert_array_equal(DescriptorSet([[1.7e308, -1.7e308]]).vectors, [[1.7e308, -1.7e308]])
-    np.testing.assert_array_equal(DescriptorSet([[1.7e308, 1.7e308]]).vectors, [[1.7e308, 1.7e308]])
+    for held in ([1.7e308, -1.7e308, 0.0], [1.7e308, 1.7e308, 0.0]):
+        np.testing.assert_array_equal(RigidMotion(np.eye(3), held).translation, held)
     for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(InvalidArgumentError, match="^vectors must be finite"):
-            DescriptorSet([[1.0, bad]])
+        with pytest.raises(InvalidArgumentError, match="^translation must be finite"):
+            RigidMotion(np.eye(3), [1.0, bad, 0.0])
     # A finite longdouble beyond float64 would be held as inf, after a RuntimeWarning.
     for bad in (np.longdouble("1e400"), -np.longdouble("1e400")):
-        with pytest.raises(InvalidArgumentError, match="^vectors must be finite"):
-            DescriptorSet(np.array([[bad]]))
-    assert DescriptorSet(np.empty((0, 6))).vectors.shape == (0, 6)
+        with pytest.raises(InvalidArgumentError, match="^translation must be finite"):
+            RigidMotion(np.eye(3), np.array([bad, 0, 0]))
+    # An empty array has no min or max: it passes the finiteness check, and
+    # the cloud's own size rule rejects it.
+    with pytest.raises(InvalidArgumentError, match="^point cloud must contain at least one point"):
+        PointCloud(np.empty((0, 3)))

@@ -258,6 +258,16 @@ class TestEngine:
         with pytest.raises(InvalidArgumentError, match="must be 2-d arrays"):
             nearest(np.zeros(3), neighborhood.lift(np.zeros((5, 3))))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_engine_rejects_non_finite_inputs_by_name(self, bad):
+        # Unchecked, a NaN query would pair with point 0 at distance NaN.
+        good, poisoned = np.zeros((2, 3)), np.zeros((2, 3))
+        poisoned[1, 2] = bad
+        with pytest.raises(InvalidArgumentError, match="^points must be finite"):
+            neighborhood.lift(poisoned)
+        with pytest.raises(InvalidArgumentError, match="^queries must be finite"):
+            nearest(poisoned, neighborhood.lift(good))
+
     # The point-icp shape, whose full 3072 x 2150 matrix alone would take 50 MiB,
     # and k-means seeding's one center at d = 64, where d + 1 sets the rows.
     @pytest.mark.parametrize("n,m,dim", [(3072, 2150, 3), (16384, 1, 64)])

@@ -120,6 +120,23 @@ class TestMatchDescriptors:
         with pytest.raises(NoCorrespondenceError):
             match_descriptors(feats(np.zeros((0, 3))), lifted(np.zeros((5, 3))), 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_features_are_rejected_by_name(self, bad):
+        # Unchecked, a NaN source row ranks nowhere and an inf target row wins
+        # ties: [1, 1, 1] would lose its exact copy to [inf, 0, 0].
+        good = feats([[0, 0, 0], [1, 1, 1], [2, 2, 2]])
+        poisoned = good.copy()
+        poisoned[0, 0] = bad
+        with pytest.raises(InvalidArgumentError, match="^queries must be finite"):
+            match_descriptors(poisoned, lifted(good), 0.0)
+        with pytest.raises(InvalidArgumentError, match="^points must be finite"):
+            match_descriptors(good, lifted(poisoned), 0.0)
+        corr = CorrespondenceSet([0, 1, 2], [0, 1, 2])
+        with pytest.raises(InvalidArgumentError, match="^points must be finite"):
+            registration._mutual_filter(poisoned, good, corr)
+        with pytest.raises(InvalidArgumentError, match="^queries must be finite"):
+            registration._mutual_filter(good, poisoned, corr)
+
 
 class TestMatchingParity:
     """match_descriptors and _mutual_filter against the dense all-pairs formula."""
@@ -432,7 +449,7 @@ class TestRegister:
         tgt_eigen = eigen_features(tgt, build_graph(tgt, cfg.metric, cfg.k, k_base=cfg.k_base))
         src_eigen = eigen_features(src, build_graph(src, cfg.metric, cfg.k, k_base=cfg.k_base))
         return registration._coarse_alignment(
-            src, tgt, lifted(tgt.points), src_eigen.vectors, tgt_eigen.vectors, cfg.trim_fraction
+            src, tgt, lifted(tgt.points), src_eigen, tgt_eigen, cfg.trim_fraction
         )
 
     @staticmethod
@@ -588,7 +605,7 @@ class TestGraphReuse:
 
         def recording(features, rotation):
             out = pose_eigen_features(features, rotation)
-            posed.append((rotation, out.vectors))
+            posed.append((rotation, out))
             return out
 
         monkeypatch.setattr(registration, "pose_eigen_features", recording)
@@ -598,7 +615,7 @@ class TestGraphReuse:
         assert rotation_angle_rad(posed[-1][0]) > 0.1
         for rotation, got in posed:
             moved = apply(RigidMotion(rotation, np.zeros(3)), source)
-            want = eigen_features(moved, build_graph(moved, cfg.metric, cfg.k, cfg.k_base)).vectors
+            want = eigen_features(moved, build_graph(moved, cfg.metric, cfg.k, cfg.k_base))
             np.testing.assert_allclose(got[:, :3], want[:, :3], atol=1e-12, rtol=0)
             off = (np.abs(got[:, 5]) > 1e-9) & (np.abs(want[:, 5]) > 1e-9)
             np.testing.assert_allclose(got[off, 3:], want[off, 3:], atol=1e-12, rtol=0)
@@ -857,7 +874,8 @@ class TestStartPoseReuse:
 
 
 class TestTargetLift:
-    """The fixed target is lifted for `nearest` once per registration, not per iteration."""
+    """The fixed target is lifted for `nearest` at most once per registration,
+    not per iteration, and its lift is kept for later registrations."""
 
     @staticmethod
     def _count_lifts(monkeypatch):
@@ -872,13 +890,14 @@ class TestTargetLift:
 
     @pytest.mark.parametrize("max_iters", [2, 30])
     @pytest.mark.parametrize("descriptor,mutual,target_lifts", [
-        # Point-ICP lifts the target's points, kept on the target, and the
-        # eigen components its start pose matches, kept with the start, so a
-        # second pipeline on the same pair lifts nothing of the target.
+        # Every pipeline's lifted target features are kept on the target, and
+        # point-ICP also lifts the eigen components its start pose matches,
+        # kept with the start, so a second registration on the same pair
+        # lifts nothing of the target.
         ("none", False, (2, 0)),
         ("none", True, (2, 0)),
-        ("eigen", False, (1, 1)),
-        ("edgeconv", False, (1, 1)),
+        ("eigen", False, (1, 0)),
+        ("edgeconv", False, (1, 0)),
     ], ids=["none", "none-mutual", "eigen", "edgeconv"])
     def test_target_is_lifted_once_per_registration(
         self, monkeypatch, descriptor, mutual, target_lifts, max_iters
@@ -899,6 +918,27 @@ class TestTargetLift:
             # source, lifted on each call.
             assert sizes.count(len(source)) == (max_iters if mutual else 0)
             assert len(sizes) == want + (max_iters if mutual else 0)
+
+
+class TestKeptFeatures:
+    """Every pipeline keeps its target features and their lift on the target
+    under (descriptor, graph key), read-only."""
+
+    @pytest.mark.parametrize("descriptor", ["none", "eigen", "edgeconv"])
+    def test_kept_target_features_are_read_only(self, descriptor):
+        source = sphere_cap(120, seed=23)
+        target = apply(make_rigid((8, -5, 10), (0.1, 0.0, -0.1)), source)
+        cfg = RegistrationConfig(descriptor=descriptor, k=10, max_iters=2)
+        register(source, target, cfg)
+        key = (descriptor, neighborhood.graph_key(cfg.metric, cfg.k, cfg.k_base))
+        features = registration._features(target, descriptor, cfg)
+        lifted_features = target._kept[("lifted",) + key]
+        np.testing.assert_array_equal(lifted_features, neighborhood.lift(features))
+        if descriptor != "none":
+            assert target._kept[key] is features
+        for kept in (features, lifted_features):
+            with pytest.raises(ValueError, match="read-only"):
+                kept[0, 0] = 1.0
 
 
 class TestCoordinateRange:
