@@ -17,6 +17,15 @@ from .neighborhood import NeighborGraph, lift, nearest, row_blocks
 
 # Output channels of the single edge-conv layer.
 EDGECONV_WIDTH = 64
+# Largest coordinate of a cloud that `edgeconv_features` accepts, above
+# `geometry.MAX_ABS_COORDINATE` (1e150): `register` describes the moved
+# source each iteration, and a Kabsch step places each of its points within
+# the source's diameter (2 * sqrt(3) * 1e150) of the target's centroid, so
+# every coordinate stays below 1e150 + 2 * sqrt(3) * 1e150, about 4.5e150.
+# Features of a cloud within this limit stay below 2.1e151 (seed 0's largest
+# row of |W_c - W_o|_1 + |W_o|_1 is 4.08), inside `neighborhood.nearest`'s
+# 64-d limit.
+MAX_ABS_EDGECONV = 5e150
 # k-means stops after this many Lloyd rounds, or once no center moves by the tolerance.
 _KMEANS_MAX_ITERS = 100
 _KMEANS_TOL = 1e-6
@@ -45,7 +54,7 @@ def edgeconv_features(
     """
     if len(graph) != len(cloud):
         raise InvalidArgumentError("graph and cloud sizes differ")
-    check_range("cloud", cloud.points)
+    check_range("cloud", cloud.points, MAX_ABS_EDGECONV)
     rng = np.random.default_rng(seed)
     pts = cloud.points
     # An edge [x_i || x_j - x_i] has fan-in 6.

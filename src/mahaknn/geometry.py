@@ -56,15 +56,24 @@ def hold(value, field: str, shape: tuple, dtype=np.float64, copy: bool = False) 
     object.__setattr__(value, field, held)
 
 
-def check_finite(name: str, arr: NDArray) -> None:
-    """Reject an array holding NaN or inf with InvalidArgumentError naming it.
+def check_finite(name: str, arr: NDArray, max_abs: float = _FLOAT_MAX) -> None:
+    """Reject an array holding NaN or inf, or a magnitude above `max_abs`,
+    with InvalidArgumentError naming it.
 
     The one finiteness rule, of `hold` and of `neighborhood.lift` and
-    `nearest`: min and max are tested apart, not summed, since 1.7e308 +
-    1.7e308 overflows, and a longdouble beyond float64 counts as inf.
+    `nearest`, which pass the magnitude whose products stay finite: min and
+    max are tested apart, not summed, since 1.7e308 + 1.7e308 overflows, and a
+    longdouble beyond float64 counts as inf.
     """
-    if arr.size and not -_FLOAT_MAX <= arr.min() <= arr.max() <= _FLOAT_MAX:
-        raise InvalidArgumentError(f"{name} must be finite")
+    if not arr.size:
+        return
+    lo, hi = arr.min(), arr.max()
+    if not -max_abs <= lo <= hi <= max_abs:
+        if not -_FLOAT_MAX <= lo <= hi <= _FLOAT_MAX:
+            raise InvalidArgumentError(f"{name} must be finite")
+        raise InvalidArgumentError(
+            f"{name} has a magnitude of {float(max(-lo, hi)):.3g}, above the limit {max_abs:.3g}"
+        )
 
 
 def _parse_bool(text: str) -> bool:
@@ -136,6 +145,17 @@ class PointCloud:
         if key not in self._kept:
             self._kept[key] = build()
         return self._kept[key]
+
+    def kept_for(self, other, key, build):
+        """The value kept on this cloud under `key` for the pair (this cloud,
+        `other`), built by `build()` on first use; a call with another `other`
+        replaces it. `register` keeps its start on the target: an identity
+        start is the source itself, so kept on the source it would make a
+        cycle that outlives the pair until the garbage collector runs."""
+        kept = self._kept.get(key)
+        if kept is None or kept[0] is not other:
+            kept = self._kept[key] = (other, build())
+        return kept[1]
 
 
 def check_range(name: str, points, max_abs: float = MAX_ABS_COORDINATE) -> None:

@@ -157,13 +157,24 @@ def _first_k(values: NDArray[np.float64], k: int) -> NDArray[np.intp]:
     return first
 
 
+def max_abs_lifted(dim: int) -> float:
+    """Largest magnitude that `lift` and `nearest` accept in `dim` dimensions.
+
+    With every magnitude at most L, an entry of `nearest`'s product plus q^2
+    is at most 4 * dim * L^2, so L^2 is kept below float64's largest value
+    over 4 * (dim + 1): about 3.4e153 in 3-d and 8.3e152 in 64-d.
+    """
+    return math.sqrt(np.finfo(np.float64).max / (4 * (dim + 1)))
+
+
 def lift(points: NDArray[np.float64]) -> NDArray[np.float64]:
     """The points as `nearest` ranks them: read-only (m, d+1) rows `[-2 p, p^2]`,
     the transpose of the C-ordered (d+1, m) right operand of its product.
-    Non-finite points raise InvalidArgumentError."""
+    Non-finite points, or a magnitude above `max_abs_lifted`, raise
+    InvalidArgumentError."""
     if points.ndim != 2:
         raise InvalidArgumentError("points must be a 2-d array")
-    check_finite("points", points)
+    check_finite("points", points, max_abs_lifted(points.shape[1]))
     lifted = np.empty((points.shape[1] + 1, len(points)))
     np.multiply(points.T, -2.0, out=lifted[:-1])
     lifted[-1] = np.sum(points**2, axis=1)
@@ -181,8 +192,8 @@ def nearest(
     buffer; `q^2`, summed first, is added to each row's picked value after
     the argmin. Rows per block, the one-row rule and the tie rule are the
     module docstring's. An empty point set, mismatched dimensions and
-    non-finite queries raise InvalidArgumentError; zero queries give two
-    empty arrays.
+    queries that are non-finite or above `max_abs_lifted` raise
+    InvalidArgumentError; zero queries give two empty arrays.
     """
     if queries.ndim != 2 or lifted.ndim != 2:
         raise InvalidArgumentError("queries and points must be 2-d arrays")
@@ -193,7 +204,7 @@ def nearest(
         raise InvalidArgumentError(
             f"queries have dimension {queries.shape[1]} but points have {dim}"
         )
-    check_finite("queries", queries)
+    check_finite("queries", queries, max_abs_lifted(dim))
     q2 = np.sum(queries**2, axis=1)
     index = np.empty(len(queries), dtype=np.intp)
     dist = np.empty(len(queries))

@@ -20,18 +20,22 @@ as `neighborhood.lift` lifts them. Every pipeline keeps its target features
 and their lift on the target under one key rule, (descriptor, graph key);
 point-ICP's features are the points, so its start pose shares their lift.
 
-Point-ICP's graphs serve only its start pose: a one-shot match of their
-rotation-invariant eigen components (k >= 3), kept when it leaves a smaller
-trimmed nearest-point residual than identity does. The first iteration
-reuses the match that scored the chosen start. The start is the one value
-kept for a pair rather than a cloud (`_start_pose`), so the pipelines of a
-trial that differ only in `mutual`, `max_iters` or `convergence_tol`
-compute it once. The mutual filter's backward pass ranks only the distinct
-targets that a pair points at, against the moving source lifted per call.
+`register` places the source at its start (`_start`), then alternates match
+and solve. Every pipeline starts from identity but point-ICP, whose graphs
+serve only its start pose: a one-shot match of their rotation-invariant
+eigen components (k >= 3), kept when it leaves a smaller trimmed
+nearest-point residual than identity does. The first iteration reuses the
+match that scored the start. The start belongs to a pair, not a cloud, so it
+is kept on the target for its source by `PointCloud.kept_for`, and the
+pipelines of a trial that differ only in `mutual`, `max_iters` or
+`convergence_tol` compute it once. The mutual filter's backward pass ranks
+only the distinct targets that a pair points at, against the moving source
+lifted per call.
 
 `register` rejects a source or target outside `geometry.check_range`'s range
-before any work, and `edgeconv_features` a moved source that a motion carries
-past it; a later numpy `LinAlgError` is raised as `LinearAlgebraError`.
+before any work. A Kabsch step keeps the moved source within the looser
+limit of `edgeconv_features`, and every feature array within `nearest`'s; a
+later numpy `LinAlgError` is raised as `LinearAlgebraError`.
 """
 
 from __future__ import annotations
@@ -135,9 +139,7 @@ def _coarse_alignment(
     source: PointCloud,
     target: PointCloud,
     lifted_target: NDArray[np.float64],
-    source_eigen: NDArray[np.float64],
-    target_eigen: NDArray[np.float64],
-    trim_fraction: float,
+    cfg: RegistrationConfig,
 ) -> tuple[RigidMotion, PointCloud, CorrespondenceSet]:
     """Point-ICP start pose: a one-shot alignment from the rotation-invariant
     eigen components, kept only if it starts with a strictly smaller trimmed
@@ -148,12 +150,14 @@ def _coarse_alignment(
     match that scored it, which the first iteration reuses. `lifted_target`
     is the target's points lifted by `lift`.
     """
-    identity_corr = match_descriptors(source.points, lifted_target, trim_fraction)
+    # Outside the try, so that a graph cfg cannot build raises.
+    source_eigen, target_eigen = (_features(c, DESCRIPTOR_EIGEN, cfg) for c in (source, target))
+    identity_corr = match_descriptors(source.points, lifted_target, cfg.trim_fraction)
     try:
-        corr = match_descriptors(source_eigen[:, :3], lift(target_eigen[:, :3]), trim_fraction)
+        corr = match_descriptors(source_eigen[:, :3], lift(target_eigen[:, :3]), cfg.trim_fraction)
         coarse = kabsch(source, target, corr)
         moved = apply(coarse, source)
-        coarse_corr = match_descriptors(moved.points, lifted_target, trim_fraction)
+        coarse_corr = match_descriptors(moved.points, lifted_target, cfg.trim_fraction)
         if _pair_residual(moved, target, coarse_corr) < _pair_residual(
             source, target, identity_corr
         ):
@@ -173,46 +177,32 @@ def _features(cloud: PointCloud, descriptor: str, cfg: RegistrationConfig) -> ND
     return cloud.kept(key, lambda: kernel(cloud, build_graph(cloud, cfg.metric, cfg.k, cfg.k_base)))
 
 
-def _start_pose(source: PointCloud, target: PointCloud, lifted_target, cfg: RegistrationConfig):
-    """Point-ICP's start from `_coarse_alignment`, computed once per pair.
-
-    The one value not kept by `PointCloud.kept`, since it belongs to a pair:
-    it is kept on the target with the source object it was computed for,
-    keyed by cfg's graph key and trim_fraction, the only fields it reads.
-    One start is kept per key, and a call with another source replaces it.
-    The target holds it because an identity start places the source itself:
-    kept on the source, it would make the source refer to itself, a cycle
-    that outlives the last reference to the pair until the garbage
-    collector runs.
-    """
+def _start(source: PointCloud, target: PointCloud, lifted, cfg: RegistrationConfig):
+    """Every pipeline's start: (motion, the source placed there, the match
+    that scored it or None). Point-ICP with k >= 3 starts from
+    `_coarse_alignment`, kept on the target for this source under cfg's graph
+    key and trim_fraction, the only fields it reads; every other pipeline
+    starts from identity."""
+    if cfg.descriptor != DESCRIPTOR_NONE or cfg.k < 3:
+        return identity_motion(), source, None
     key = ("start", graph_key(cfg.metric, cfg.k, cfg.k_base), cfg.trim_fraction)
-    kept = target._kept.get(key)
-    if kept is None or kept[0] is not source:
-        eigen = (_features(source, DESCRIPTOR_EIGEN, cfg), _features(target, DESCRIPTOR_EIGEN, cfg))
-        start = _coarse_alignment(source, target, lifted_target, *eigen, cfg.trim_fraction)
-        kept = target._kept[key] = (source, start)
-    return kept[1]
+    return target.kept_for(source, key, lambda: _coarse_alignment(source, target, lifted, cfg))
 
 
 def _setup(source: PointCloud, target: PointCloud, cfg: RegistrationConfig):
     """The target features and the same lifted by `lift`, both kept on the
-    target, a function giving the source features at a pose (moved cloud,
-    cumulative rotation) and the start (motion, source placed there, its
-    scoring match or None), picked once per pipeline."""
+    target, and a function giving the source features at a pose (moved
+    cloud, cumulative rotation)."""
     tgt = _features(target, cfg.descriptor, cfg)
     key = ("lifted", cfg.descriptor, graph_key(cfg.metric, cfg.k, cfg.k_base))
     lifted = target.kept(key, lambda: lift(tgt))
     if cfg.descriptor == DESCRIPTOR_EDGECONV:
         src_graph = build_graph(source, cfg.metric, cfg.k, k_base=cfg.k_base)
-        describe = lambda moved, rotation: edgeconv_features(moved, src_graph)
-    elif cfg.descriptor == DESCRIPTOR_EIGEN:
+        return tgt, lifted, lambda moved, rotation: edgeconv_features(moved, src_graph)
+    if cfg.descriptor == DESCRIPTOR_EIGEN:
         src_eigen = _features(source, DESCRIPTOR_EIGEN, cfg)
-        describe = lambda moved, rotation: pose_eigen_features(src_eigen, rotation)
-    else:
-        describe = lambda moved, rotation: moved.points
-        if cfg.k >= 3:
-            return tgt, lifted, describe, _start_pose(source, target, lifted, cfg)
-    return tgt, lifted, describe, (identity_motion(), source, None)
+        return tgt, lifted, lambda moved, rotation: pose_eigen_features(src_eigen, rotation)
+    return tgt, lifted, lambda moved, rotation: moved.points
 
 
 def register(
@@ -224,15 +214,13 @@ def register(
     for name, cloud in (("source", source), ("target", target)):
         check_range(name, cloud.points)
     try:
-        tgt, lifted_tgt, describe, (cumulative, current, start_corr) = _setup(source, target, cfg)
+        tgt, lifted_tgt, describe = _setup(source, target, cfg)
+        cumulative, current, first = _start(source, target, lifted_tgt, cfg)
         residuals: list[float] = []
-        corr = None
         for _ in range(cfg.max_iters):
             src = describe(current, cumulative.rotation)
-            if start_corr is None:
-                corr = match_descriptors(src, lifted_tgt, cfg.trim_fraction)
-            else:
-                corr, start_corr = start_corr, None
+            corr = match_descriptors(src, lifted_tgt, cfg.trim_fraction) if first is None else first
+            first = None
             if cfg.mutual:
                 corr = _mutual_filter(src, tgt, corr)
             residuals.append(_pair_residual(current, target, corr))
@@ -243,7 +231,6 @@ def register(
                 break
     except np.linalg.LinAlgError as exc:
         raise LinearAlgebraError(f"registration failed: {exc}") from exc
-    assert corr is not None
     return RegistrationResult(cumulative, len(residuals), tuple(residuals), corr)
 
 

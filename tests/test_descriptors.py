@@ -320,15 +320,16 @@ class TestKernelContract:
             feats[0, 0] = 1.0
 
     @pytest.mark.parametrize("scale,limit", [
-        (1e151, re.escape("above the limit 1e+150")),
-        (1e-160, re.escape("below the limit 1e-150")),
+        # Edge-conv admits the larger coordinates of a moved source.
+        (1e151, {"eigen": "above the limit 1e+150", "edgeconv": "above the limit 5e+150"}),
+        (1e-160, {"eigen": "below the limit 1e-150", "edgeconv": "below the limit 1e-150"}),
     ], ids=["above", "below"])
     @pytest.mark.parametrize("kernel", sorted(KERNELS))
     def test_cloud_outside_the_range_is_rejected(self, kernel, scale, limit):
         # The graph is built before scaling: knn itself rejects the scaled cloud.
         cloud = sphere_cap(60, seed=1)
         graph = knn(cloud, 8)
-        with pytest.raises(InvalidArgumentError, match=f"^cloud has .*{limit}"):
+        with pytest.raises(InvalidArgumentError, match=f"^cloud has .*{re.escape(limit[kernel])}"):
             self.KERNELS[kernel](PointCloud(cloud.points * scale), graph)
 
 

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from mahaknn.geometry import (
     PointCloud,
     RigidMotion,
     apply,
+    check_finite,
     compose,
     euler_zyx_deg,
     identity_motion,
@@ -395,3 +399,59 @@ def test_finiteness_is_checked_at_the_extremes_of_the_float_range():
     # the cloud's own size rule rejects it.
     with pytest.raises(InvalidArgumentError, match="^point cloud must contain at least one point"):
         PointCloud(np.empty((0, 3)))
+
+
+def test_a_bound_magnitude_is_named_and_non_finite_is_still_refused_as_such():
+    check_finite("x", np.array([-2.0, 2.0]), 2.0)
+    for arr in ([0.0, 2.5], [-2.5, 0.0]):
+        with pytest.raises(InvalidArgumentError, match=r"^x has a magnitude of 2.5, above the limit 2$"):
+            check_finite("x", np.array(arr), 2.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidArgumentError, match="^x must be finite$"):
+            check_finite("x", np.array([3.0, bad]), 2.0)
+
+
+class TestKeptFor:
+    """`PointCloud.kept_for` keeps one value per key for a pair of clouds."""
+
+    @staticmethod
+    def _counting_build(value):
+        calls = []
+
+        def build():
+            calls.append(1)
+            return value
+
+        return calls, build
+
+    def test_the_same_other_is_served_the_kept_value(self):
+        cloud, other = random_cloud(4, seed=1), random_cloud(4, seed=2)
+        calls, build = self._counting_build(object())
+        first = cloud.kept_for(other, "key", build)
+        assert cloud.kept_for(other, "key", build) is first
+        assert len(calls) == 1
+        # Another key is another value.
+        cloud.kept_for(other, "other key", build)
+        assert len(calls) == 2
+
+    def test_another_other_rebuilds_and_replaces_it(self):
+        cloud, other = random_cloud(4, seed=1), random_cloud(4, seed=2)
+        cloud.kept_for(other, "key", lambda: "first")
+        # Equal points in another object are another pair.
+        twin = PointCloud(other.points)
+        assert cloud.kept_for(twin, "key", lambda: "second") == "second"
+        # Only one value is kept per key: the first pair's was replaced.
+        assert cloud.kept_for(other, "key", lambda: "third") == "third"
+        assert cloud.kept_for(other, "key", lambda: "fourth") == "third"
+
+    def test_a_build_returning_other_leaves_no_cycle(self):
+        # As an identity start returns the source itself.
+        cloud, other = random_cloud(4, seed=1), random_cloud(4, seed=2)
+        assert cloud.kept_for(other, "key", lambda: other) is other
+        refs = [weakref.ref(cloud), weakref.ref(other)]
+        gc.disable()
+        try:
+            del cloud, other
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()

@@ -268,6 +268,34 @@ class TestEngine:
         with pytest.raises(InvalidArgumentError, match="^queries must be finite"):
             nearest(poisoned, neighborhood.lift(good))
 
+    # Unchecked, each gave only a RuntimeWarning and then inf or NaN distances.
+    @pytest.mark.parametrize("queries,points,name,magnitude", [
+        ([[0.0, 0, 0], [0, 0, 0]], [[1e155, 0, 0], [-1e156, 0, 0]], "points", "1e+156"),
+        ([[2e155, 0, 0]], [[1e155, 0, 0], [3e155, 0, 0]], "points", "3e+155"),
+        ([[1e300, 0, 0]], [[1.0, 0, 0], [2, 0, 0]], "queries", "1e+300"),
+    ], ids=["points-negative", "points", "queries"])
+    def test_engine_rejects_magnitudes_whose_products_overflow(
+        self, queries, points, name, magnitude
+    ):
+        limit = re.escape(f"{name} has a magnitude of {magnitude}, above the limit 3.35e+153")
+        with pytest.raises(InvalidArgumentError, match=f"^{limit}$"):
+            nearest(np.array(queries), neighborhood.lift(np.array(points)))
+
+    @pytest.mark.parametrize("dim,limit", [(3, 3.35e153), (64, 8.32e152)])
+    def test_engine_ranks_up_to_its_limit_without_overflow(self, dim, limit):
+        # At the limit the farthest pair's squared distance, 4 * dim * L^2,
+        # stays finite; any magnitude beyond it is refused.
+        bound = neighborhood.max_abs_lifted(dim)
+        assert bound == pytest.approx(limit, rel=1e-3)
+        points = np.vstack([np.full(dim, -bound), np.full(dim, bound)])
+        index, dist = nearest(points[::-1], neighborhood.lift(points))
+        np.testing.assert_array_equal(index, [1, 0])
+        assert np.isfinite(dist).all()
+        with pytest.raises(InvalidArgumentError, match="above the limit"):
+            neighborhood.lift(points * 1.000001)
+        with pytest.raises(InvalidArgumentError, match="above the limit"):
+            nearest(points * 1.000001, neighborhood.lift(points))
+
     # The point-icp shape, whose full 3072 x 2150 matrix alone would take 50 MiB,
     # and k-means seeding's one center at d = 64, where d + 1 sets the rows.
     @pytest.mark.parametrize("n,m,dim", [(3072, 2150, 3), (16384, 1, 64)])

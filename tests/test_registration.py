@@ -17,12 +17,14 @@ from mahaknn.descriptors import (
 )
 from mahaknn.errors import InvalidArgumentError, MahaknnError, NoCorrespondenceError, SingularCovarianceError
 from mahaknn.geometry import (
+    MAX_ABS_COORDINATE,
     CorrespondenceSet,
     PointCloud,
     RigidMotion,
     apply,
     compose,
     invert,
+    kabsch,
     make_rigid,
     rotation_angle_rad,
     sample_rigid,
@@ -445,12 +447,8 @@ class TestRegister:
 
     @staticmethod
     def _start_pose(src, tgt, cfg):
-        """_coarse_alignment on the eigen features register computes from cfg's graphs."""
-        tgt_eigen = eigen_features(tgt, build_graph(tgt, cfg.metric, cfg.k, k_base=cfg.k_base))
-        src_eigen = eigen_features(src, build_graph(src, cfg.metric, cfg.k, k_base=cfg.k_base))
-        return registration._coarse_alignment(
-            src, tgt, lifted(tgt.points), src_eigen, tgt_eigen, cfg.trim_fraction
-        )
+        """_coarse_alignment on the eigen features of cfg's graphs, as register calls it."""
+        return registration._coarse_alignment(src, tgt, lifted(tgt.points), cfg)
 
     @staticmethod
     def _nearest_match(moved, tgt, trim_fraction):
@@ -511,6 +509,39 @@ class TestRegister:
         assert reused.per_iteration_residuals == fresh.per_iteration_residuals
         assert reused.motion.rotation.tobytes() == fresh.motion.rotation.tobytes()
         assert reused.motion.translation.tobytes() == fresh.motion.translation.tobytes()
+
+    # One iteration solves the match that scored point-ICP's start.
+    @pytest.mark.parametrize("exit,max_iters,tol", [
+        ("converged", 30, 1e-3), ("max_iters", 5, 0.0), ("one-iteration", 1, 0.0),
+    ])
+    @pytest.mark.parametrize("mutual", [False, True])
+    @pytest.mark.parametrize("descriptor", ["none", "eigen"])
+    def test_final_correspondences_are_the_last_solved_match(
+        self, monkeypatch, descriptor, mutual, exit, max_iters, tol
+    ):
+        solved = []
+
+        def recording(source, target, corr):
+            solved.append(corr)
+            return kabsch(source, target, corr)
+
+        monkeypatch.setattr(registration, "kabsch", recording)
+        cfg = RegistrationConfig(
+            descriptor=descriptor, k=10, max_iters=max_iters, convergence_tol=tol, mutual=mutual
+        )
+        res = register(*TestGraphReuse._pair(13), cfg)
+        assert (res.iterations < max_iters) == (exit == "converged")
+        assert res.correspondences_final is solved[-1]
+
+    @pytest.mark.parametrize("descriptor,k,starts", [
+        ("none", 3, 1), ("none", 2, 0), ("eigen", 10, 0), ("edgeconv", 10, 0),
+    ])
+    def test_only_point_icp_with_eigen_features_aligns_coarsely(
+        self, monkeypatch, descriptor, k, starts
+    ):
+        calls = TestStartPoseReuse._count_starts(monkeypatch)
+        register(*TestGraphReuse._pair(14), RegistrationConfig(descriptor=descriptor, k=k))
+        assert len(calls) == starts
 
 
 class TestGraphReuse:
@@ -980,6 +1011,19 @@ class TestCoordinateRange:
         cfg = RegistrationConfig(k=10, k_base=6, max_iters=3, **self.PIPELINES[pipeline])
         result = register(*self._pair(scale), cfg)
         assert np.all(np.isfinite(result.motion.rotation))
+        assert np.all(np.isfinite(result.motion.translation))
+
+    def test_whitened_edgeconv_runs_past_the_range_it_starts_in(self):
+        # Kabsch steps carry the moved source past MAX_ABS_COORDINATE, which
+        # edgeconv_features admits up to MAX_ABS_EDGECONV.
+        rng = np.random.default_rng(0)
+        source = PointCloud(rng.uniform(-1e150, 1e150, size=(200, 3)))
+        moved = apply(make_rigid((30, 20, 10), (0.0, 0.0, 0.0)), source).points
+        target = PointCloud(moved * (1e150 / np.abs(moved).max()))
+        cfg = RegistrationConfig(metric="mahalanobis", descriptor="edgeconv")
+        result = register(source, target, cfg)
+        assert result.iterations == cfg.max_iters
+        assert np.abs(apply(result.motion, source).points).max() > MAX_ABS_COORDINATE
         assert np.all(np.isfinite(result.motion.translation))
 
     def test_coincident_points_are_left_to_the_solver(self):
