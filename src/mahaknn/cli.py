@@ -26,7 +26,7 @@ from .errors import (
     RankDeficiencyError,
     SingularCovarianceError,
 )
-from .geometry import PointCloud, apply, euler_zyx_deg
+from .geometry import apply, euler_zyx_deg
 from .harness import PIPELINE_FIELDS, load_scenario, non_negative_int, run_scenario, write_report
 from .neighborhood import METRIC_EUCLIDEAN, METRIC_MAHALANOBIS, METRICS, build_graph
 from .registration import RegistrationConfig, register

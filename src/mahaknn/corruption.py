@@ -1,9 +1,10 @@
 """Noise and density perturbations for building benchmark pairs.
 
 Per-side variants perturb each cloud that `applied_to` names (source, target
-or both): gaussian (clipped additive noise), bernoulli (random point drop) and
-subsample (fixed-count random subset). Split variants (`PAIR_VARIANTS`) split
-one permutation of an equal-length pair's n indices into disjoint sets:
+or both): gaussian (clipped additive noise), bernoulli (random point drop,
+always keeping the point with the smallest draw, so no side comes out empty)
+and subsample (fixed-count random subset). Split variants (`PAIR_VARIANTS`)
+split one permutation of an equal-length pair's n indices into disjoint sets:
 sampling gives each side floor(ratio * n) points, zero_intersection gives the
 source floor(n / 2) and the target the rest. `none` changes nothing. A side
 the spec leaves untouched is returned as the input object itself.
@@ -104,10 +105,12 @@ def _perturb(pts, spec: NoiseSpec, rng: np.random.Generator, side: str):
     if spec.variant == GAUSSIAN:
         return pts + np.clip(rng.normal(0.0, spec.sigma, size=pts.shape), -spec.clip, spec.clip)
     if spec.variant == BERNOULLI:
-        while True:  # redraw until at least one point is kept
-            mask = rng.random(len(pts)) < spec.keep_prob
-            if mask.any():
-                return pts[mask]
+        # One draw per point; the point with the smallest draw is always kept,
+        # which changes the draw's outcome only where it would keep none.
+        draw = rng.random(len(pts))
+        keep = draw < spec.keep_prob
+        keep[np.argmin(draw)] = True
+        return pts[keep]
     if spec.count > len(pts):
         raise InvalidArgumentError(f"subsample count exceeds {side} size")
     return pts[np.sort(rng.choice(len(pts), spec.count, replace=False))]

@@ -60,10 +60,10 @@ def check_finite(name: str, arr: NDArray, max_abs: float = _FLOAT_MAX) -> None:
     """Reject an array holding NaN or inf, or a magnitude above `max_abs`,
     with InvalidArgumentError naming it.
 
-    The one finiteness rule, of `hold` and of `neighborhood.lift` and
-    `nearest`, which pass the magnitude whose products stay finite: min and
-    max are tested apart, not summed, since 1.7e308 + 1.7e308 overflows, and a
-    longdouble beyond float64 counts as inf.
+    The one finiteness rule, of `hold`, of `check_range` and of
+    `neighborhood.lift` and `nearest`, which pass the magnitude whose products
+    stay finite: min and max are tested apart, not summed, since 1.7e308 +
+    1.7e308 overflows, and a longdouble beyond float64 counts as inf.
     """
     if not arr.size:
         return
@@ -159,7 +159,9 @@ class PointCloud:
 
 
 def check_range(name: str, points, max_abs: float = MAX_ABS_COORDINATE) -> None:
-    """Reject coordinates outside the range in which distances stay normal floats.
+    """Reject coordinates outside the range in which distances stay normal floats:
+    NaN, inf and magnitudes above `max_abs` by `check_finite`'s rule, and a
+    nonzero extent below `MIN_EXTENT`.
 
     Called where coordinates are first ranked or solved: `register`,
     `statistics.estimate_covariance` and `neighborhood.knn`, which also
@@ -169,11 +171,7 @@ def check_range(name: str, points, max_abs: float = MAX_ABS_COORDINATE) -> None:
     0) passes: it is degenerate geometry, which the graph, covariance and
     solver steps classify.
     """
-    largest = float(np.max(np.abs(points)))
-    if largest > max_abs:
-        raise InvalidArgumentError(
-            f"{name} has a coordinate of magnitude {largest:.3g}, above the limit {max_abs:g}"
-        )
+    check_finite(name, points, max_abs)
     extent = float(np.max(np.ptp(points, axis=0)))
     if 0.0 < extent < MIN_EXTENT:
         raise InvalidArgumentError(

@@ -97,6 +97,16 @@ class TestDensityVariants:
             assert all(tuple(p) in rows for p in kept.points)
             assert len(kept) < len(orig)
 
+    def test_bernoulli_keeps_the_smallest_draw_when_the_draw_keeps_none(self):
+        # keep_prob=1e-300 keeps no point by its draw; each side then keeps the
+        # one point with its smallest draw, source draws before target draws.
+        s, t = pair(100, seed=3)
+        draws = np.random.default_rng(4)
+        expected = [orig.points[[np.argmin(draws.random(len(orig)))]] for orig in (s, t)]
+        kept = corrupt(s, t, NoiseSpec("bernoulli", keep_prob=1e-300), np.random.default_rng(4))
+        for cloud, points in zip(kept, expected):
+            np.testing.assert_array_equal(cloud.points, points)
+
     def test_sampling_produces_disjoint_index_sets(self):
         s, t = pair(100, seed=9)
         cs, ct = corrupt(s, t, NoiseSpec("sampling", ratio=0.4),

@@ -11,6 +11,7 @@ from mahaknn.geometry import (
     RigidMotion,
     apply,
     check_finite,
+    check_range,
     compose,
     euler_zyx_deg,
     identity_motion,
@@ -409,6 +410,12 @@ def test_a_bound_magnitude_is_named_and_non_finite_is_still_refused_as_such():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(InvalidArgumentError, match="^x must be finite$"):
             check_finite("x", np.array([3.0, bad]), 2.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_check_range_refuses_non_finite_coordinates(bad):
+    with pytest.raises(InvalidArgumentError, match="^x must be finite$"):
+        check_range("x", np.array([[bad, 0.0, 0.0], [0.0, 0.0, 0.0]]))
 
 
 class TestKeptFor:

@@ -9,12 +9,21 @@ import mahaknn
 
 def test_import_leaves_scipy_unloaded():
     # numpy is the only runtime dependency; scipy is installed for tests only.
+    # The benchmark's set-up path loads only the modules it uses.
     src = os.path.dirname(os.path.dirname(os.path.abspath(mahaknn.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, mahaknn, mahaknn.cli; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    for statement, modules in [
+        ("import mahaknn.cli", None),
+        ("from mahaknn import cloudio, shapes",
+         "mahaknn mahaknn.cloudio mahaknn.errors mahaknn.geometry mahaknn.shapes"),
+    ]:
+        code = (f"import sys; {statement}; print('scipy' in sys.modules, "
+                "*sorted(m for m in sys.modules if m.partition('.')[0] == 'mahaknn'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        scipy, _, loaded = out.stdout.strip().partition(" ")
+        assert scipy == "False"
+        assert modules is None or loaded == modules
 
 
 def private_reads(source):
@@ -39,5 +48,30 @@ def test_no_module_reaches_into_private_state_of_other_objects():
         path.name: reads
         for path in sorted(package.glob("*.py"))
         if (reads := private_reads(path.read_text()))
+    }
+    assert found == {}
+
+
+def unused_imports(source):
+    """Sorted names that `source` binds by `import` (`from __future__` aside)
+    and never reads as a `Name`; annotations count as reads."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((alias.asname or alias.name).partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # Each public name has one import path, its own module.
+    package = pathlib.Path(mahaknn.__file__).parent
+    found = {
+        path.name: names
+        for path in sorted(package.glob("*.py"))
+        if (names := unused_imports(path.read_text()))
     }
     assert found == {}
